@@ -18,7 +18,8 @@ from . import cliffspin, monogenics, kernelcalc, sbolattice
 
 def _report(check, params, status, witness=None, t0=None):
     rep = {"check": check, "params": params, "status": status,
-           "runtime_ms": int((time.time() - t0) * 1000) if t0 else 0}
+           "runtime_ms": int((time.perf_counter() - t0) * 1000)
+           if t0 is not None else 0}
     if witness is not None:
         rep["witness"] = witness
     return rep
@@ -29,7 +30,7 @@ def _emit(rep, out):
 
 
 def _suite_gegenbauer(args):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         monogenics.verify_gegenbauer_identities(args.max_deg)
         yield _report("gegenbauer", {"max_deg": args.max_deg}, "pass", t0=t0)
@@ -43,7 +44,7 @@ def _suite_branching(args):
         for j in range(args.imax + 1):
             basis = monogenics.monogenic_basis(n, j)
             for i in range(j, args.imax + 1):
-                t0 = time.time()
+                t0 = time.perf_counter()
                 params = {"n": n, "j": j, "i": i}
                 bad = None
                 for phi in basis:
@@ -78,7 +79,7 @@ def _suite_lambda(args):
                     betaps = [(j + 1, sa), (j, -sa), (j - 1, sa)]
                 for beta in betas:
                     for betap in betaps:
-                        t0 = time.time()
+                        t0 = time.perf_counter()
                         params = {"n": n, "alpha": str(alpha), "alphap": str(alphap),
                                   "beta": str(beta), "betap": str(betap)}
                         try:
@@ -126,7 +127,7 @@ def _suite_kernels(args):
                 else:
                     cases.append(("residue_step_spinor_plus", {"i": i, "j": j}))
     for tag, kw in cases:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = kernelcalc.check_identity(tag, n, **kw)
         yield _report("kernel:" + tag, dict(kw, n=n),
                       "pass" if rep["ok"] else "fail",
@@ -135,7 +136,7 @@ def _suite_kernels(args):
 
 def _suite_projection(args):
     n = args.n
-    t0 = time.time()
+    t0 = time.perf_counter()
     if n % 2 == 0:
         rep = cliffspin.check_proj_independence(n)
         yield _report("projection:independence", {"n": n},
@@ -146,7 +147,7 @@ def _suite_projection(args):
     for l in range(args.lmax + 1):
         fams += [("sCt+", {"l": l}), ("sCt-", {"l": l})]
     for tag, kw in fams:
-        t0 = time.time()
+        t0 = time.perf_counter()
         K = kernelcalc.make_family(tag, n, **kw)
         before = kernelcalc.support(K)
         after = kernelcalc.support(kernelcalc.project(K))
@@ -171,6 +172,10 @@ def cmd_verify(args, out):
     return 1 if failed else 0
 
 
+# domain errors of the lattice solver: usage errors, not failed checks
+_LATTICE_DOMAIN = (sbolattice.BadDepth, cliffspin.DimensionMismatch)
+
+
 def cmd_multiplicity(args, out):
     try:
         lam0 = rat(args.lam)
@@ -178,7 +183,11 @@ def cmd_multiplicity(args, out):
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         sys.stderr.write("bad fraction: %s\n" % exc)
         return 2
-    res = sbolattice.multiplicity(args.n, lam0, nu0, depth=args.depth)
+    try:
+        res = sbolattice.multiplicity(args.n, lam0, nu0, depth=args.depth)
+    except _LATTICE_DOMAIN as exc:
+        sys.stderr.write("bad lattice parameters: %s\n" % exc)
+        return 2
     if args.sector == "plus":
         res = {k: v for k, v in res.items() if k != "dim_minus"}
     elif args.sector == "minus":
@@ -204,14 +213,18 @@ def _lattice_grid(n, imax, jmax, depth):
 
 
 def cmd_table(args, out):
-    if args.kind == "composition":
-        rows = sbolattice.composition_table(args.n, args.imax, args.jmax,
-                                            depth=args.depth)
-        cols = ["n", "i", "j", "parity", "FF", "FT", "TF", "TT"]
-    else:
-        rows = _lattice_grid(args.n, args.imax, args.jmax, args.depth)
-        cols = ["n", "lam", "nu", "sector_plus", "sector_minus", "total",
-                "stabilized", "on_lattice", "depth"]
+    try:
+        if args.kind == "composition":
+            rows = sbolattice.composition_table(args.n, args.imax, args.jmax,
+                                                depth=args.depth)
+            cols = ["n", "i", "j", "parity", "FF", "FT", "TF", "TT"]
+        else:
+            rows = _lattice_grid(args.n, args.imax, args.jmax, args.depth)
+            cols = ["n", "lam", "nu", "sector_plus", "sector_minus", "total",
+                    "stabilized", "on_lattice", "depth"]
+    except _LATTICE_DOMAIN as exc:
+        sys.stderr.write("bad lattice parameters: %s\n" % exc)
+        return 2
     if args.format == "json":
         out.write(json.dumps(rows, sort_keys=True) + "\n")
     else:

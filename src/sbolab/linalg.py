@@ -1,14 +1,60 @@
 """Exact sparse Gaussian elimination over the Gaussian rationals.
 
 Rows are dicts column->GaussianRational; no floating point anywhere.
+Elimination is fraction-free: each row is scaled to a primitive vector of
+Gaussian integers, stored as (re, im) pairs of ints, a row is reduced by
+r <- p*r - f*pivot and divided by the integer gcd of its parts, and only
+the pivot rows are brought back to Q(i), normalized to 1 at the pivot.
 """
+
+from fractions import Fraction
+from math import gcd
 
 from .paramfield import GaussianRational, ZERO, ONE
 
 
+def _primitive(row):
+    """Divide a Z[i] row {col: (re, im)} by the integer gcd of its parts."""
+    g = 0
+    for a, b in row.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
+    return {c: (a // g, b // g) for c, (a, b) in row.items()}
+
+
+def _to_gaussian_ints(row):
+    """Scale a Q(i) row by the lcm of its denominators; primitive Z[i] row."""
+    den = 1
+    for v in row.values():
+        for q in (v.re, v.im):
+            d = q.denominator
+            if den % d:
+                den = den * d // gcd(den, d)
+    out = {}
+    for c, v in row.items():
+        re, im = v.re, v.im
+        out[c] = (int(re.numerator) * (den // int(re.denominator)),
+                  int(im.numerator) * (den // int(im.denominator)))
+    return _primitive(out)
+
+
+def _to_rationals(row, col):
+    """The Z[i] row divided by its entry at col, as Gaussian rationals."""
+    a, b = row[col]
+    nrm = a * a + b * b
+    return {c: GaussianRational(Fraction(x * a + y * b, nrm),
+                                Fraction(y * a - x * b, nrm))
+            for c, (x, y) in row.items()}
+
+
 def eliminate(rows, ncols):
-    """Forward-eliminate sparse rows in place; returns list of pivot columns."""
-    work = [dict(r) for r in rows if r]
+    """Forward-eliminate sparse rows; returns (pivot columns, pivot rows).
+
+    The pivot for a column is the first remaining row that holds it; each
+    pivot row is normalized to 1 at its pivot column.
+    """
+    work = [_to_gaussian_ints(r) for r in rows if r]
     pivots = []
     pivot_rows = []
     for col in range(ncols):
@@ -20,31 +66,36 @@ def eliminate(rows, ncols):
         if pr is None:
             continue
         row = work.pop(pr)
-        inv = row[col].inverse()
-        row = {c: v * inv for c, v in row.items()}
+        p_re, p_im = row[col]
         nxt = []
         for r in work:
-            if col in r:
-                f = r[col]
-                out = {}
-                for c, v in r.items():
-                    if c == col:
-                        continue
-                    w = v - f * row.get(c, ZERO)
-                    if not w.is_zero():
-                        out[c] = w
-                for c, v in row.items():
-                    if c != col and c not in r:
-                        w = -f * v
-                        if not w.is_zero():
-                            out[c] = w
-                if out:
-                    nxt.append(out)
-            else:
+            if col not in r:
                 nxt.append(r)
+                continue
+            # r <- p*r - f*row, with p, f stripped of their common factor
+            f_re, f_im = r[col]
+            g = gcd(p_re, p_im, f_re, f_im)
+            a, b, e, h = p_re // g, p_im // g, f_re // g, f_im // g
+            out = {}
+            for c, (x, y) in r.items():
+                if c == col:
+                    continue
+                u = a * x - b * y
+                v = a * y + b * x
+                w = row.get(c)
+                if w is not None:
+                    u -= e * w[0] - h * w[1]
+                    v -= e * w[1] + h * w[0]
+                if u or v:
+                    out[c] = (u, v)
+            for c, (x, y) in row.items():
+                if c != col and c not in r:
+                    out[c] = (h * y - e * x, -e * y - h * x)
+            if out:
+                nxt.append(_primitive(out))
         work = nxt
         pivots.append(col)
-        pivot_rows.append(row)
+        pivot_rows.append(_to_rationals(row, col))
         if not work:
             break
     return pivots, pivot_rows
@@ -94,7 +145,7 @@ def nullspace(rows, ncols):
     return basis
 
 
-def solve_in_span(columns, target, ncols_hint=None):
+def solve_in_span(columns, target):
     """Solve sum_j c_j * columns[j] == target exactly.
 
     columns and target are dicts key->GaussianRational over an arbitrary key
@@ -120,8 +171,6 @@ def solve_in_span(columns, target, ncols_hint=None):
             row[m] = t
         if row:
             rows.append(row)
-    if not rows:
-        return [ZERO] * m
     pivots, prows = eliminate(rows, m + 1)
     if m in pivots:
         return None  # inconsistent

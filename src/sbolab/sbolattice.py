@@ -10,8 +10,9 @@ vanishing patterns that select quotients and subrepresentations.
 
 from fractions import Fraction
 
-from .paramfield import (GaussianRational, ParamScalar, rat,
+from .paramfield import (GaussianRational, ParamScalar, rat, I,
                          PS_LAM, PS_NU, PS_I, evaluate)
+from .cliffspin import DimensionMismatch
 from .monogenics import lambda_constant, NotAdjacent, _split_label, _adjacent_move
 from . import linalg
 
@@ -122,14 +123,17 @@ def scalar_identity_display(n, i, j, which, sign):
 
 # -- the sector systems ---------------------------------------------------------
 
-def _sector_rows(n, i, j, sigma):
-    """Symbolic coefficient rows of the three sector identities at (i, j).
+def _sector_rows(n, i, j, sigma, lam=PS_LAM, nu=PS_NU):
+    """Coefficient rows of the three sector identities at (i, j).
 
-    Each row is {(k, l): ParamScalar}; invalid neighbor indices are dropped.
-    sigma = +-1 selects the sector.
+    Each row is {(k, l): coefficient}; invalid neighbor indices are dropped.
+    sigma = +-1 selects the sector.  The arithmetic is that of lam's type:
+    with the default symbolic PS_LAM, PS_NU the coefficients are ParamScalars,
+    with Gaussian rationals they are the rows evaluated at that point.
     """
-    c = ParamScalar.coerce
-    L, N = PS_LAM, PS_NU
+    c = type(lam).coerce
+    L, N = lam, nu
+    unit_i = c(I)
     r, rh = Fraction(n, 2), Fraction(n - 1, 2)
     lam_up = L + c(rat(r + Fraction(1, 2) + i))
     lam_dn = L - c(rat(r - Fraction(1, 2) + i))
@@ -142,7 +146,7 @@ def _sector_rows(n, i, j, sigma):
     row[(i + 1, j + 1)] = -c((n + 2 * i - 1) * (n + 2 * j - 1)) * lam_up
     if j + 1 <= i:
         mid = c(2 * (n + 2 * j - 1)) * L
-        row[(i, j + 1)] = (sgn * PS_I * mid if even else mid)
+        row[(i, j + 1)] = (sgn * unit_i * mid if even else mid)
     if j + 1 <= i - 1:
         row[(i - 1, j + 1)] = c((n + 2 * i + 1) * (n + 2 * j - 1)) * lam_dn
     rows.append(row)
@@ -153,9 +157,9 @@ def _sector_rows(n, i, j, sigma):
     up = c((i - j + 1) * (n + 2 * i - 1)) * lam_up
     dn = c((n + 2 * i + 1) * (n + i + j - 1)) * lam_dn
     if even:
-        row[(i + 1, j)] = PS_I * up
+        row[(i + 1, j)] = unit_i * up
         if i - 1 >= j:
-            row[(i - 1, j)] = -PS_I * dn
+            row[(i - 1, j)] = -unit_i * dn
     else:
         row[(i + 1, j)] = c(sgn) * up
         if i - 1 >= j:
@@ -167,7 +171,7 @@ def _sector_rows(n, i, j, sigma):
                (N - c(rat(rh - Fraction(1, 2) + j)))}
         row[(i + 1, j - 1)] = c((i - j + 1) * (i - j + 2) * (n + 2 * i - 1)) * lam_up
         mid = c(2 * (i - j + 1) * (n + i + j - 1)) * L
-        row[(i, j - 1)] = (sgn * PS_I * mid if even else mid)
+        row[(i, j - 1)] = (sgn * unit_i * mid if even else mid)
         if i - 1 >= j - 1:
             row[(i - 1, j - 1)] = -c((n + 2 * i + 1) * (n + i + j - 2) *
                                      (n + i + j - 1)) * lam_dn
@@ -207,25 +211,24 @@ def build_system(n, lam0, nu0, sign, depth, region=None):
     the triangle; region (a predicate) restricts the free unknowns, points
     outside it are pinned to zero.
     """
+    if n < 2:
+        raise DimensionMismatch("need n >= 2")
     if depth < 2:
         raise BadDepth("depth must be >= 2")
-    lam0 = GaussianRational.coerce(rat(lam0) if not isinstance(lam0, GaussianRational) else lam0)
-    nu0 = GaussianRational.coerce(rat(nu0) if not isinstance(nu0, GaussianRational) else nu0)
+    lam0 = GaussianRational.coerce(lam0)
+    nu0 = GaussianRational.coerce(nu0)
     sigma = 1 if sign in (1, "+", "plus") else -1
     constraints = []
-    for i in range(depth + 1):
+    for i in range(depth):
         for j in range(i + 1):
-            if i + 1 > depth:
-                continue
-            for row in _sector_rows(n, i, j, sigma):
+            for row in _sector_rows(n, i, j, sigma, lam0, nu0):
                 num = {}
-                for key, coeff in row.items():
+                for key, v in row.items():
                     k, l = key
                     if not (0 <= l <= k):
                         continue
                     if region is not None and not region(k, l):
                         continue  # pinned to zero
-                    v = evaluate(coeff, lam0, nu0)
                     if not v.is_zero():
                         num[key] = v
                 if num:

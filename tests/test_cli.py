@@ -89,6 +89,20 @@ class TestUsageErrors:
         rc, _ = run(["kernel", "--family", "Zz", "--n", "4"])
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["multiplicity", "--n", "-3", "--lam=-5/2", "--nu=-2", "--depth", "4"],
+        ["multiplicity", "--n", "4", "--lam=-5/2", "--nu=-2", "--depth", "1"],
+        ["table", "composition", "--n", "4", "--imax", "3", "--depth", "4"],
+        ["table", "lattice", "--n", "1", "--imax", "0", "--jmax", "0",
+         "--depth", "4"],
+    ])
+    def test_lattice_domain_errors(self, argv, capsys):
+        rc, text = run(argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and text == ""
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestEdgeCases:
     def test_empty_range_emits_header_only(self):

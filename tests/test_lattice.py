@@ -1,6 +1,8 @@
 import pytest
 
-from sbolab.paramfield import ParamScalar, PS_LAM, PS_NU, rat
+from sbolab.paramfield import (GaussianRational, ParamScalar, PS_LAM, PS_NU,
+                               evaluate, rat)
+from sbolab.cliffspin import DimensionMismatch
 from sbolab.monogenics import NotAdjacent
 from sbolab.sbolattice import (casimir_difference, general_identity_instance,
                                scalar_identity_display, build_system,
@@ -66,6 +68,44 @@ class TestGeneralIdentity:
         assert set(row) == {(2, 2), (3, 3)}
 
 
+def _evaluated_symbolic_rows(n, sigma, depth, points):
+    """The symbolic sector rows of the whole triangle, evaluated at each
+    point and filtered as build_system does: the oracle for the rows that
+    build_system computes directly at the point."""
+    symbolic = [row for i in range(depth) for j in range(i + 1)
+                for row in _sector_rows(n, i, j, sigma)]
+    out = []
+    for lam0, nu0 in points:
+        lam0, nu0 = GaussianRational(lam0), GaussianRational(nu0)
+        rows = []
+        for row in symbolic:
+            num = {}
+            for (k, l), coeff in row.items():
+                v = evaluate(coeff, lam0, nu0)
+                if 0 <= l <= k and not v.is_zero():
+                    num[(k, l)] = v
+            if num:
+                rows.append(num)
+        out.append(rows)
+    return out
+
+
+class TestRowsAtThePoint:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_build_system_matches_evaluated_symbolic_rows(self, n, sigma):
+        r, rh = rat(n) / 2, rat(n - 1) / 2
+        points = [(-(r + rat("1/2") + 3), -(rh + rat("1/2") + 1)),  # special
+                  (-(r + rat("1/2") + 1), -(rh + rat("1/2") + 2)),  # j > i
+                  (rat("1/3"), rat("-2/7"))]                        # generic
+        want = _evaluated_symbolic_rows(n, sigma, 8, points)
+        for (lam0, nu0), rows in zip(points, want):
+            system = build_system(n, lam0, nu0, sigma, 8)
+            assert system.constraints == rows, (n, sigma, lam0, nu0)
+            assert all(isinstance(v, GaussianRational)
+                       for con in system.constraints for v in con.values())
+
+
 class TestSolveDimension:
     def test_unknown_count(self):
         sys_ = build_system(4, 0, 0, 1, 6)
@@ -94,6 +134,13 @@ class TestSolveDimension:
     def test_depth_guard(self):
         with pytest.raises(BadDepth):
             build_system(4, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_dimension_guard(self, n):
+        with pytest.raises(DimensionMismatch):
+            build_system(n, 0, 0, 1, 4)
+        with pytest.raises(ValueError):
+            multiplicity(n, "-5/2", -2, depth=4)
 
     def test_monotone_stability(self):
         for depth in (8, 9, 10):

@@ -1,0 +1,153 @@
+"""The fraction-free elimination against the plain Q(i) elimination."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sbolab import linalg, sbolattice as lt
+from sbolab.paramfield import GaussianRational, ZERO
+
+
+def reference_eliminate(rows, ncols):
+    """Forward elimination carried out directly in Q(i), normalizing each
+    pivot row before it is used: the oracle for linalg.eliminate."""
+    work = [dict(r) for r in rows if r]
+    pivots = []
+    pivot_rows = []
+    for col in range(ncols):
+        pr = None
+        for idx, r in enumerate(work):
+            if col in r:
+                pr = idx
+                break
+        if pr is None:
+            continue
+        row = work.pop(pr)
+        inv = row[col].inverse()
+        row = {c: v * inv for c, v in row.items()}
+        nxt = []
+        for r in work:
+            if col in r:
+                f = r[col]
+                out = {}
+                for c, v in r.items():
+                    if c == col:
+                        continue
+                    w = v - f * row.get(c, ZERO)
+                    if not w.is_zero():
+                        out[c] = w
+                for c, v in row.items():
+                    if c != col and c not in r:
+                        w = -f * v
+                        if not w.is_zero():
+                            out[c] = w
+                if out:
+                    nxt.append(out)
+            else:
+                nxt.append(r)
+        work = nxt
+        pivots.append(col)
+        pivot_rows.append(row)
+        if not work:
+            break
+    return pivots, pivot_rows
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+reals = st.builds(GaussianRational, rationals)
+
+
+@st.composite
+def sparse_systems(draw):
+    """Sparse rows, all real or Gaussian-rational, some of them combinations
+    of earlier ones so that rank deficiency and cancellation are common."""
+    entries = draw(st.sampled_from([reals, gaussians]))
+    ncols = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(entries), draw(entries)
+            r1, r2 = rows[-1], rows[-2]
+            row = {}
+            for c in list(r1) + [c for c in r2 if c not in r1]:
+                v = a * r1.get(c, ZERO) + b * r2.get(c, ZERO)
+                if not v.is_zero():
+                    row[c] = v
+        else:
+            cols = draw(st.lists(st.integers(0, ncols - 1), unique=True,
+                                 max_size=ncols))
+            row = {c: v for c, v in ((c, draw(entries)) for c in cols)
+                   if not v.is_zero()}
+        rows.append(row)
+    return rows, ncols
+
+
+def _dot(row, vec):
+    acc = ZERO
+    for c, v in row.items():
+        acc = acc + v * vec.get(c, ZERO)
+    return acc
+
+
+@given(sparse_systems())
+@settings(max_examples=80, deadline=None)
+def test_eliminate_matches_reference(system):
+    rows, ncols = system
+    pivots, prows = linalg.eliminate(rows, ncols)
+    ref_pivots, ref_prows = reference_eliminate(rows, ncols)
+    assert pivots == ref_pivots
+    # equal entries, in the same column order
+    assert [list(r.items()) for r in prows] == \
+        [list(r.items()) for r in ref_prows]
+
+
+@given(sparse_systems())
+@settings(max_examples=50, deadline=None)
+def test_nullspace_annihilates_rows(system):
+    rows, ncols = system
+    basis = linalg.nullspace(rows, ncols)
+    assert len(basis) == ncols - linalg.rank(rows, ncols)
+    for vec in basis:
+        for row in rows:
+            assert _dot(row, vec).is_zero()
+
+
+@given(sparse_systems(), st.lists(gaussians, min_size=1, max_size=7))
+@settings(max_examples=50, deadline=None)
+def test_solve_in_span_roundtrip(system, coeffs):
+    rows, _ = system
+    # columns are the drawn rows, keyed by their column indices
+    columns = rows[:len(coeffs)]
+    coeffs = coeffs[:len(columns)]
+    target = {}
+    for col, a in zip(columns, coeffs):
+        for k, v in col.items():
+            target[k] = target.get(k, ZERO) + a * v
+    keys = sorted({k for col in columns for k in col})
+    as_rows = [{j: col[k] for j, col in enumerate(columns) if k in col}
+               for k in keys]
+    if linalg.rank(as_rows, len(columns)) < len(columns):
+        with pytest.raises(ValueError):
+            linalg.solve_in_span(columns, target)
+    else:
+        assert linalg.solve_in_span(columns, target) == coeffs
+
+
+def test_solve_in_span_inconsistent():
+    one = GaussianRational(1)
+    assert linalg.solve_in_span([{"a": one}], {"b": one}) is None
+
+
+@pytest.mark.parametrize("n,lam0,nu0,sign", [
+    (4, "-5/2", -2, 1), (4, "1/3", "-2/7", -1), (5, -3, "-5/2", 1),
+    (6, "-7/2", "-5/2", -1)])
+def test_lattice_solve_matches_reference(monkeypatch, n, lam0, nu0, sign):
+    system = lt.build_system(n, lam0, nu0, sign, 8)
+    rows = [{(i * (i + 1) // 2 + j): v for (i, j), v in con.items()}
+            for con in system.constraints]
+    ncols = 9 * 10 // 2
+    pivots, prows = linalg.eliminate(rows, ncols)
+    assert (pivots, prows) == reference_eliminate(rows, ncols)
+    basis = lt._solve(system)
+    monkeypatch.setattr(linalg, "eliminate", reference_eliminate)
+    assert basis == lt._solve(system)
