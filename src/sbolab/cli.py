@@ -162,13 +162,22 @@ _SUITES = {"gegenbauer": _suite_gegenbauer, "branching": _suite_branching,
            "projection": _suite_projection}
 
 
+# domain errors of the verification suites: usage errors, not failed checks
+_VERIFY_DOMAIN = (kernelcalc.BadParams, cliffspin.DimensionMismatch,
+                  monogenics.BadDegree)
+
+
 def cmd_verify(args, out):
     failed = 0
-    for rep in _SUITES[args.suite](args):
-        _emit(rep, out)
-        if rep["status"] == "fail":
-            failed += 1
-            sys.stderr.write(json.dumps(rep, sort_keys=True) + "\n")
+    try:
+        for rep in _SUITES[args.suite](args):
+            _emit(rep, out)
+            if rep["status"] == "fail":
+                failed += 1
+                sys.stderr.write(json.dumps(rep, sort_keys=True) + "\n")
+    except _VERIFY_DOMAIN as exc:
+        sys.stderr.write("bad %s parameters: %s\n" % (args.suite, exc))
+        return 2
     return 1 if failed else 0
 
 
@@ -243,14 +252,13 @@ def cmd_kernel(args, out):
             kw[name] = v
     try:
         K = kernelcalc.make_family(args.family, args.n, **kw)
+        if args.project:
+            K = kernelcalc.project(K)
     except kernelcalc.BadParams as exc:
         sys.stderr.write("bad family parameters: %s\n" % exc)
         return 2
-    if args.project:
-        K = kernelcalc.project(K)
     if args.line and "constraint" in K.meta:
-        from .kernelcalc import _on_line
-        K = _on_line(K, K.meta["constraint"])
+        K = kernelcalc._on_line(K, K.meta["constraint"])
     out.write(json.dumps(kernelcalc.to_json_dict(K), sort_keys=True) + "\n")
     return 0
 
@@ -266,7 +274,6 @@ def build_parser():
     v.add_argument("--n", type=int, default=4)
     v.add_argument("--max-deg", type=int, default=10)
     v.add_argument("--imax", type=int, default=2)
-    v.add_argument("--jmax", type=int, default=2)
     v.add_argument("--kmax", type=int, default=3)
     v.add_argument("--lmax", type=int, default=3)
     v.add_argument("--max-basis", type=int, default=None)

@@ -172,10 +172,6 @@ class CliffordElt:
         return " + ".join(parts)
 
 
-def clifford_mul(a, b):
-    return a * b
-
-
 def pin_element(vectors, p=None):
     """Product of vectors in Cl(p,q); vectors must have Q(v) = +-1."""
     n = len(vectors[0])

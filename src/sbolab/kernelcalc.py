@@ -14,8 +14,7 @@ finite jet pairing, absorb x_n powers into the sign/exponent data, and pull
 is decidable by structural comparison.
 """
 
-from .paramfield import (GaussianRational, ParamScalar, ParamPoly, rat,
-                         PS_ONE, evaluate as _ps_evaluate)
+from .paramfield import GaussianRational, ParamScalar, ParamPoly, rat, PS_ONE
 from .cliffspin import zeta_matrix, spin_projection_P, spin_dim
 
 
@@ -71,9 +70,6 @@ class AffineExp:
     def subs_lam(self, e, f):
         return AffineExp(0, self.b + self.a * rat(e), self.c + self.a * rat(f))
 
-    def subs_values(self, lam0, nu0):
-        return AffineExp(0, 0, self.a * rat(lam0) + self.b * rat(nu0) + self.c)
-
     def shift(self, dl, dv):
         return AffineExp(self.a, self.b, self.c + self.a * rat(dl) + self.b * rat(dv))
 
@@ -90,15 +86,24 @@ class AffineExp:
 _AFF0 = AffineExp()
 
 
+def _fact(k):
+    f = 1
+    for t in range(2, k + 1):
+        f *= t
+    return f
+
+
 def _binom_affine(b, t):
     """binomial(b, t) for an affine exponent b: b(b-1)...(b-t+1)/t!."""
     out = PS_ONE
     for s in range(t):
         out = out * ((b - s).as_scalar())
-    fact = 1
-    for s in range(2, t + 1):
-        fact *= s
-    return out * ParamScalar.from_fraction(1, fact)
+    return out * ParamScalar.from_fraction(1, _fact(t))
+
+
+def _bump(t, pos, d):
+    """The tuple t with d added at position pos."""
+    return t[:pos] + (t[pos] + d,) + t[pos + 1:]
 
 
 # -- matrix-or-scalar coefficient helpers -------------------------------------
@@ -120,8 +125,7 @@ def _v_add(a, b):
             else:
                 out[k] = s
         return out
-    s = a + b
-    return s
+    return a + b
 
 
 def _v_scale(v, c):
@@ -136,29 +140,44 @@ def _v_iszero(v):
     return v.is_zero()
 
 
-def _v_map(v, fn):
-    if _v_is_matrix(v):
-        return {k: fn(x) for k, x in v.items()}
-    return fn(v)
-
-
-def _v_lmul(spinmap, v, src_dim):
-    """Left-multiply by a SpinMap; scalar values are treated as c * id."""
-    out = {}
-    if _v_is_matrix(v):
-        bycol = {}
-        for (r, c), x in v.items():
-            bycol.setdefault(r, []).append((c, x))
-        for (r, c), m in spinmap.entries.items():
-            for cc, x in bycol.get(c, ()):
-                key = (r, cc)
-                acc = out.get(key)
-                term = x * ParamScalar.coerce(m)
-                out[key] = term if acc is None else acc + term
+def _put(terms, key, val):
+    """Add val to terms[key]; a key whose sum is zero is dropped."""
+    if _v_iszero(val):
+        return
+    s = _v_add(terms.get(key), val)
+    if _v_iszero(s):
+        terms.pop(key, None)
     else:
-        for (r, c), m in spinmap.entries.items():
-            out[(r, c)] = ParamScalar.coerce(m) * v
+        terms[key] = s
+
+
+def _matmul(a, b):
+    """Product of sparse matrices {(row, col): entry}; zero entries dropped."""
+    rows_b = {}
+    for (r, c), y in b.items():
+        rows_b.setdefault(r, []).append((c, y))
+    out = {}
+    for (r, c), x in a.items():
+        x = ParamScalar.coerce(x)
+        for cc, y in rows_b.get(c, ()):
+            term = x * y
+            acc = out.get((r, cc))
+            out[(r, cc)] = term if acc is None else acc + term
     return {k: x for k, x in out.items() if not x.is_zero()}
+
+
+def _v_lmul(spinmap, v):
+    """Left-multiply by a SpinMap; scalar values are treated as c * id."""
+    if _v_is_matrix(v):
+        return _matmul(spinmap.entries, v)
+    out = {k: ParamScalar.coerce(m) * v for k, m in spinmap.entries.items()}
+    return {k: x for k, x in out.items() if not x.is_zero()}
+
+
+def _zeta_tensor(n, gen, coeff):
+    """coeff * zeta_n(e_gen) as a matrix value."""
+    return {rc: ParamScalar.coerce(v) * coeff
+            for rc, v in zeta_matrix(n, "+", gen).entries.items()}
 
 
 # -- the kernel expression ----------------------------------------------------
@@ -189,11 +208,7 @@ class KernelExpr:
             raise BadParams("incompatible kernel expressions")
         t = dict(self.terms)
         for k, v in other.terms.items():
-            s = _v_add(t.get(k), v)
-            if _v_iszero(s):
-                t.pop(k, None)
-            else:
-                t[k] = s
+            _put(t, k, v)
         return self.copy_with(t, normalized=True)
 
     def __sub__(self, other):
@@ -206,57 +221,26 @@ class KernelExpr:
         return self.copy_with({k: _v_scale(v, c) for k, v in self.terms.items()},
                               normalized=True)
 
-    def map_coeffs(self, fn):
+    def _subs(self, method, *args):
+        """Apply the affine substitution `method` (a method name shared by
+        AffineExp and ParamScalar) to every exponent and coefficient."""
+        def sub(x):
+            return getattr(x, method)(*args)
         out = {}
         for k, v in self.terms.items():
-            w = _v_map(v, fn)
-            if not _v_iszero(w):
-                out[k] = w
-        return out
+            if k[0] != "P":
+                k = (k[0], k[1], sub(k[2]), sub(k[3]), k[4])
+            _put(out, k, {rc: sub(x) for rc, x in v.items()}
+                 if _v_is_matrix(v) else sub(v))
+        return self.copy_with(out)
 
     def subs_lam(self, e, f):
         """Substitute lam := e*nu + f everywhere (constraint-line restriction)."""
-        def key_sub(k):
-            if k[0] == "S":
-                return ("S", k[1], k[2].subs_lam(e, f), k[3].subs_lam(e, f), k[4])
-            if k[0] == "B":
-                return ("B", k[1], k[2].subs_lam(e, f), k[3].subs_lam(e, f), k[4])
-            return k
-        out = {}
-        for k, v in self.terms.items():
-            nk = key_sub(k)
-            w = _v_map(v, lambda s: s.subs_lam(e, f))
-            if not _v_iszero(w):
-                out[nk] = _v_add(out.get(nk), w)
-        return self.copy_with(out)
-
-    def subs_values(self, lam0, nu0):
-        def key_sub(k):
-            if k[0] in ("S", "B"):
-                return (k[0], k[1], k[2].subs_values(lam0, nu0),
-                        k[3].subs_values(lam0, nu0), k[4])
-            return k
-        out = {}
-        for k, v in self.terms.items():
-            nk = key_sub(k)
-            w = _v_map(v, lambda s: ParamScalar.coerce(_ps_evaluate(s, lam0, nu0)))
-            if not _v_iszero(w):
-                out[nk] = _v_add(out.get(nk), w)
-        return self.copy_with(out)
+        return self._subs("subs_lam", e, f)
 
     def shift_params(self, dl, dv):
         """Substitute (lam, nu) := (lam + dl, nu + dv); builds K_{lam+dl, nu+dv}."""
-        def key_sub(k):
-            if k[0] in ("S", "B"):
-                return (k[0], k[1], k[2].shift(dl, dv), k[3].shift(dl, dv), k[4])
-            return k
-        out = {}
-        for k, v in self.terms.items():
-            nk = key_sub(k)
-            w = _v_map(v, lambda s: s.shift(dl, dv))
-            if not _v_iszero(w):
-                out[nk] = _v_add(out.get(nk), w)
-        return self.copy_with(out)
+        return self._subs("shift", dl, dv)
 
     def __eq__(self, other):
         return (isinstance(other, KernelExpr)
@@ -270,10 +254,6 @@ class KernelExpr:
 
 # -- normalization ------------------------------------------------------------
 
-def _mono_mul(m1, m2):
-    return tuple(a + b for a, b in zip(m1, m2))
-
-
 def _divide_r2(poly, nx):
     """Division of {mono: value} by x_1^2+...+x_nx^2: returns (quotient, rem)."""
     work = dict(poly)
@@ -282,29 +262,16 @@ def _divide_r2(poly, nx):
     while work:
         mono = max(work)  # lex order
         val = work.pop(mono)
-        if _v_iszero(val):
-            continue
         if mono[0] >= 2:
-            qm = (mono[0] - 2,) + mono[1:]
-            q[qm] = _v_add(q.get(qm), val)
-            # subtract val * x^qm * (x_1^2 + ... + x_nx^2)
-            for i in range(nx):
-                t = list(qm)
-                t[i] += 2
-                t = tuple(t)
-                s = _v_add(work.get(t), _v_scale(val, ParamScalar.coerce(-1)))
-                if _v_iszero(s):
-                    work.pop(t, None)
-                else:
-                    work[t] = s
-            # the x_1^2 piece cancels the leading term exactly
-            lead = _v_add(work.get(mono), val)
-            if _v_iszero(lead):
-                work.pop(mono, None)
-            else:
-                work[mono] = lead
+            qm = _bump(mono, 0, -2)
+            _put(q, qm, val)
+            # subtract val * x^qm * (x_1^2 + ... + x_nx^2); the x_1^2 piece
+            # is the popped leading term itself
+            neg = _v_scale(val, ParamScalar.coerce(-1))
+            for i in range(1, nx):
+                _put(work, _bump(qm, i, 2), neg)
         else:
-            rem[mono] = _v_add(rem.get(mono), val)
+            _put(rem, mono, val)
     return q, rem
 
 
@@ -313,159 +280,93 @@ def _normalize(n, raw):
     nx = n - 1
     terms = {}
 
-    def put(key, val):
-        if _v_iszero(val):
-            return
-        s = _v_add(terms.get(key), val)
-        if _v_iszero(s):
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-
-    # pass 1: expand radial boundary factors, absorb x_n monomial powers
+    # pass 1: expand radial boundary factors against the delta layers
     for key, val in raw.items():
-        if _v_iszero(val):
-            continue
-        kind = key[0]
-        if kind == "P":
-            put(key, val)
-            continue
-        if kind == "S":
-            _, par, xn, r, mono = key
-            put(("S", par, xn, r, mono), val)
+        if key[0] != "B" or key[3] == _AFF0:
+            _put(terms, key, val)
             continue
         _, m, xp, r, mono = key
-        if r == _AFF0:
-            put(("B", m, xp, _AFF0, mono), val)
-            continue
         # (|x'|^2 + x_n^2)^r delta^(m): only the x_n-jet up to order m pairs
         for t in range(m // 2 + 1):
-            c = _binom_affine(r, t)
             # x_n^{2t} delta^(m) = m!/(m-2t)! delta^(m-2t)
-            f = 1
-            for s in range(m - 2 * t + 1, m + 1):
-                f *= s
-            c = c * ParamScalar.coerce(f)
+            c = _binom_affine(r, t) * ParamScalar.coerce(_fact(m) // _fact(m - 2 * t))
             newxp = xp + AffineExp(2 * r.a, 2 * r.b, 2 * (r.c - t))
-            put(("B", m - 2 * t, newxp, _AFF0, mono), _v_scale(val, c))
+            _put(terms, ("B", m - 2 * t, newxp, _AFF0, mono), _v_scale(val, c))
 
-    # pass 2: pull |x'|^2-divisible prefactors into exponents
+    # pass 2: pull |x'|^2-divisible prefactors into exponents.  A group is
+    # one term shape (key without its x' monomial); each sweep rewrites all
+    # groups from the same snapshot into a fresh dict, so what one group
+    # adds to another is summed, not overwritten
     changed = True
     while changed:
         changed = False
         groups = {}
+        out = {}
         for key, val in terms.items():
-            if key[0] == "S":
-                groups.setdefault(("S", key[1], key[2], key[3]), {})[key[4]] = val
-            elif key[0] == "B":
-                groups.setdefault(("B", key[1], key[2]), {})[key[4]] = val
-        for gk, poly in groups.items():
-            if nx == 0 or all(sum(mono) < 2 for mono in poly):
-                continue
-            q, rem = _divide_r2(poly, nx)
-            if not q:
-                continue
-            changed = True
-            for mono in poly:
-                terms.pop(_group_key(gk, mono), None)
-            for mono, val in rem.items():
-                put(_group_key(gk, mono), val)
-            if gk[0] == "S":
-                _, par, xn, r = gk
-                for mono, val in q.items():
-                    # |x'|^2 = (|x'|^2 + x_n^2) - x_n^2
-                    put(("S", par, xn, r + 1, mono), val)
-                    put(("S", par, xn + 2, r, mono), _v_scale(val, ParamScalar.coerce(-1)))
+            if key[0] == "P":
+                out[key] = val
             else:
-                _, m, xp = gk
-                for mono, val in q.items():
-                    put(("B", m, xp + 2, _AFF0, mono), val)
+                groups.setdefault(key[:4], {})[key[4]] = val
+        for gk, poly in groups.items():
+            q = {}
+            if any(sum(mono) >= 2 for mono in poly):
+                q, poly = _divide_r2(poly, nx)
+                changed = changed or bool(q)
+            for mono, val in poly.items():
+                _put(out, gk + (mono,), val)
+            kind, a, b, r = gk
+            for mono, val in q.items():
+                if kind == "S":
+                    # |x'|^2 = (|x'|^2 + x_n^2) - x_n^2
+                    _put(out, ("S", a, b, r + 1, mono), val)
+                    _put(out, ("S", a, b + 2, r, mono),
+                         _v_scale(val, ParamScalar.coerce(-1)))
+                else:
+                    _put(out, ("B", a, b + 2, _AFF0, mono), val)
+        terms = out
     return terms
-
-
-def _group_key(gk, mono):
-    if gk[0] == "S":
-        return ("S", gk[1], gk[2], gk[3], mono)
-    return ("B", gk[1], gk[2], _AFF0, mono)
-
-
-def expand_against_delta(K):
-    """Expand radial-times-delta products into pure boundary layers.
-
-    Normalization applies the expansion on construction, so this is the
-    identity on normalized expressions and idempotent in general.
-    """
-    return K.copy_with(dict(K.terms))
 
 
 # -- multiplication operators --------------------------------------------------
 
-def _zero_mono(nx):
-    return (0,) * nx
+def _shift_meta(meta, dl, dv):
+    sl, sv = meta.get("shift", (0, 0))
+    return dict(meta, shift=(sl + dl, sv + dv))
 
 
 def mult_xn(K):
     """Multiply by the last coordinate; delta layers lose one derivative."""
     out = {}
-
-    def put(key, val):
-        if _v_iszero(val):
-            return
-        s = _v_add(out.get(key), val)
-        if _v_iszero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for key, val in K.terms.items():
         kind = key[0]
         if kind == "S":
             _, par, xn, r, mono = key
-            put(("S", 1 - par, xn + 1, r, mono), val)
+            _put(out, ("S", 1 - par, xn + 1, r, mono), val)
         elif kind == "B":
             _, m, xp, r, mono = key
             if m > 0:
-                put(("B", m - 1, xp, r, mono), _v_scale(val, ParamScalar.coerce(-m)))
+                _put(out, ("B", m - 1, xp, r, mono),
+                     _v_scale(val, ParamScalar.coerce(-m)))
         else:
-            alpha = key[1]
-            an = alpha[-1]
+            an = key[1][-1]
             if an > 0:
-                na = alpha[:-1] + (an - 1,)
-                put(("P", na), _v_scale(val, ParamScalar.coerce(-an)))
-    meta = dict(K.meta)
-    meta["shift"] = (meta.get("shift", (0, 0))[0] + 1, meta.get("shift", (0, 0))[1])
-    return KernelExpr(K.n, K.shape, out, meta, normalized=False)
+                _put(out, ("P", _bump(key[1], K.n - 1, -1)),
+                     _v_scale(val, ParamScalar.coerce(-an)))
+    return KernelExpr(K.n, K.shape, out, _shift_meta(K.meta, 1, 0),
+                      normalized=False)
 
 
 def _mult_xi(K, i):
     """Multiply by the coordinate x_i for i < n (acts on the x'-dependence)."""
     out = {}
-
-    def put(key, val):
-        if _v_iszero(val):
-            return
-        s = _v_add(out.get(key), val)
-        if _v_iszero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    nx = K.n - 1
-    e_i = tuple(1 if t == i - 1 else 0 for t in range(nx))
     for key, val in K.terms.items():
-        kind = key[0]
-        if kind == "S":
-            _, par, xn, r, mono = key
-            put(("S", par, xn, r, _mono_mul(mono, e_i)), val)
-        elif kind == "B":
-            _, m, xp, r, mono = key
-            put(("B", m, xp, r, _mono_mul(mono, e_i)), val)
+        if key[0] != "P":
+            _put(out, key[:4] + (_bump(key[4], i - 1, 1),), val)
         else:
-            alpha = key[1]
-            ai = alpha[i - 1]
+            ai = key[1][i - 1]
             if ai > 0:
-                na = alpha[:i - 1] + (ai - 1,) + alpha[i:]
-                put(("P", na), _v_scale(val, ParamScalar.coerce(-ai)))
+                _put(out, ("P", _bump(key[1], i - 1, -1)),
+                     _v_scale(val, ParamScalar.coerce(-ai)))
     return KernelExpr(K.n, K.shape, out, K.meta, normalized=False)
 
 
@@ -476,63 +377,38 @@ def mult_zeta(K):
     src = K.shape[1] if K.shape else dim
     if K.shape and K.shape[1] != dim:
         raise BadParams("kernel is not left-multipliable by zeta_n(x)")
-    parts = []
+    out = {}
     for i in range(1, n + 1):
         xi = mult_xn(K) if i == n else _mult_xi(K, i)
         zi = zeta_matrix(n, "+", i)
-        terms = {}
         for key, val in xi.terms.items():
-            w = _v_lmul(zi, val, src)
-            if w:
-                terms[key] = _v_add(terms.get(key), w)
-        parts.append(terms)
-    out = {}
-    for terms in parts:
-        for k, v in terms.items():
-            s = _v_add(out.get(k), v)
-            if _v_iszero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-    meta = dict(K.meta)
-    meta["shift"] = (meta.get("shift", (0, 0))[0] + rat("1/2"),
-                     meta.get("shift", (0, 0))[1] - rat("1/2"))
-    return KernelExpr(n, (dim, src), out, meta, normalized=False)
+            _put(out, key, _v_lmul(zi, val))
+    return KernelExpr(n, (dim, src), out,
+                      _shift_meta(K.meta, rat("1/2"), -rat("1/2")),
+                      normalized=False)
 
 
 def mult_norm2(K):
     """Multiply by |x|^2 = |x'|^2 + x_n^2."""
     out = {}
-
-    def put(key, val):
-        if _v_iszero(val):
-            return
-        s = _v_add(out.get(key), val)
-        if _v_iszero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
-    nx = K.n - 1
     for key, val in K.terms.items():
         kind = key[0]
         if kind == "S":
             _, par, xn, r, mono = key
-            put(("S", par, xn, r + 1, mono), val)
+            _put(out, ("S", par, xn, r + 1, mono), val)
         elif kind == "B":
             _, m, xp, r, mono = key
-            put(("B", m, xp + 2, r, mono), val)
+            _put(out, ("B", m, xp + 2, r, mono), val)
             if m >= 2:
-                put(("B", m - 2, xp, r, mono),
-                    _v_scale(val, ParamScalar.coerce(m * (m - 1))))
+                _put(out, ("B", m - 2, xp, r, mono),
+                     _v_scale(val, ParamScalar.coerce(m * (m - 1))))
         else:
             alpha = key[1]
             for i in range(K.n):
                 ai = alpha[i]
                 if ai >= 2:
-                    na = list(alpha)
-                    na[i] -= 2
-                    put(("P", tuple(na)), _v_scale(val, ParamScalar.coerce(ai * (ai - 1))))
+                    _put(out, ("P", _bump(alpha, i, -2)),
+                         _v_scale(val, ParamScalar.coerce(ai * (ai - 1))))
     return KernelExpr(K.n, K.shape, out, K.meta, normalized=False)
 
 
@@ -543,9 +419,7 @@ def project(K):
     P = spin_projection_P(K.n)
     out = {}
     for key, val in K.terms.items():
-        w = _v_lmul(P, val, K.shape[1])
-        if w:
-            out[key] = w
+        _put(out, key, _v_lmul(P, val))
     return KernelExpr(K.n, (spin_dim(K.n - 1), K.shape[1]), out, K.meta,
                       normalized=False)
 
@@ -587,25 +461,6 @@ def _poch_nu(start, k):
     return out
 
 
-def _fact(k):
-    f = 1
-    for t in range(2, k + 1):
-        f *= t
-    return f
-
-
-def _delta_point(n, dn, dprime=None, extra=None):
-    """Multi-index for d_n^{dn} (d_a part optional) on R^n."""
-    alpha = [0] * n
-    alpha[-1] = dn
-    if dprime is not None:
-        alpha[dprime - 1] += 1
-    if extra:
-        for i, e in enumerate(extra):
-            alpha[i] += e
-    return tuple(alpha)
-
-
 def _laplacian_monomials(n, j):
     """(multi-index, multinomial weight) pairs for (sum_{a<n} d_a^2)^j."""
     nx = n - 1
@@ -624,19 +479,162 @@ def _laplacian_monomials(n, j):
     return [(tuple(2 * a for a in alpha[:-1]) + (0,), w) for alpha, w in out]
 
 
-def _scalar_term_point(n, coeff, j, dn, dprime=None):
-    """coeff * Delta^j d_n^{dn} (d_{a} optional) delta as raw Point terms."""
-    out = {}
+def _add_point(terms, n, coeff, j, dn, dprime=None, gen=None):
+    """Add coeff * Delta'^j d_n^dn (d_dprime) delta to terms, tensored with
+    zeta(e_gen) when gen is given."""
     for alpha, w in _laplacian_monomials(n, j):
-        key = list(alpha)
-        key[-1] += dn
+        alpha = _bump(alpha, n - 1, dn)
         if dprime is not None:
-            key[dprime - 1] += 1
-        k = ("P", tuple(key))
+            alpha = _bump(alpha, dprime - 1, 1)
         c = coeff * ParamScalar.coerce(w)
-        prev = out.get(k)
-        out[k] = c if prev is None else prev + c
+        _put(terms, ("P", alpha), c if gen is None else _zeta_tensor(n, gen, c))
+
+
+def _zeta_layer(n, m, r, c):
+    """Raw terms of zeta(x') c r^. delta^(m) - m e_n c r^. delta^(m-1), the
+    common shape of the spinor B families and residue forms."""
+    mono0 = (0,) * (n - 1)
+    terms = {("B", m, _AFF0, r, _bump(mono0, a - 1, 1)): _zeta_tensor(n, a, c)
+             for a in range(1, n)}
+    if m >= 1:
+        terms[("B", m - 1, _AFF0, r, mono0)] = _zeta_tensor(
+            n, n, c * ParamScalar.coerce(-m))
+    return terms
+
+
+def _need_index(kind, name, v):
+    if v is None or v < 0:
+        raise BadParams("%s families need %s >= 0" % (kind, name))
+
+
+def _smooth_family(tag, n, **_):
+    """A+, A- (raw smooth kernels) and At+, At- (normalized)."""
+    plus = tag.endswith("+")
+    c = PS_ONE
+    if tag.startswith("At"):
+        c4 = "1/4" if plus else "3/4"
+        c = _gamma_inv("1/2", "1/2", c4) * _gamma_inv("1/2", "-1/2", c4)
+    # sgn(x_n)^par |x_n|^{lam+nu-1/2} (|x'|^2 + x_n^2)^{-nu-(n-1)/2}
+    key = ("S", 0 if plus else 1, AffineExp(1, 1, "-1/2"),
+           AffineExp(0, -1, -rat(n - 1) / 2), (0,) * (n - 1))
+    return KernelExpr(n, None, {key: c}, {"family": tag})
+
+
+def _b_family(tag, n, k=None, form="expanded", **_):
+    _need_index("B", "k", k)
+    plus = tag == "Bt+"
+    tok = _gamma_inv("1/2", "-1/2", "1/4" if plus else "3/4")
+    m = 2 * k if plus else 2 * k + 1
+    meta = {"family": tag, "k": k,
+            "constraint": ("sum", -rat("1/2") - 2 * k if plus else -rat("3/2") - 2 * k)}
+    mono0 = (0,) * (n - 1)
+    rho_h = rat(n - 1) / 2
+    if form == "radial":
+        return KernelExpr(n, None, {("B", m, _AFF0, AffineExp(0, -1, -rho_h), mono0): tok},
+                          meta)
+    terms = {("B", m - 2 * t, AffineExp(0, -2, 1 - n - 2 * t), _AFF0, mono0):
+             tok * _poch_nu(rho_h, t) * ParamScalar.from_fraction(
+                 (-1) ** t * _fact(m), _fact(t) * _fact(m - 2 * t))
+             for t in range(k + 1)}
+    return KernelExpr(n, None, terms, meta)
+
+
+def _c_family(tag, n, l=None, **_):
+    _need_index("C", "l", l)
+    plus = tag == "Ct+"
+    terms = {}
+    for j2 in range(l + 1):
+        p = 2 * l - 2 * j2
+        dn = p if plus else p + 1
+        c = _poch_nu(-l, l - j2) * ParamScalar.from_fraction(2 ** p, _fact(j2) * _fact(dn))
+        _add_point(terms, n, c, j2, dn)
+    meta = {"family": tag, "l": l,
+            "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
+    return KernelExpr(n, None, terms, meta)
+
+
+# delta order m = n + i + j + offset and sign (-1)^(m//2 + flip) of the
+# residue forms, from 2k = n+i+j-1 (Att+, sAtt+), n+i+j-2 (Att-), n+i+j (sAtt-)
+_RESIDUE = {"Att+": (-1, 0), "Att-": (-1, 1), "sAtt+": (0, 1), "sAtt-": (0, 0)}
+
+
+def _residue_family(tag, n, i=None, j=None, **_):
+    """Att+, Att- and their spinor analogues sAtt+, sAtt- at odd n."""
+    if n % 2 == 0 or i is None or j is None:
+        raise BadParams("residue forms need odd n and indices i, j")
+    plus = tag.endswith("+")
+    if i < j or (i - j) % 2 != (0 if plus else 1):
+        raise BadParams(tag + (" needs i - j in 2N" if plus else " needs i - j odd"))
+    offset, flip = _RESIDUE[tag]
+    m = n + i + j + offset
+    c = ParamScalar.from_fraction((-1) ** (m // 2 + flip) * _fact(m // 2), _fact(m))
+    r = AffineExp.const(j)
+    meta = {"family": tag, "i": i, "j": j}
+    if tag[0] == "s":
+        return KernelExpr(n, (spin_dim(n),) * 2, _zeta_layer(n, m, r, c), meta)
+    return KernelExpr(n, None, {("B", m, _AFF0, r, (0,) * (n - 1)): c}, meta)
+
+
+def _spinor_a_family(tag, n, **_):
+    half = rat("1/2")
+    if tag == "sAt+":
+        out = mult_zeta(make_family("At-", n).shift_params(-half, half))
+    else:
+        base = make_family("At+", n).shift_params(-half, half)
+        out = mult_zeta(base).scale(
+            ParamScalar(ParamPoly.affine("1/2", "-1/2", "-1/4")).inverse())
+    out.meta.clear()
+    out.meta.update({"family": tag})
     return out
+
+
+def _spinor_b_family(tag, n, k=None, **_):
+    _need_index("B", "k", k)
+    plus = tag == "sBt+"
+    tok = _gamma_inv("1/2", "-1/2", "1/4" if plus else "3/4")
+    m = 2 * k + 1 if plus else 2 * k
+    meta = {"family": tag, "k": k,
+            "constraint": ("sum", -rat("3/2") - 2 * k if plus else -rat("1/2") - 2 * k)}
+    # zeta(x') r^{-nu-n/2} delta^(m) - m e_n r^{-nu-n/2} delta^(m-1)
+    return KernelExpr(n, (spin_dim(n),) * 2,
+                      _zeta_layer(n, m, AffineExp(0, -1, -rat(n) / 2), tok), meta)
+
+
+def _spinor_c_family(tag, n, l=None, **_):
+    _need_index("C", "l", l)
+    plus = tag == "sCt+"
+    start = rat("1/2") - l if plus else -l - rat("1/2")
+    q = 0 if plus else 1
+    terms = {}
+    for j2 in range(l + 1):
+        # sum_a Delta^j d_n^p D'_a delta (x) zeta(e_a), p = 2l-2j-1 (+1 for sCt-)
+        p = 2 * l - 2 * j2 - 1 + q
+        if p >= 0:
+            c = _poch_nu(start, l - j2 - 1 + q) * ParamScalar.from_fraction(
+                2 ** p, _fact(j2) * _fact(p))
+            for a in range(1, n):
+                _add_point(terms, n, c, j2, p, dprime=a, gen=a)
+        # Delta^j d_n^p D_n delta = e_n Delta^j d_n^{p+1} delta
+        c = _poch_nu(start, l - j2 + q) * ParamScalar.from_fraction(
+            2 ** (p + 1), _fact(j2) * _fact(p + 1))
+        _add_point(terms, n, c, j2, p + 1, gen=n)
+    meta = {"family": tag, "l": l,
+            "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
+    return KernelExpr(n, (spin_dim(n),) * 2, terms, meta)
+
+
+_FAMILIES = {tag + sign: build
+             for tag, build in (("A", _smooth_family), ("At", _smooth_family),
+                                ("Bt", _b_family), ("Ct", _c_family),
+                                ("Att", _residue_family), ("sAt", _spinor_a_family),
+                                ("sBt", _spinor_b_family), ("sCt", _spinor_c_family),
+                                ("sAtt", _residue_family))
+             for sign in "+-"}
+
+
+def _check_dim(n):
+    if n < 2:
+        raise BadParams("kernels on R^n need n >= 2, got n=%r" % (n,))
 
 
 def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
@@ -648,205 +646,11 @@ def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
     Spinor tags: prefix 's' for the matrix-valued analogues.  form 'radial'
     selects the undifferentiated radial display where one exists.
     """
-    nx = n - 1
-    mono0 = (0,) * nx
-    rho_h = rat(n - 1) / 2
-
-    def smooth_key(par, xn, r, mono=mono0):
-        return ("S", par, xn, r, mono)
-
-    xn_a = AffineExp(1, 1, "-1/2")            # lam + nu - 1/2
-    r_a = AffineExp(0, -1, -rho_h)            # -nu - (n-1)/2
-    r_s = AffineExp(0, -1, -rat(n) / 2)       # -nu - n/2 (spinor layers)
-
-    if tag == "A+":
-        return KernelExpr(n, None, {smooth_key(0, xn_a, r_a): PS_ONE},
-                          {"family": tag})
-    if tag == "A-":
-        return KernelExpr(n, None, {smooth_key(1, xn_a, r_a): PS_ONE},
-                          {"family": tag})
-    if tag == "At+":
-        c = _gamma_inv("1/2", "1/2", "1/4") * _gamma_inv("1/2", "-1/2", "1/4")
-        return KernelExpr(n, None, {smooth_key(0, xn_a, r_a): c}, {"family": tag})
-    if tag == "At-":
-        c = _gamma_inv("1/2", "1/2", "3/4") * _gamma_inv("1/2", "-1/2", "3/4")
-        return KernelExpr(n, None, {smooth_key(1, xn_a, r_a): c}, {"family": tag})
-    if tag in ("Bt+", "Bt-"):
-        if k is None or k < 0:
-            raise BadParams("B families need k >= 0")
-        plus = tag == "Bt+"
-        tok = _gamma_inv("1/2", "-1/2", "1/4" if plus else "3/4")
-        m = 2 * k if plus else 2 * k + 1
-        meta = {"family": tag, "k": k,
-                "constraint": ("sum", -rat("1/2") - 2 * k if plus else -rat("3/2") - 2 * k)}
-        if form == "radial":
-            return KernelExpr(n, None, {("B", m, _AFF0, r_a, mono0): tok}, meta)
-        terms = {}
-        for t in range(k + 1):
-            c = tok * _poch_nu(rho_h, t) * ParamScalar.from_fraction(
-                (-1) ** t * _fact(m), _fact(t) * _fact(m - 2 * t))
-            xp = AffineExp(0, -2, 1 - n - 2 * t)
-            key = ("B", m - 2 * t, xp, _AFF0, mono0)
-            terms[key] = c if key not in terms else terms[key] + c
-        return KernelExpr(n, None, terms, meta)
-    if tag in ("Ct+", "Ct-"):
-        if l is None or l < 0:
-            raise BadParams("C families need l >= 0")
-        plus = tag == "Ct+"
-        terms = {}
-        for j2 in range(l + 1):
-            p = 2 * l - 2 * j2
-            c = _poch_nu(-l, l - j2) * ParamScalar.from_fraction(
-                2 ** p, _fact(j2) * _fact(p if plus else p + 1))
-            for key, v in _scalar_term_point(n, c, j2, p if plus else p + 1).items():
-                terms[key] = v if key not in terms else terms[key] + v
-        meta = {"family": tag, "l": l,
-                "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
-        return KernelExpr(n, None, terms, meta)
-    if tag in ("Att+", "Att-"):
-        if n % 2 == 0 or i is None or j is None:
-            raise BadParams("residue forms need odd n and indices i, j")
-        plus = tag == "Att+"
-        if plus:
-            if (i - j) % 2 or i < j:
-                raise BadParams("Att+ needs i - j in 2N")
-            two_k = n + i + j - 1
-        else:
-            if (i - j) % 2 == 0 or i < j:
-                raise BadParams("Att- needs i - j odd")
-            two_k = n + i + j - 2
-        kk = two_k // 2
-        c = ParamScalar.from_fraction((-1) ** (kk if plus else kk + 1) * _fact(kk),
-                                      _fact(two_k if plus else two_k + 1))
-        m = two_k if plus else two_k + 1
-        meta = {"family": tag, "i": i, "j": j}
-        return KernelExpr(n, None, {("B", m, _AFF0, AffineExp.const(j), mono0): c},
-                          meta)
-    if tag in ("sAt+", "sAt-"):
-        if tag == "sAt+":
-            base = make_family("At-", n).shift_params(rat("-1/2"), rat("1/2"))
-            out = mult_zeta(base)
-        else:
-            base = make_family("At+", n).shift_params(rat("-1/2"), rat("1/2"))
-            half = ParamScalar(ParamPoly.affine("1/2", "-1/2", "-1/4"))
-            out = mult_zeta(base).scale(half.inverse())
-        out.meta.clear()
-        out.meta.update({"family": tag})
-        return out
-    if tag in ("sBt+", "sBt-"):
-        if k is None or k < 0:
-            raise BadParams("B families need k >= 0")
-        plus = tag == "sBt+"
-        tok = _gamma_inv("1/2", "-1/2", "1/4" if plus else "3/4")
-        m = 2 * k + 1 if plus else 2 * k
-        dim = spin_dim(n)
-        terms = {}
-        # zeta(x') r^{-nu-n/2} delta^(m)
-        for a in range(1, n):
-            mono = tuple(1 if t == a - 1 else 0 for t in range(nx))
-            mat = {}
-            for (r2, c2), v in zeta_matrix(n, "+", a).entries.items():
-                mat[(r2, c2)] = ParamScalar.coerce(v) * tok
-            key = ("B", m, _AFF0, r_s, mono)
-            terms[key] = mat
-        # -(m) e_n r^{-nu-n/2} delta^(m-1)
-        if m >= 1:
-            mat = {}
-            for (r2, c2), v in zeta_matrix(n, "+", n).entries.items():
-                mat[(r2, c2)] = ParamScalar.coerce(v) * tok * ParamScalar.coerce(-m)
-            terms[("B", m - 1, _AFF0, r_s, mono0)] = mat
-        meta = {"family": tag, "k": k,
-                "constraint": ("sum", -rat("3/2") - 2 * k if plus else -rat("1/2") - 2 * k)}
-        return KernelExpr(n, (dim, dim), terms, meta)
-    if tag in ("sCt+", "sCt-"):
-        if l is None or l < 0:
-            raise BadParams("C families need l >= 0")
-        plus = tag == "sCt+"
-        dim = spin_dim(n)
-        terms = {}
-
-        def add_matrix_point(gen_idx, coeff, j2, dn):
-            raws = _scalar_term_point(n, coeff, j2, dn)
-            for key, c in raws.items():
-                mat = {}
-                for (r2, c2), v in zeta_matrix(n, "+", gen_idx).entries.items():
-                    mat[(r2, c2)] = ParamScalar.coerce(v) * c
-                prev = terms.get(key)
-                terms[key] = mat if prev is None else _v_add(prev, mat)
-
-        if plus:
-            # first sum: Delta^j d_n^{2l-2j-1} D'_a delta, j <= l-1
-            for j2 in range(l):
-                p = 2 * l - 2 * j2 - 1
-                c = _poch_nu("1/2", 0) * _poch_nu(rat("1/2") - l, l - j2 - 1) * \
-                    ParamScalar.from_fraction(2 ** p, _fact(j2) * _fact(p))
-                for a in range(1, n):
-                    raws = _scalar_term_point(n, c, j2, p, dprime=a)
-                    for key, cc in raws.items():
-                        mat = {}
-                        for (r2, c2), v in zeta_matrix(n, "+", a).entries.items():
-                            mat[(r2, c2)] = ParamScalar.coerce(v) * cc
-                        prev = terms.get(key)
-                        terms[key] = mat if prev is None else _v_add(prev, mat)
-            # second sum: Delta^j d_n^{2l-2j-1} D_n delta = e_n Delta^j d_n^{2l-2j}
-            for j2 in range(l + 1):
-                p = 2 * l - 2 * j2
-                c = _poch_nu(rat("1/2") - l, l - j2) * ParamScalar.from_fraction(
-                    2 ** p, _fact(j2) * _fact(p))
-                add_matrix_point(n, c, j2, p)
-            constraint = ("diff", -rat("1/2") - 2 * l)
-        else:
-            for j2 in range(l + 1):
-                p = 2 * l - 2 * j2
-                c = _poch_nu(-l - rat("1/2"), l - j2) * ParamScalar.from_fraction(
-                    2 ** p, _fact(j2) * _fact(p))
-                for a in range(1, n):
-                    raws = _scalar_term_point(n, c, j2, p, dprime=a)
-                    for key, cc in raws.items():
-                        mat = {}
-                        for (r2, c2), v in zeta_matrix(n, "+", a).entries.items():
-                            mat[(r2, c2)] = ParamScalar.coerce(v) * cc
-                        prev = terms.get(key)
-                        terms[key] = mat if prev is None else _v_add(prev, mat)
-            for j2 in range(l + 1):
-                p = 2 * l - 2 * j2 + 1
-                c = _poch_nu(-l - rat("1/2"), l - j2 + 1) * ParamScalar.from_fraction(
-                    2 ** p, _fact(j2) * _fact(p))
-                add_matrix_point(n, c, j2, p)
-            constraint = ("diff", -rat("3/2") - 2 * l)
-        meta = {"family": tag, "l": l, "constraint": constraint}
-        return KernelExpr(n, (dim, dim), terms, meta)
-    if tag in ("sAtt+", "sAtt-"):
-        if n % 2 == 0 or i is None or j is None:
-            raise BadParams("residue forms need odd n and indices i, j")
-        plus = tag == "sAtt+"
-        if plus:
-            if (i - j) % 2 or i < j:
-                raise BadParams("sAtt+ needs i - j in 2N")
-            two_k = n + i + j - 1
-        else:
-            if (i - j) % 2 == 0 or i < j:
-                raise BadParams("sAtt- needs i - j odd")
-            two_k = n + i + j
-        kk = two_k // 2
-        m = two_k + 1 if plus else two_k
-        c = ParamScalar.from_fraction((-1) ** (kk + 1 if plus else kk) * _fact(kk),
-                                      _fact(m))
-        dim = spin_dim(n)
-        terms = {}
-        for a in range(1, n):
-            mono = tuple(1 if t == a - 1 else 0 for t in range(nx))
-            mat = {}
-            for (r2, c2), v in zeta_matrix(n, "+", a).entries.items():
-                mat[(r2, c2)] = ParamScalar.coerce(v) * c
-            terms[("B", m, _AFF0, AffineExp.const(j), mono)] = mat
-        if m >= 1:
-            mat = {}
-            for (r2, c2), v in zeta_matrix(n, "+", n).entries.items():
-                mat[(r2, c2)] = ParamScalar.coerce(v) * c * ParamScalar.coerce(-m)
-            terms[("B", m - 1, _AFF0, AffineExp.const(j), mono0)] = mat
-        return KernelExpr(n, (dim, dim), terms, {"family": tag, "i": i, "j": j})
-    raise BadParams("unknown family tag %r" % (tag,))
+    build = _FAMILIES.get(tag)
+    if build is None:
+        raise BadParams("unknown family tag %r" % (tag,))
+    _check_dim(n)
+    return build(tag, n, k=k, l=l, i=i, j=j, form=form)
 
 
 # -- identity suite -------------------------------------------------------------
@@ -861,12 +665,137 @@ def _on_line(K, constraint):
     raise BadParams("unknown constraint %r" % (kind,))
 
 
-def _zero_kernel(n, shape=None):
-    return KernelExpr(n, shape, {}, {}, normalized=True)
+def _zero_kernel(n):
+    return KernelExpr(n, None, {}, {}, normalized=True)
 
 
 def _aff_scalar(a, b, c):
     return ParamScalar(ParamPoly.affine(a, b, c))
+
+
+_H = rat("1/2")
+
+# tag -> (index, line, lhs, rhs).  The index names the parameters the
+# identity is stated at: 'k' or 'l' (>= 0), 'ij' (n odd), 'kj' (k and the
+# sign of j, which picks Bt+ or Bt-), or None.  lhs and rhs build the two
+# sides from (n, *index).  A line (kind, c) restricts both sides to
+# lam + nu (kind 'sum') or lam - nu (kind 'diff') = c - 2 * index.
+_IDENTITIES = {
+    # x_n Bt+(k+1)|_{lam-1} = 2(k+1)(nu+k+1) Bt-(k) on lam+nu = -3/2-2k
+    "b_translation": (
+        "k", ("sum", -3 * _H),
+        lambda n, k: mult_xn(make_family("Bt+", n, k=k + 1).shift_params(-1, 0)),
+        lambda n, k: make_family("Bt-", n, k=k).scale(
+            _aff_scalar(0, 2 * (k + 1), 2 * (k + 1) * (k + 1)))),
+    # x_n Ct+(l+1)|_{lam-1} = -4(nu-l-1) Ct-(l) on lam-nu = -3/2-2l
+    "c_translation": (
+        "l", ("diff", -3 * _H),
+        lambda n, l: mult_xn(make_family("Ct+", n, l=l + 1).shift_params(-1, 0)),
+        lambda n, l: make_family("Ct-", n, l=l).scale(_aff_scalar(0, -4, 4 * (l + 1)))),
+    # x_n Ct+(l) = -2(lam+nu+1/2) Ct-(l-1)|_{lam+1} on lam-nu = -1/2-2l
+    "juhl_up": (
+        "l", ("diff", -_H),
+        lambda n, l: mult_xn(make_family("Ct+", n, l=l)),
+        lambda n, l: make_family("Ct-", n, l=l - 1).shift_params(1, 0).scale(
+            _aff_scalar(-2, -2, -1)) if l else _zero_kernel(n)),
+    # x_n Ct-(l) = -Ct+(l)|_{lam+1} on lam-nu = -3/2-2l
+    "juhl_down": (
+        "l", ("diff", -3 * _H),
+        lambda n, l: mult_xn(make_family("Ct-", n, l=l)),
+        lambda n, l: make_family("Ct+", n, l=l).shift_params(1, 0).scale(
+            ParamScalar.coerce(-1))),
+    # the radial display of Bt+-(k) equals its expanded form
+    "b_double_display": (
+        "kj", None,
+        lambda n, k, sign: make_family("Bt" + sign, n, k=k, form="radial"),
+        lambda n, k, sign: make_family("Bt" + sign, n, k=k, form="expanded")),
+    # zeta(x) Bt+(k)|_{lam-1/2, nu+1/2} = (lam-nu-1/2)/2 sBt-(k), lam+nu = -1/2-2k
+    "spinor_b_minus": (
+        "k", ("sum", -_H),
+        lambda n, k: mult_zeta(make_family("Bt+", n, k=k).shift_params(-_H, _H)),
+        lambda n, k: make_family("sBt-", n, k=k).scale(_aff_scalar(_H, -_H, -_H / 2))),
+    # zeta(x) Bt-(k)|_{lam-1/2, nu+1/2} = sBt+(k), lam+nu = -3/2-2k
+    "spinor_b_plus": (
+        "k", ("sum", -3 * _H),
+        lambda n, k: mult_zeta(make_family("Bt-", n, k=k).shift_params(-_H, _H)),
+        lambda n, k: make_family("sBt+", n, k=k)),
+    # zeta(x) Ct+(l+1)|_{lam-1/2, nu+1/2} = -2 sCt-(l), lam-nu = -3/2-2l
+    "spinor_c_minus": (
+        "l", ("diff", -3 * _H),
+        lambda n, l: mult_zeta(make_family("Ct+", n, l=l + 1).shift_params(-_H, _H)),
+        lambda n, l: make_family("sCt-", n, l=l).scale(ParamScalar.coerce(-2))),
+    # zeta(x) Ct-(l)|_{lam-1/2, nu+1/2} = -sCt+(l), lam-nu = -1/2-2l
+    "spinor_c_plus": (
+        "l", ("diff", -_H),
+        lambda n, l: mult_zeta(make_family("Ct-", n, l=l).shift_params(-_H, _H)),
+        lambda n, l: make_family("sCt+", n, l=l).scale(ParamScalar.coerce(-1))),
+    # zeta(x) sAt- = -At+|_{lam+1/2, nu-1/2} (x) id, generic parameters
+    "spinor_a_closure_minus": (
+        None, None,
+        lambda n: mult_zeta(make_family("sAt-", n)),
+        lambda n: as_matrix(make_family("At+", n).shift_params(_H, -_H)).scale(
+            ParamScalar.coerce(-1))),
+    # zeta(x) sAt+ = -(lam-nu+1/2)/2 At-|_{lam+1/2, nu-1/2} (x) id
+    "spinor_a_closure_plus": (
+        None, None,
+        lambda n: mult_zeta(make_family("sAt+", n)),
+        lambda n: as_matrix(make_family("At-", n).shift_params(_H, -_H)).scale(
+            _aff_scalar(-_H, _H, -_H / 2))),
+    # x_n Att+(i+1, j) = -(k+1) Att-(i, j), 2k = n+i+j-2  (n odd, i-j odd)
+    "residue_step": (
+        "ij", None,
+        lambda n, i, j: mult_xn(make_family("Att+", n, i=i + 1, j=j)),
+        lambda n, i, j: make_family("Att-", n, i=i, j=j).scale(
+            ParamScalar.coerce(-((n + i + j - 2) // 2 + 1)))),
+    # zeta(x) Att+(i+1, j) = sAtt-(i, j)  (n odd, i-j odd)
+    "residue_step_spinor_minus": (
+        "ij", None,
+        lambda n, i, j: mult_zeta(make_family("Att+", n, i=i + 1, j=j)),
+        lambda n, i, j: make_family("sAtt-", n, i=i, j=j)),
+    # zeta(x) Att-(i+1, j) = sAtt+(i, j)  (n odd, i-j even)
+    "residue_step_spinor_plus": (
+        "ij", None,
+        lambda n, i, j: mult_zeta(make_family("Att-", n, i=i + 1, j=j)),
+        lambda n, i, j: make_family("sAtt+", n, i=i, j=j)),
+}
+
+# classifications of the kernels of x_n and zeta(x) on the explicit families
+_VANISHING = ("xn_kernel", "zeta_kernel")
+
+IDENTITY_TAGS = tuple(_IDENTITIES) + _VANISHING
+
+
+def _identity_index(name, n, k, l, i, j):
+    """The index tuple an identity is stated at; BadParams outside its domain."""
+    if name is None:
+        return ()
+    if name == "ij":
+        if n % 2 == 0 or i is None or j is None:
+            raise BadParams("needs odd n and i, j")
+        return i, j
+    x = k if name[0] == "k" else l
+    if x is None or x < 0:
+        raise BadParams("needs %s >= 0" % name[0])
+    if name == "kj":
+        return x, "+" if j is None or j >= 0 else "-"
+    return (x,)
+
+
+def _identity_sides(tag, n, k=None, l=None, i=None, j=None):
+    """Both sides of a catalogued identity, restricted to its constraint line."""
+    entry = _IDENTITIES.get(tag)
+    if entry is None:
+        raise UnknownIdentity(tag)
+    _check_dim(n)
+    name, line, lhs, rhs = entry
+    index = _identity_index(name, n, k, l, i, j)
+    lhs = lhs(n, *index)
+    rhs = rhs(n, *index)
+    if line is not None:
+        line = (line[0], line[1] - 2 * index[0])
+        lhs = _on_line(lhs, line)
+        rhs = _on_line(rhs, line)
+    return lhs, rhs
 
 
 def check_identity(tag, n, k=None, l=None, i=None, j=None):
@@ -876,120 +805,10 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
     constraint line, and compared in normal form.  The report carries the
     difference on failure.
     """
-    half = rat("1/2")
-    if tag == "b_translation":
-        # x_n Bt+(k+1)|_{lam-1} = 2(k+1)(nu+k+1) Bt-(k) on lam+nu = -3/2-2k
-        if k is None or k < 0:
-            raise BadParams("needs k >= 0")
-        line = ("sum", -rat("3/2") - 2 * k)
-        lhs = mult_xn(make_family("Bt+", n, k=k + 1).shift_params(-1, 0))
-        rhs = make_family("Bt-", n, k=k).scale(
-            _aff_scalar(0, 2 * (k + 1), 2 * (k + 1) * (k + 1)))
-    elif tag == "c_translation":
-        # x_n Ct+(l+1)|_{lam-1} = -4(nu-l-1) Ct-(l) on lam-nu = -3/2-2l
-        if l is None or l < 0:
-            raise BadParams("needs l >= 0")
-        line = ("diff", -rat("3/2") - 2 * l)
-        lhs = mult_xn(make_family("Ct+", n, l=l + 1).shift_params(-1, 0))
-        rhs = make_family("Ct-", n, l=l).scale(_aff_scalar(0, -4, 4 * (l + 1)))
-    elif tag == "juhl_up":
-        # x_n Ct+(l) = -2(lam+nu+1/2) Ct-(l-1)|_{lam+1} on lam-nu = -1/2-2l
-        if l is None or l < 0:
-            raise BadParams("needs l >= 0")
-        line = ("diff", -half - 2 * l)
-        lhs = mult_xn(make_family("Ct+", n, l=l))
-        if l == 0:
-            rhs = _zero_kernel(n)
-        else:
-            rhs = make_family("Ct-", n, l=l - 1).shift_params(1, 0).scale(
-                _aff_scalar(-2, -2, -1))
-    elif tag == "juhl_down":
-        # x_n Ct-(l) = -Ct+(l)|_{lam+1} on lam-nu = -3/2-2l
-        if l is None or l < 0:
-            raise BadParams("needs l >= 0")
-        line = ("diff", -rat("3/2") - 2 * l)
-        lhs = mult_xn(make_family("Ct-", n, l=l))
-        rhs = make_family("Ct+", n, l=l).shift_params(1, 0).scale(
-            ParamScalar.coerce(-1))
-    elif tag == "b_double_display":
-        if k is None or k < 0:
-            raise BadParams("needs k >= 0")
-        sign = "+" if (j is None or j >= 0) else "-"
-        lhs = make_family("Bt" + sign, n, k=k, form="radial")
-        rhs = make_family("Bt" + sign, n, k=k, form="expanded")
-        line = None
-    elif tag == "residue_step":
-        # x_n Att+(i+1, j) = -(k+1) Att-(i, j), 2k = n+i+j-2  (n odd, i-j odd)
-        if n % 2 == 0 or i is None or j is None:
-            raise BadParams("needs odd n and i, j")
-        kk = (n + i + j - 2) // 2
-        lhs = mult_xn(make_family("Att+", n, i=i + 1, j=j))
-        rhs = make_family("Att-", n, i=i, j=j).scale(ParamScalar.coerce(-(kk + 1)))
-        line = None
-    elif tag == "residue_step_spinor_minus":
-        # zeta(x) Att+(i+1, j) = sAtt-(i, j)  (n odd, i-j odd)
-        if n % 2 == 0 or i is None or j is None:
-            raise BadParams("needs odd n and i, j")
-        lhs = mult_zeta(make_family("Att+", n, i=i + 1, j=j))
-        rhs = make_family("sAtt-", n, i=i, j=j)
-        line = None
-    elif tag == "residue_step_spinor_plus":
-        # zeta(x) Att-(i+1, j) = sAtt+(i, j)  (n odd, i-j even)
-        if n % 2 == 0 or i is None or j is None:
-            raise BadParams("needs odd n and i, j")
-        lhs = mult_zeta(make_family("Att-", n, i=i + 1, j=j))
-        rhs = make_family("sAtt+", n, i=i, j=j)
-        line = None
-    elif tag == "spinor_b_minus":
-        # zeta(x) Bt+(k)|_{lam-1/2, nu+1/2} = (lam-nu-1/2)/2 sBt-(k), lam+nu = -1/2-2k
-        if k is None or k < 0:
-            raise BadParams("needs k >= 0")
-        line = ("sum", -half - 2 * k)
-        lhs = mult_zeta(make_family("Bt+", n, k=k).shift_params(-half, half))
-        rhs = make_family("sBt-", n, k=k).scale(_aff_scalar(half, -half, -rat("1/4")))
-    elif tag == "spinor_b_plus":
-        # zeta(x) Bt-(k)|_{lam-1/2, nu+1/2} = sBt+(k), lam+nu = -3/2-2k
-        if k is None or k < 0:
-            raise BadParams("needs k >= 0")
-        line = ("sum", -rat("3/2") - 2 * k)
-        lhs = mult_zeta(make_family("Bt-", n, k=k).shift_params(-half, half))
-        rhs = make_family("sBt+", n, k=k)
-    elif tag == "spinor_c_minus":
-        # zeta(x) Ct+(l+1)|_{lam-1/2, nu+1/2} = -2 sCt-(l), lam-nu = -3/2-2l
-        if l is None or l < 0:
-            raise BadParams("needs l >= 0")
-        line = ("diff", -rat("3/2") - 2 * l)
-        lhs = mult_zeta(make_family("Ct+", n, l=l + 1).shift_params(-half, half))
-        rhs = make_family("sCt-", n, l=l).scale(ParamScalar.coerce(-2))
-    elif tag == "spinor_c_plus":
-        # zeta(x) Ct-(l)|_{lam-1/2, nu+1/2} = -sCt+(l), lam-nu = -1/2-2l
-        if l is None or l < 0:
-            raise BadParams("needs l >= 0")
-        line = ("diff", -half - 2 * l)
-        lhs = mult_zeta(make_family("Ct-", n, l=l).shift_params(-half, half))
-        rhs = make_family("sCt+", n, l=l).scale(ParamScalar.coerce(-1))
-    elif tag == "spinor_a_closure_minus":
-        # zeta(x) sAt- = -At+|_{lam+1/2, nu-1/2} (x) id, generic parameters
-        lhs = mult_zeta(make_family("sAt-", n))
-        rhs = as_matrix(make_family("At+", n).shift_params(half, -half)).scale(
-            ParamScalar.coerce(-1))
-        line = None
-    elif tag == "spinor_a_closure_plus":
-        # zeta(x) sAt+ = -(lam-nu+1/2)/2 At-|_{lam+1/2, nu-1/2} (x) id
-        lhs = mult_zeta(make_family("sAt+", n))
-        rhs = as_matrix(make_family("At-", n).shift_params(half, -half)).scale(
-            _aff_scalar(-half, half, -rat("1/4")))
-        line = None
-    elif tag == "xn_kernel":
-        # vanishing classification of x_n * K on the represented families
-        return _vanishing_report(n, mult_xn, k, l)
-    elif tag == "zeta_kernel":
-        return _vanishing_report(n, mult_zeta, k, l)
-    else:
-        raise UnknownIdentity(tag)
-    if line is not None:
-        lhs = _on_line(lhs, line)
-        rhs = _on_line(rhs, line)
+    if tag in _VANISHING:
+        _check_dim(n)
+        return _vanishing_report(tag, n, k, l)
+    lhs, rhs = _identity_sides(tag, n, k, l, i, j)
     diff = lhs - rhs
     report = {"identity": tag, "n": n,
               "params": {p: q for p, q in (("k", k), ("l", l), ("i", i), ("j", j))
@@ -1000,38 +819,25 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
     return report
 
 
-def _vanishing_report(n, op, kmax, lmax):
+def _vanishing_report(tag, n, kmax, lmax):
     """Kernel-of-multiplication classification on the explicit families."""
+    if tag == "xn_kernel":
+        op, expect_zero = mult_xn, {("Bt+", 0), ("Ct+", 0)}
+    else:
+        op, expect_zero = mult_zeta, {("Ct+", 0)}
     kmax = 2 if kmax is None else kmax
     lmax = 2 if lmax is None else lmax
-    expect_zero = set()
-    if op is mult_xn:
-        expect_zero = {("Bt+", 0), ("Ct+", 0)}
-    else:
-        expect_zero = {("Ct+", 0)}
     ok = True
     detail = {}
-    for fam, idx_name in (("Bt+", "k"), ("Bt-", "k"), ("Ct+", "l"), ("Ct-", "l")):
-        top = kmax if idx_name == "k" else lmax
+    for fam, idx_name, top in (("Bt+", "k", kmax), ("Bt-", "k", kmax),
+                               ("Ct+", "l", lmax), ("Ct-", "l", lmax)):
         for idx in range(top + 1):
-            fam_kwargs = {idx_name: idx}
-            K = make_family(fam, n, **fam_kwargs)
-            KK = _on_line(K, K.meta["constraint"])
-            img = op(KK)
-            is_zero = img.is_zero()
+            K = make_family(fam, n, **{idx_name: idx})
+            is_zero = op(_on_line(K, K.meta["constraint"])).is_zero()
             want_zero = (fam, idx) in expect_zero
             detail["%s[%d]" % (fam, idx)] = {"zero": is_zero, "expected_zero": want_zero}
             ok = ok and (is_zero == want_zero)
-    return {"identity": "xn_kernel" if op is mult_xn else "zeta_kernel",
-            "n": n, "ok": ok, "detail": detail}
-
-
-IDENTITY_TAGS = ("b_translation", "c_translation", "juhl_up", "juhl_down",
-                 "b_double_display", "spinor_b_minus", "spinor_b_plus",
-                 "spinor_c_minus", "spinor_c_plus", "spinor_a_closure_minus",
-                 "spinor_a_closure_plus", "residue_step",
-                 "residue_step_spinor_minus", "residue_step_spinor_plus",
-                 "xn_kernel", "zeta_kernel")
+    return {"identity": tag, "n": n, "ok": ok, "detail": detail}
 
 
 # -- symmetry and homogeneity checks --------------------------------------------
@@ -1048,11 +854,9 @@ def _term_degree(n, key):
 
 
 def _term_parity(key):
-    if key[0] == "S":
-        return (key[1] + sum(key[4])) % 2
-    if key[0] == "B":
-        return (key[1] + sum(key[4])) % 2
-    return sum(key[1]) % 2
+    if key[0] == "P":
+        return sum(key[1]) % 2
+    return (key[1] + sum(key[4])) % 2
 
 
 def _rotation_apply(K, a, b):
@@ -1061,49 +865,29 @@ def _rotation_apply(K, a, b):
     Returns the equivariance defect: vector-field part plus the spin twists;
     zero exactly when the kernel is invariant.
     """
-    n = K.n
-    nx = n - 1
     out = {}
-
-    def put(key, val):
-        if _v_iszero(val):
-            return
-        s = _v_add(out.get(key), val)
-        if _v_iszero(s):
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     # -V(K) with V = x_a d_b - x_b d_a acting on the x-dependence
     for key, val in K.terms.items():
-        if key[0] in ("S", "B"):
+        if key[0] != "P":
             mono = key[4]
             for (src, dst) in ((b, a), (a, b)):
                 e = mono[src - 1]
                 if e:
-                    nm = list(mono)
-                    nm[src - 1] -= 1
-                    nm[dst - 1] += 1
+                    nm = _bump(_bump(mono, src - 1, -1), dst - 1, 1)
                     sgn = 1 if src == b else -1
-                    nk = key[:4] + (tuple(nm),)
-                    put(nk, _v_scale(val, ParamScalar.coerce(-sgn * e)))
+                    _put(out, key[:4] + (nm,), _v_scale(val, ParamScalar.coerce(-sgn * e)))
         else:
             alpha = key[1]
             # V(d^alpha delta) = -alpha_a d^{alpha+e_b-e_a} + alpha_b d^{alpha+e_a-e_b}
-            if alpha[a - 1]:
-                na = list(alpha)
-                na[a - 1] -= 1
-                na[b - 1] += 1
-                put(("P", tuple(na)), _v_scale(val, ParamScalar.coerce(alpha[a - 1])))
-            if alpha[b - 1]:
-                na = list(alpha)
-                na[b - 1] -= 1
-                na[a - 1] += 1
-                put(("P", tuple(na)), _v_scale(val, ParamScalar.coerce(-alpha[b - 1])))
+            for (src, dst, sgn) in ((a, b, 1), (b, a, -1)):
+                e = alpha[src - 1]
+                if e:
+                    na = _bump(_bump(alpha, src - 1, -1), dst - 1, 1)
+                    _put(out, ("P", na), _v_scale(val, ParamScalar.coerce(sgn * e)))
     defect = KernelExpr(K.n, K.shape, out, K.meta, normalized=False)
     if K.shape:
         # spin twists: X_row o K - K o X_col with X = zeta(e_a e_b)/2
-        dst, src = K.shape
+        dst = K.shape[0]
         row_n = K.n - 1 if dst == spin_dim(K.n - 1) and dst != spin_dim(K.n) else K.n
         Xrow = zeta_matrix(row_n, "+", a).compose(zeta_matrix(row_n, "+", b)) \
             .scale(GaussianRational("1/2"))
@@ -1111,28 +895,11 @@ def _rotation_apply(K, a, b):
             .scale(GaussianRational("1/2"))
         tw = {}
         for key, val in K.terms.items():
-            left = _v_lmul(Xrow, val, src)
-            right = _rmul_val(val, Xcol)
-            d = _v_add(left, _v_scale(right, ParamScalar.coerce(-1)))
-            if not _v_iszero(d):
-                tw[key] = d
+            _put(tw, key, _v_add(_v_lmul(Xrow, val),
+                                 _v_scale(_matmul(val, Xcol.entries),
+                                          ParamScalar.coerce(-1))))
         defect = defect + KernelExpr(K.n, K.shape, tw, K.meta, normalized=False)
     return defect
-
-
-def _rmul_val(v, spinmap):
-    """Right-multiply a matrix value by a SpinMap."""
-    out = {}
-    byrow = {}
-    for (r, c), m in spinmap.entries.items():
-        byrow.setdefault(r, []).append((c, m))
-    for (r, c), x in v.items():
-        for cc, m in byrow.get(c, ()):
-            key = (r, cc)
-            term = x * ParamScalar.coerce(m)
-            acc = out.get(key)
-            out[key] = term if acc is None else acc + term
-    return {k: x for k, x in out.items() if not x.is_zero()}
 
 
 def symmetry_checks(K, parity):
@@ -1209,8 +976,7 @@ def to_json_dict(K):
 
 
 def _term_sort_key(key):
-    if key[0] == "S":
-        return (0, key[1], key[2].sort_key(), key[3].sort_key(), key[4])
-    if key[0] == "B":
-        return (1, key[1], key[2].sort_key(), key[3].sort_key(), key[4])
-    return (2, key[1])
+    if key[0] == "P":
+        return (2, key[1])
+    return (0 if key[0] == "S" else 1, key[1], key[2].sort_key(), key[3].sort_key(),
+            key[4])

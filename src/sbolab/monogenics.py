@@ -46,6 +46,10 @@ class NotAdjacent(ValueError):
     pass
 
 
+class BadDegree(ValueError):
+    """A degree bound outside the domain of a verification suite."""
+
+
 # -- Gegenbauer polynomials ---------------------------------------------------
 
 def _zp_trim(p):
@@ -200,7 +204,7 @@ def verify_gegenbauer_identities(max_deg):
     nonzero difference.
     """
     if max_deg < 2:
-        raise ValueError("max_deg must be >= 2")
+        raise BadDegree("max_deg must be >= 2, got %r" % (max_deg,))
     report = {}
     for name in _GEG_IDENTITIES:
         per = {}
@@ -571,6 +575,8 @@ def _adjacent_move(a, b):
 
 
 def _validate_pair(n, alpha, alphap, beta, betap):
+    if n < 2:
+        raise DimensionMismatch("lattice constants need n >= 2, got n=%r" % (n,))
     even = n % 2 == 0
     i, si = _split_label(alpha)
     j, sj = _split_label(alphap)
@@ -593,12 +599,8 @@ def lambda_constant(n, alpha, alphap, beta, betap):
     """Closed-form proportionality constant for one adjacent lattice move."""
     i, si, j, sj, _, _, mv, mvp = _validate_pair(n, alpha, alphap, beta, betap)
     frac = ParamScalar.from_fraction
-    if n % 2 == 0:
-        s = si
-        key = (mv[0], mvp[0])
-    else:
-        s = sj
-        key = (mv[0], mvp[0])
+    s = si if n % 2 == 0 else sj
+    key = (mv[0], mvp[0])
     if key == (1, 1):
         val = frac(n + 2 * j - 1, n + 2 * i + 1)
     elif key == (0, 1):
@@ -631,15 +633,6 @@ def lambda_constant(n, alpha, alphap, beta, betap):
     return val
 
 
-def _sphere_split(psi, k):
-    """Sphere components of x_k * psi for monogenic psi: (+1, 0, -1) reps.
-
-    On the unit sphere x_k psi = psi_plus - zeta(x) psi_zero + psi_minus.
-    """
-    plus, zero, minus = mult_coordinate_split(psi, k)
-    return plus, zero, minus
-
-
 def _omega_components(phi, k, kind):
     """E'(beta')-components of multiplication by x_k on a sphere K-type element.
 
@@ -647,7 +640,8 @@ def _omega_components(phi, k, kind):
     (element psi + zeta(x) gamma(psi)); returns {move: (kind, rep)} with move
     in {+1, 0, -1} for the target degree j + move.
     """
-    plus, zero, minus = _sphere_split(phi, k)
+    # on the unit sphere x_k phi = phi_plus - zeta(x) phi_zero + phi_minus
+    plus, zero, minus = mult_coordinate_split(phi, k)
     if kind == "plain":
         return {1: ("plain", plus), 0: ("xz", zero.scale(GaussianRational(-1))),
                 -1: ("plain", minus)}

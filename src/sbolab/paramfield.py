@@ -13,7 +13,7 @@ from fractions import Fraction
 try:
     from gmpy2 import mpq as _mpq
     _RAT_TYPES = (type(_mpq(0)),)
-except ImportError:  # pragma: no cover - gmpy2 is normally available
+except ImportError:  # gmpy2 is the optional `gmpy` extra; without it, Fraction
     _mpq = Fraction
     _RAT_TYPES = (Fraction,)
 
@@ -253,16 +253,6 @@ class ParamPoly:
         out = ParamPoly()
         for (a, b), c in self.terms.items():
             out = out + (lin ** a) * ParamPoly({(0, b): c})
-        return out
-
-    def subs_nu(self, e, f):
-        """Substitute nu := e*lam + f."""
-        e = GaussianRational.coerce(e)
-        f = GaussianRational.coerce(f)
-        lin = ParamPoly({(1, 0): e, (0, 0): f})
-        out = ParamPoly()
-        for (a, b), c in self.terms.items():
-            out = out + (lin ** b) * ParamPoly({(a, 0): c})
         return out
 
     def shift(self, dlam, dnu):
@@ -656,11 +646,6 @@ class ParamScalar:
                   for (a, b, c), p in self.gammas)
         return ParamScalar(self.num.subs_lam(e, f), self.den.subs_lam(e, f), g)
 
-    def subs_nu(self, e, f):
-        g = tuple((((a + b * rat(e), rat(0), c + b * rat(f))), p)
-                  for (a, b, c), p in self.gammas)
-        return ParamScalar(self.num.subs_nu(e, f), self.den.subs_nu(e, f), g)
-
     def shift(self, dlam, dnu):
         g = tuple(((a, b, c + a * rat(dlam) + b * rat(dnu)), p)
                   for (a, b, c), p in self.gammas)
@@ -693,17 +678,6 @@ def pochhammer(x, n):
     return out
 
 
-def gamma_normalize(s):
-    """Merge Gamma tokens in the same integer-shift class; idempotent.
-
-    Normalization happens on construction, so this is the identity on any
-    ParamScalar built through the public API; it exists to make the contract
-    explicit and to normalize hand-built token tuples.
-    """
-    s = ParamScalar.coerce(s)
-    return ParamScalar(s.num, s.den, s.gammas)
-
-
 def evaluate(s, lam0, nu0):
     """Exact value of s at (lam0, nu0); Gamma tokens must already be gone."""
     s = ParamScalar.coerce(s)
@@ -716,7 +690,3 @@ def evaluate(s, lam0, nu0):
         raise PoleError("denominator vanishes at (%r, %r)" % (lam0, nu0))
     return s.num.eval(lam0, nu0) / d
 
-
-def rat_str(q):
-    """Parse a fraction string like '-5/2' into an exact rational."""
-    return rat(q)

@@ -95,8 +95,16 @@ class TestUsageErrors:
         ["table", "composition", "--n", "4", "--imax", "3", "--depth", "4"],
         ["table", "lattice", "--n", "1", "--imax", "0", "--jmax", "0",
          "--depth", "4"],
+        ["kernel", "--family", "sBt+", "--n", "1", "--k", "0"],
+        ["kernel", "--family", "Bt+", "--n", "0", "--k", "0"],
+        ["kernel", "--family", "Bt+", "--n", "4", "--k", "1", "--project"],
+        ["verify", "kernels", "--n", "1", "--kmax", "0", "--lmax", "0"],
+        ["verify", "lambda", "--n", "1", "--imax", "0"],
+        ["verify", "projection", "--n", "1"],
+        ["verify", "gegenbauer", "--max-deg", "1"],
     ])
     def test_lattice_domain_errors(self, argv, capsys):
+        # domain errors of every subcommand, not only the lattice ones
         rc, text = run(argv)
         err = capsys.readouterr().err
         assert rc == 2 and text == ""

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sbolab.paramfield import GaussianRational, ONE, ZERO, I
-from sbolab.cliffspin import (CliffordElt, Spinor, SpinMap, clifford_mul,
+from sbolab.cliffspin import (CliffordElt, Spinor, SpinMap,
                               pin_element, pin_cover_action, zeta_action,
                               zeta_gen_apply, zeta_matrix, gamma, gamma_matrix,
                               fund_branching, spin_dim, spin_projection_P,
@@ -50,7 +50,7 @@ class TestCliffordAlgebra:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            clifford_mul(CliffordElt.basis(2, [1]), CliffordElt.basis(3, [1]))
+            CliffordElt.basis(2, [1]) * CliffordElt.basis(3, [1])
 
 
 class TestPinCover:

@@ -1,14 +1,18 @@
+import hashlib
+import json
+import os
 import random
 
 import pytest
 
+from sbolab import kernelcalc
 from sbolab.paramfield import ParamScalar, ParamPoly, GaussianRational, rat
 from sbolab.kernelcalc import (KernelExpr, AffineExp, make_family, mult_xn,
-                               mult_zeta, mult_norm2, expand_against_delta,
-                               project, as_matrix, support, check_identity,
-                               symmetry_checks, to_json_dict, BadParams,
+                               mult_zeta, mult_norm2, project, as_matrix,
+                               support, check_identity, symmetry_checks,
+                               to_json_dict, BadParams,
                                UnknownIdentity, SymmetryFailure, _on_line,
-                               _term_degree, IDENTITY_TAGS)
+                               _term_degree, _identity_sides, IDENTITY_TAGS)
 
 
 def ps(x):
@@ -56,6 +60,10 @@ class TestFamilies:
             make_family("Att+", 4, i=2, j=0)  # needs odd n
         with pytest.raises(BadParams):
             make_family("nope", 4)
+        with pytest.raises(BadParams):
+            make_family("sBt+", 1, k=0)  # needs n >= 2
+        with pytest.raises(BadParams):
+            check_identity("juhl_up", 1, l=0)
 
 
 class TestMultiplicationRules:
@@ -124,9 +132,20 @@ class TestExpandAgainstDelta:
         assert t2 == ps(1)
         assert t0 == ParamScalar(ParamPoly.affine(0, -2, 0))
 
+    def test_normalization_is_additive(self):
+        # pulling |x'|^2 out of one group adds to a second group that is
+        # itself divided in the same sweep; that addition must survive
+        xn, r = AffineExp(1, 1, 0), AffineExp(0, -1, 0)
+        a = {("S", 0, xn, r, (2, 0, 0)): ps(1)}
+        b = {("S", 0, xn + 2, r, (0, 0, 0)): ps(1),
+             ("S", 0, xn + 2, r, (2, 0, 0)): ps(2)}
+        assert KernelExpr(4, None, {**a, **b}) == \
+            KernelExpr(4, None, a) + KernelExpr(4, None, b)
+
     def test_idempotent(self):
+        # normalization runs on construction, so rebuilding changes nothing
         K = make_family("Bt+", 4, k=2, form="radial")
-        assert expand_against_delta(K) == K
+        assert KernelExpr(K.n, K.shape, dict(K.terms)) == K
 
     @pytest.mark.parametrize("k", range(6))
     @pytest.mark.parametrize("sign", ["+", "-"])
@@ -139,6 +158,20 @@ class TestExpandAgainstDelta:
         K = make_family("Bt+", 4, k=3, form="radial")
         degs = {repr(_term_degree(4, key)) for key in K.terms}
         assert len(degs) == 1
+
+
+# one case per catalogued identity, all valid at n = 3
+CONTROL_CASES = [
+    ("b_translation", {"k": 1}), ("c_translation", {"l": 1}),
+    ("juhl_up", {"l": 1}), ("juhl_down", {"l": 1}),
+    ("b_double_display", {"k": 1}), ("b_double_display", {"k": 1, "j": -1}),
+    ("spinor_b_minus", {"k": 1}), ("spinor_b_plus", {"k": 1}),
+    ("spinor_c_minus", {"l": 1}), ("spinor_c_plus", {"l": 1}),
+    ("spinor_a_closure_minus", {}), ("spinor_a_closure_plus", {}),
+    ("residue_step", {"i": 1, "j": 0}),
+    ("residue_step_spinor_minus", {"i": 1, "j": 0}),
+    ("residue_step_spinor_plus", {"i": 2, "j": 0}),
+]
 
 
 class TestIdentityCatalogue:
@@ -164,6 +197,17 @@ class TestIdentityCatalogue:
     def test_vanishing_classification(self):
         assert check_identity("xn_kernel", 4, k=2, l=2)["ok"]
         assert check_identity("zeta_kernel", 4, k=2, l=2)["ok"]
+
+    @pytest.mark.parametrize("tag,kw", CONTROL_CASES)
+    def test_doubled_rhs_fails(self, tag, kw):
+        # negative control: neither side is zero, so the comparison is not
+        # vacuous and a wrong factor on either side makes it fail
+        lhs, rhs = _identity_sides(tag, 3, **kw)
+        assert (lhs - rhs).is_zero()
+        assert not (lhs - rhs.scale(ps(2))).is_zero()
+
+    def test_control_covers_table(self):
+        assert {tag for tag, _ in CONTROL_CASES} == set(kernelcalc._IDENTITIES)
 
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):
@@ -313,4 +357,57 @@ class TestRandomizedInvariants:
         rng = random.Random(10)
         for _ in range(10):
             K = random_kernel(rng, 4)
-            assert expand_against_delta(K) == K
+            assert KernelExpr(K.n, K.shape, dict(K.terms)) == K
+
+
+# -- golden digest of every family normal form -----------------------------------
+
+GOLDEN_FAMILIES = os.path.join(os.path.dirname(__file__), "golden",
+                               "kernel_families.json")
+
+
+def _family_cases():
+    """(case name, kernel) for every tag at n = 2..5 and indices 0..2."""
+    for n in range(2, 6):
+        cases = [(tag, {}) for tag in ("A+", "A-", "At+", "At-", "sAt+", "sAt-")]
+        cases += [(tag, {"k": k}) for tag in ("Bt+", "Bt-", "sBt+", "sBt-")
+                  for k in range(3)]
+        cases += [(tag, {"l": l}) for tag in ("Ct+", "Ct-", "sCt+", "sCt-")
+                  for l in range(3)]
+        if n % 2:
+            for i in range(3):
+                for j in range(i + 1):
+                    sign = "-" if (i - j) % 2 else "+"
+                    cases += [("Att" + sign, {"i": i, "j": j}),
+                              ("sAtt" + sign, {"i": i, "j": j})]
+        for tag, kw in cases:
+            name = " ".join(["%s n=%d" % (tag, n)] +
+                            ["%s=%d" % p for p in sorted(kw.items())])
+            for form in ("radial", "expanded"):
+                K = make_family(tag, n, form=form, **kw)
+                yield "%s %s" % (name, form), K
+            if K.shape:
+                yield name + " project", project(K)
+            if "constraint" in K.meta:
+                yield name + " line", _on_line(K, K.meta["constraint"])
+
+
+def family_digests():
+    return {name: hashlib.sha256(json.dumps(to_json_dict(K), sort_keys=True)
+                                 .encode()).hexdigest()
+            for name, K in _family_cases()}
+
+
+def test_family_digests_match_golden():
+    with open(GOLDEN_FAMILIES) as fh:
+        want = json.load(fh)
+    got = family_digests()
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+
+
+if __name__ == "__main__":
+    # rewrite the golden digest from the current tree
+    with open(GOLDEN_FAMILIES, "w") as fh:
+        json.dump(family_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
