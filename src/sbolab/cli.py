@@ -107,26 +107,7 @@ def _suite_lambda(args):
 
 def _suite_kernels(args):
     n = args.n
-    cases = []
-    for k in range(args.kmax + 1):
-        cases += [("b_translation", {"k": k}), ("b_double_display", {"k": k}),
-                  ("spinor_b_minus", {"k": k}), ("spinor_b_plus", {"k": k})]
-    for l in range(args.lmax + 1):
-        cases += [("c_translation", {"l": l}), ("juhl_up", {"l": l}),
-                  ("juhl_down", {"l": l}), ("spinor_c_minus", {"l": l}),
-                  ("spinor_c_plus", {"l": l})]
-    cases += [("spinor_a_closure_minus", {}), ("spinor_a_closure_plus", {}),
-              ("xn_kernel", {"k": args.kmax, "l": args.lmax}),
-              ("zeta_kernel", {"k": args.kmax, "l": args.lmax})]
-    if n % 2:
-        for i in range(1, args.kmax + 1):
-            for j in range(i):
-                if (i - j) % 2:
-                    cases.append(("residue_step", {"i": i, "j": j}))
-                    cases.append(("residue_step_spinor_minus", {"i": i, "j": j}))
-                else:
-                    cases.append(("residue_step_spinor_plus", {"i": i, "j": j}))
-    for tag, kw in cases:
+    for tag, kw in kernelcalc.identity_cases(n, args.kmax, args.lmax):
         t0 = time.perf_counter()
         rep = kernelcalc.check_identity(tag, n, **kw)
         yield _report("kernel:" + tag, dict(kw, n=n),
@@ -162,22 +143,31 @@ _SUITES = {"gegenbauer": _suite_gegenbauer, "branching": _suite_branching,
            "projection": _suite_projection}
 
 
-# domain errors of the verification suites: usage errors, not failed checks
-_VERIFY_DOMAIN = (kernelcalc.BadParams, cliffspin.DimensionMismatch,
-                  monogenics.BadDegree)
+def _verify_usage_error(args):
+    """Why the suite's arguments are out of its domain, or None.
+
+    Checked before any report is written; a domain error the library raises
+    later is a fault, not a usage error, and ends in a traceback.
+    """
+    if args.suite == "gegenbauer":
+        if args.max_deg < 2:
+            return "max_deg must be >= 2, got %d" % args.max_deg
+    elif args.n < 2:
+        return "n must be >= 2, got %d" % args.n
+    return None
 
 
 def cmd_verify(args, out):
-    failed = 0
-    try:
-        for rep in _SUITES[args.suite](args):
-            _emit(rep, out)
-            if rep["status"] == "fail":
-                failed += 1
-                sys.stderr.write(json.dumps(rep, sort_keys=True) + "\n")
-    except _VERIFY_DOMAIN as exc:
-        sys.stderr.write("bad %s parameters: %s\n" % (args.suite, exc))
+    bad = _verify_usage_error(args)
+    if bad:
+        sys.stderr.write("bad %s parameters: %s\n" % (args.suite, bad))
         return 2
+    failed = 0
+    for rep in _SUITES[args.suite](args):
+        _emit(rep, out)
+        if rep["status"] == "fail":
+            failed += 1
+            sys.stderr.write(json.dumps(rep, sort_keys=True) + "\n")
     return 1 if failed else 0
 
 

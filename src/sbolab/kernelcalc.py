@@ -676,10 +676,11 @@ def _aff_scalar(a, b, c):
 _H = rat("1/2")
 
 # tag -> (index, line, lhs, rhs).  The index names the parameters the
-# identity is stated at: 'k' or 'l' (>= 0), 'ij' (n odd), 'kj' (k and the
-# sign of j, which picks Bt+ or Bt-), or None.  lhs and rhs build the two
-# sides from (n, *index).  A line (kind, c) restricts both sides to
-# lam + nu (kind 'sum') or lam - nu (kind 'diff') = c - 2 * index.
+# identity is stated at: 'k' or 'l' (>= 0), 'ij_odd' or 'ij_even' (n odd,
+# i - j of that parity), 'kj' (k and the sign of j, which picks Bt+ or Bt-),
+# or None.  lhs and rhs build the two sides from (n, *index).  A line
+# (kind, c) restricts both sides to lam + nu (kind 'sum') or lam - nu
+# (kind 'diff') = c - 2 * index.
 _IDENTITIES = {
     # x_n Bt+(k+1)|_{lam-1} = 2(k+1)(nu+k+1) Bt-(k) on lam+nu = -3/2-2k
     "b_translation": (
@@ -743,18 +744,18 @@ _IDENTITIES = {
             _aff_scalar(-_H, _H, -_H / 2))),
     # x_n Att+(i+1, j) = -(k+1) Att-(i, j), 2k = n+i+j-2  (n odd, i-j odd)
     "residue_step": (
-        "ij", None,
+        "ij_odd", None,
         lambda n, i, j: mult_xn(make_family("Att+", n, i=i + 1, j=j)),
         lambda n, i, j: make_family("Att-", n, i=i, j=j).scale(
             ParamScalar.coerce(-((n + i + j - 2) // 2 + 1)))),
     # zeta(x) Att+(i+1, j) = sAtt-(i, j)  (n odd, i-j odd)
     "residue_step_spinor_minus": (
-        "ij", None,
+        "ij_odd", None,
         lambda n, i, j: mult_zeta(make_family("Att+", n, i=i + 1, j=j)),
         lambda n, i, j: make_family("sAtt-", n, i=i, j=j)),
     # zeta(x) Att-(i+1, j) = sAtt+(i, j)  (n odd, i-j even)
     "residue_step_spinor_plus": (
-        "ij", None,
+        "ij_even", None,
         lambda n, i, j: mult_zeta(make_family("Att-", n, i=i + 1, j=j)),
         lambda n, i, j: make_family("sAtt+", n, i=i, j=j)),
 }
@@ -769,7 +770,7 @@ def _identity_index(name, n, k, l, i, j):
     """The index tuple an identity is stated at; BadParams outside its domain."""
     if name is None:
         return ()
-    if name == "ij":
+    if name[0] == "i":
         if n % 2 == 0 or i is None or j is None:
             raise BadParams("needs odd n and i, j")
         return i, j
@@ -817,6 +818,29 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
     if not diff.is_zero():
         report["diff"] = to_json_dict(diff)
     return report
+
+
+def identity_cases(n, kmax, lmax):
+    """(tag, index keywords) of every catalogued check up to kmax and lmax.
+
+    In report order: the k identities for each k, the l identities for each
+    l, those without index, the vanishing reports, then at odd n the residue
+    steps at each 0 <= j < i <= kmax whose i - j has the step's parity.
+    """
+    def named(first):
+        # the tags whose index name starts with first ("" for no index)
+        return [tag for tag, (name, *_) in _IDENTITIES.items()
+                if (name or "")[:1] == first]
+    cases = [(tag, {"k": k}) for k in range(kmax + 1) for tag in named("k")]
+    cases += [(tag, {"l": l}) for l in range(lmax + 1) for tag in named("l")]
+    cases += [(tag, {}) for tag in named("")]
+    cases += [(tag, {"k": kmax, "l": lmax}) for tag in _VANISHING]
+    if n % 2:
+        cases += [(tag, {"i": i, "j": j})
+                  for i in range(1, kmax + 1) for j in range(i)
+                  for tag in named("i")
+                  if _IDENTITIES[tag][0] == ("ij_odd" if (i - j) % 2 else "ij_even")]
+    return cases
 
 
 def _vanishing_report(tag, n, kmax, lmax):

@@ -13,7 +13,7 @@ from fractions import Fraction
 try:
     from gmpy2 import mpq as _mpq
     _RAT_TYPES = (type(_mpq(0)),)
-except ImportError:  # gmpy2 is the optional `gmpy` extra; without it, Fraction
+except ImportError:  # gmpy2 is not a dependency; Fraction is the tested backend
     _mpq = Fraction
     _RAT_TYPES = (Fraction,)
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from sbolab import cli
+from sbolab import cli, kernelcalc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -75,6 +75,17 @@ class TestVerify:
         assert rc == 1
         assert json.loads(text.strip())["witness"] == "boom"
 
+    def test_late_domain_error_is_a_fault(self, monkeypatch):
+        # a domain error raised after the arguments passed their check is a
+        # fault of the library, not a usage error
+        def fake(args):
+            yield {"check": "fake", "params": {}, "status": "pass",
+                   "runtime_ms": 0}
+            raise kernelcalc.BadParams("internal")
+        monkeypatch.setitem(cli._SUITES, "kernels", fake)
+        with pytest.raises(kernelcalc.BadParams):
+            run(["verify", "kernels", "--n", "4"])
+
 
 class TestUsageErrors:
     def test_bad_fraction(self):
@@ -101,6 +112,7 @@ class TestUsageErrors:
         ["verify", "kernels", "--n", "1", "--kmax", "0", "--lmax", "0"],
         ["verify", "lambda", "--n", "1", "--imax", "0"],
         ["verify", "projection", "--n", "1"],
+        ["verify", "branching", "--n", "1", "--imax", "0"],
         ["verify", "gegenbauer", "--max-deg", "1"],
     ])
     def test_lattice_domain_errors(self, argv, capsys):

@@ -209,6 +209,17 @@ class TestIdentityCatalogue:
     def test_control_covers_table(self):
         assert {tag for tag, _ in CONTROL_CASES} == set(kernelcalc._IDENTITIES)
 
+    def test_verify_cases_cover_table(self):
+        # every catalogued tag is run by `sbolab verify kernels`, each residue
+        # step only where i - j has its parity
+        cases = kernelcalc.identity_cases(3, 2, 1)
+        assert {tag for tag, _ in cases} == set(IDENTITY_TAGS)
+        for tag, kw in cases:
+            if "i" in kw:
+                odd = (kw["i"] - kw["j"]) % 2 == 1
+                assert odd == (tag != "residue_step_spinor_plus")
+        assert not any("i" in kw for _, kw in kernelcalc.identity_cases(4, 2, 1))
+
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):
             check_identity("nonsense", 4)
@@ -405,9 +416,3 @@ def test_family_digests_match_golden():
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
 
-
-if __name__ == "__main__":
-    # rewrite the golden digest from the current tree
-    with open(GOLDEN_FAMILIES, "w") as fh:
-        json.dump(family_digests(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
