@@ -8,7 +8,7 @@ with basis indexed by bitmasks over {1..m}.
 
 from functools import lru_cache
 
-from .paramfield import GaussianRational, ZERO, ONE, I
+from .paramfield import GaussianRational, ZERO, ONE, I, _times_i_power
 from . import linalg
 
 
@@ -22,10 +22,6 @@ class NotInPin(ValueError):
 
 class IndependenceFailure(ValueError):
     pass
-
-
-def _popcount_below(mask, i):
-    return bin(mask & ((1 << i) - 1)).count("1")
 
 
 class CliffordElt:
@@ -261,28 +257,31 @@ class Spinor:
         return " + ".join(parts)
 
 
-def _wedge_w(s, a):
-    """w_a wedge s (1-based a)."""
-    out = {}
-    bit = 1 << (a - 1)
-    for mask, v in s.coeffs.items():
-        if mask & bit:
-            continue
-        sgn = -1 if _popcount_below(mask, a - 1) & 1 else 1
-        out[mask | bit] = v * GaussianRational(sgn)
-    return Spinor(s.m, out)
+@lru_cache(maxsize=None)
+def _zeta_table(n, variant, i):
+    """zeta_n(e_i) as a signed permutation: entry `mask` is (image, k) with
+    zeta_n(e_i) w_mask = i^k w_image.
 
-
-def _contract_w(s, a):
-    """zeta(w'_a) s = (-1)^{pos} * (s with w_a removed)."""
-    out = {}
-    bit = 1 << (a - 1)
-    for mask, v in s.coeffs.items():
-        if not (mask & bit):
-            continue
-        pos = _popcount_below(mask, a - 1) + 1
-        out[mask & ~bit] = v * GaussianRational(-1 if pos & 1 else 1)
-    return Spinor(s.m, out)
+    With m = n // 2, e_{2a-1} = w_a + w'_a and e_{2a} = -i w_a + i w'_a,
+    where w_a wedges from the left and w'_a contracts; for odd n,
+    e_n = i * gamma.  Variant '-' is the alpha-twist, -zeta(e_i)."""
+    table = []
+    for mask in range(1 << (n // 2)):
+        if n % 2 and i == n:
+            image, k = mask, 1 + 2 * (bin(mask).count("1") & 1)
+        else:
+            a = (i + 1) // 2
+            bit = 1 << (a - 1)
+            below = bin(mask & (bit - 1)).count("1") & 1
+            image = mask ^ bit
+            if mask & bit:  # w'_a removes w_a from position below + 1
+                k = 2 * (1 - below) + (0 if i % 2 else 1)
+            else:           # w_a moves to the front past `below` factors
+                k = 2 * below + (0 if i % 2 else 3)
+        if variant == "-":
+            k += 2
+        table.append((image, k % 4))
+    return tuple(table)
 
 
 def zeta_gen_apply(n, variant, i, s):
@@ -293,20 +292,12 @@ def zeta_gen_apply(n, variant, i, s):
         raise DimensionMismatch("spinor has wrong half-dimension for n=%d" % n)
     if i < 1 or i > n:
         raise DimensionMismatch("generator index out of range")
-    # variant "-" is the alpha-twist; it is a genuinely different
-    # representation only for odd n, but the twist itself is always defined
-    if n % 2 and i == n:
-        out = Spinor(m, {mask: v * I * GaussianRational(-1 if bin(mask).count("1") & 1 else 1)
-                         for mask, v in s.coeffs.items()})
-    else:
-        a = (i + 1) // 2
-        if i % 2:  # e_{2a-1} = w_a + w'_a
-            out = _wedge_w(s, a) + _contract_w(s, a)
-        else:      # e_{2a} = -i w_a + i w'_a
-            out = _wedge_w(s, a).scale(-I) + _contract_w(s, a).scale(I)
-    if variant == "-":
-        out = out.scale(GaussianRational(-1))
-    return out
+    table = _zeta_table(n, variant, i)
+    out = {}
+    for mask, v in s.coeffs.items():
+        image, k = table[mask]
+        out[image] = _times_i_power(k, v)
+    return Spinor(m, out)
 
 
 def zeta_action(n, variant, v, s):

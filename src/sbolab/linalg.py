@@ -7,10 +7,9 @@ r <- p*r - f*pivot and divided by the integer gcd of its parts, and only
 the pivot rows are brought back to Q(i), normalized to 1 at the pivot.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .paramfield import GaussianRational, ZERO, ONE
+from .paramfield import ZERO, ONE, _gr
 
 
 def _primitive(row):
@@ -27,15 +26,13 @@ def _to_gaussian_ints(row):
     """Scale a Q(i) row by the lcm of its denominators; primitive Z[i] row."""
     den = 1
     for v in row.values():
-        for q in (v.re, v.im):
-            d = q.denominator
-            if den % d:
-                den = den * d // gcd(den, d)
+        d = v._d
+        if den % d:
+            den = den * d // gcd(den, d)
     out = {}
     for c, v in row.items():
-        re, im = v.re, v.im
-        out[c] = (int(re.numerator) * (den // int(re.denominator)),
-                  int(im.numerator) * (den // int(im.denominator)))
+        k = den // v._d
+        out[c] = (v._a * k, v._b * k)
     return _primitive(out)
 
 
@@ -43,8 +40,7 @@ def _to_rationals(row, col):
     """The Z[i] row divided by its entry at col, as Gaussian rationals."""
     a, b = row[col]
     nrm = a * a + b * b
-    return {c: GaussianRational(Fraction(x * a + y * b, nrm),
-                                Fraction(y * a - x * b, nrm))
+    return {c: _gr(x * a + y * b, y * a - x * b, nrm)
             for c, (x, y) in row.items()}
 
 

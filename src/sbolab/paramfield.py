@@ -9,13 +9,11 @@ shift into an exact Pochhammer factor.
 """
 
 from fractions import Fraction
+from math import gcd
 
-try:
-    from gmpy2 import mpq as _mpq
-    _RAT_TYPES = (type(_mpq(0)),)
-except ImportError:  # gmpy2 is not a dependency; Fraction is the tested backend
-    _mpq = Fraction
-    _RAT_TYPES = (Fraction,)
+# The rational type of the scalar parts; the benchmark (bench/worker.py)
+# reports it as the arithmetic backend.
+_mpq = Fraction
 
 
 class PoleError(ArithmeticError):
@@ -27,15 +25,13 @@ class GammaResidual(ValueError):
 
 
 def rat(x):
-    """Coerce x to an exact rational (int, Fraction, str or rational)."""
-    if isinstance(x, _RAT_TYPES):
+    """Coerce x to an exact rational Fraction (int, Fraction or str)."""
+    if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
-        return _mpq(x)
-    if isinstance(x, Fraction):
-        return _mpq(x.numerator, x.denominator)
+        return Fraction(x)
     if isinstance(x, str):
-        return _mpq(x.replace(" ", ""))
+        return Fraction(x.replace(" ", ""))
     raise TypeError("cannot coerce %r to a rational" % (x,))
 
 
@@ -44,16 +40,32 @@ def _floor(q):
 
 
 class GaussianRational:
-    """Element of Q(sqrt(-1)), stored as exact real and imaginary parts."""
+    """Element of Q(sqrt(-1)), held as three ints: (a + b*i)/d.
 
-    __slots__ = ("re", "im")
+    The form is canonical (d > 0 and gcd(a, b, d) == 1), so equal values
+    have equal parts.  Values are immutable: the parts are private and
+    `re`, `im` are read-only.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", rat(re))
-        object.__setattr__(self, "im", rat(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        a, b, d = _parts(re)
+        c, e, f = _parts(im)
+        # (a + b i)/d + i (c + e i)/f
+        z = _gr(a * f - e * d, b * f + c * d, d * f)
+        self._a, self._b, self._d = z._a, z._b, z._d
 
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x):
@@ -62,39 +74,48 @@ class GaussianRational:
         return GaussianRational(x)
 
     def __add__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        other = GaussianRational.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _gr(self._a + other._a, self._b + other._b, d)
+        return _gr(self._a * f + other._a * d, self._b * f + other._b * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        other = GaussianRational.coerce(other)
+        d, f = self._d, other._d
+        if d == f:
+            return _gr(self._a - other._a, self._b - other._b, d)
+        return _gr(self._a * f - other._a * d, self._b * f - other._b * d, d * f)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = GaussianRational.coerce(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        other = GaussianRational.coerce(other)
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if not b and not e:
+            return _gr(a * c, 0, self._d * other._d)
+        return _gr(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gr(self._a, -self._b, self._d)
 
     def norm2(self):
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self):
-        n = self.norm2()
-        if n == 0:
+        a, b, d = self._a, self._b, self._d
+        if not a and not b:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _gr(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -115,24 +136,68 @@ class GaussianRational:
         return out
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self._a and not self._b
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, str) + _RAT_TYPES):
-            other = GaussianRational(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussianRational):
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, (int, Fraction, str)):
+            return self == GaussianRational(other)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes like the int or Fraction it equals
+        if not self._b:
+            return hash(Fraction(self._a, self._d))
+        return hash((self._a, self._b, self._d))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return "%s*i" % self.im
-        return "(%s%s%s*i)" % (self.re, "+" if self.im > 0 else "-", abs(self.im))
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return "%s*i" % im
+        return "(%s%s%s*i)" % (re, "+" if im > 0 else "-", abs(im))
+
+
+_new = object.__new__
+
+
+def _gr(a, b, d):
+    """The canonical GaussianRational (a + b*i)/d, for ints with d != 0."""
+    g = gcd(a, b, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _parts(x):
+    """Integer parts (a, b, d) of an int, Fraction, str or GaussianRational."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    q = rat(x)
+    return q.numerator, 0, q.denominator
+
+
+def _times_i_power(k, z):
+    """i**k * z for k in 0..3: the parts are swapped and negated, no product."""
+    a, b, d = z._a, z._b, z._d
+    if k == 0:
+        return z
+    if k == 1:
+        return _gr(-b, a, d)
+    if k == 2:
+        return _gr(-a, -b, d)
+    return _gr(b, -a, d)
 
 
 ZERO = GaussianRational(0)
@@ -235,7 +300,13 @@ class ParamPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes like the coefficient it equals
+        t = self.terms
+        if not t:
+            return hash(ZERO)
+        if len(t) == 1 and (0, 0) in t:
+            return hash(t[(0, 0)])
+        return hash(frozenset(t.items()))
 
     def eval(self, lam0, nu0):
         lam0 = GaussianRational.coerce(lam0)
@@ -638,6 +709,9 @@ class ParamScalar:
                 and (self.num * o.den) == (o.num * self.den))
 
     def __hash__(self):
+        # den is monic, so a Gamma-free scalar with constant den equals num
+        if not self.gammas and self.den.total_degree() == 0:
+            return hash(self.num)
         return hash((self.num, self.den, self.gammas))
 
     def subs_lam(self, e, f):

@@ -15,6 +15,59 @@ def gr(a, b=0):
     return GaussianRational(a, b)
 
 
+# -- the wedge/contract route to zeta_n(e_i), the oracle for the table -------
+
+def _popcount_below(mask, i):
+    return bin(mask & ((1 << i) - 1)).count("1")
+
+
+def _wedge_w(s, a):
+    """w_a wedge s (1-based a)."""
+    out = {}
+    bit = 1 << (a - 1)
+    for mask, v in s.coeffs.items():
+        if mask & bit:
+            continue
+        sgn = -1 if _popcount_below(mask, a - 1) & 1 else 1
+        out[mask | bit] = v * GaussianRational(sgn)
+    return Spinor(s.m, out)
+
+
+def _contract_w(s, a):
+    """zeta(w'_a) s = (-1)^{pos} * (s with w_a removed)."""
+    out = {}
+    bit = 1 << (a - 1)
+    for mask, v in s.coeffs.items():
+        if not (mask & bit):
+            continue
+        pos = _popcount_below(mask, a - 1) + 1
+        out[mask & ~bit] = v * GaussianRational(-1 if pos & 1 else 1)
+    return Spinor(s.m, out)
+
+
+def zeta_gen_oracle(n, variant, i, s):
+    """zeta_n(e_i) s from e_{2a-1} = w_a + w'_a, e_{2a} = -i w_a + i w'_a and,
+    for odd n, e_n = i * gamma; variant '-' negates."""
+    if n % 2 and i == n:
+        out = Spinor(s.m, {mask: v * I * gr(-1 if bin(mask).count("1") & 1 else 1)
+                           for mask, v in s.coeffs.items()})
+    else:
+        a = (i + 1) // 2
+        if i % 2:
+            out = _wedge_w(s, a) + _contract_w(s, a)
+        else:
+            out = _wedge_w(s, a).scale(-I) + _contract_w(s, a).scale(I)
+    if variant == "-":
+        out = out.scale(gr(-1))
+    return out
+
+
+def _random_spinor(rng, m):
+    vals = [gr(0), gr(1), gr(-3, 2), gr("2/3", "-5/7"), gr(0, "1/4")]
+    return Spinor(m, {mask: rng.choice(vals) for mask in range(1 << m)
+                      if rng.random() < 0.7})
+
+
 class TestCliffordAlgebra:
     def test_generator_square(self):
         e1 = CliffordElt.basis(3, [1])
@@ -108,6 +161,39 @@ class TestSpinModule:
         s = Spinor.basis(1, 1)
         assert zeta_gen_apply(3, "-", 2, s) == \
             zeta_gen_apply(3, "+", 2, s).scale(gr(-1))
+
+
+class TestZetaTable:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_basis_spinors_match_wedge_contract(self, n):
+        m = n // 2
+        for variant in ("+", "-"):
+            for i in range(1, n + 1):
+                for mask in range(1 << m):
+                    s = Spinor.basis(m, mask).scale(gr("3/5", -2))
+                    assert zeta_gen_apply(n, variant, i, s) == \
+                        zeta_gen_oracle(n, variant, i, s)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_spinors_match_wedge_contract(self, n):
+        rng = random.Random(n)
+        m = n // 2
+        for variant in ("+", "-"):
+            for i in range(1, n + 1):
+                for _ in range(3):
+                    s = _random_spinor(rng, m)
+                    got = zeta_gen_apply(n, variant, i, s)
+                    assert got == zeta_gen_oracle(n, variant, i, s)
+                    assert repr(got) == repr(zeta_gen_oracle(n, variant, i, s))
+
+    def test_wrong_half_dimension(self):
+        with pytest.raises(DimensionMismatch, match="wrong half-dimension for n=4"):
+            zeta_gen_apply(4, "+", 1, Spinor.basis(1, 0))
+
+    @pytest.mark.parametrize("i", [0, 5])
+    def test_generator_out_of_range(self, i):
+        with pytest.raises(DimensionMismatch, match="generator index out of range"):
+            zeta_gen_apply(4, "+", i, Spinor.basis(2, 0))
 
 
 class TestGamma:

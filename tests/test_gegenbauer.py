@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+import sympy
 
 from sbolab.paramfield import ParamScalar, PS_LAM, PS_ONE
 from sbolab.monogenics import (gegenbauer, gegenbauer_coeffs_rational,
@@ -29,6 +32,19 @@ class TestExplicitCoefficients:
             sym = gegenbauer(deg, PS_LAM)
             for t in range(deg + 1):
                 assert evaluate(sym.coeffs[t], "3/2", 0) == num[t]
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("lam", ["1/2", "3/2", "-1/3", "5/4", "2", "7/3", "-5/2"])
+    def test_rational_coefficients(self, lam):
+        x = sympy.Symbol("x")
+        for deg in range(9):
+            want = sympy.Poly(sympy.gegenbauer(deg, sympy.Rational(lam), x), x)
+            got = gegenbauer_coeffs_rational(deg, lam)
+            assert len(got) == deg + 1
+            for t, c in enumerate(got):
+                assert c.im == 0
+                assert c.re == Fraction(str(want.coeff_monomial(x ** t)))
 
 
 class TestIdentities:

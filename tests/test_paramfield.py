@@ -1,10 +1,14 @@
+from fractions import Fraction
+from math import gcd
+
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from sbolab.paramfield import (GaussianRational, ParamPoly, ParamScalar,
                                pochhammer, evaluate,
                                PoleError, GammaResidual, poly_gcd,
-                               PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, rat)
+                               PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat)
 
 
 def rebuilt(s):
@@ -18,6 +22,150 @@ def gr(a, b=0):
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+class ReferenceGaussian:
+    """Q(sqrt(-1)) as a pair of Fractions: the scalar oracle."""
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, o):
+        return ReferenceGaussian(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return ReferenceGaussian(self.re - o.re, self.im - o.im)
+
+    def __neg__(self):
+        return ReferenceGaussian(-self.re, -self.im)
+
+    def __mul__(self, o):
+        return ReferenceGaussian(self.re * o.re - self.im * o.im,
+                                 self.re * o.im + self.im * o.re)
+
+    def conjugate(self):
+        return ReferenceGaussian(self.re, -self.im)
+
+    def norm2(self):
+        return self.re * self.re + self.im * self.im
+
+    def inverse(self):
+        n = self.norm2()
+        return ReferenceGaussian(self.re / n, -self.im / n)
+
+    def __truediv__(self, o):
+        return self * o.inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = ReferenceGaussian(1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, o):
+        return self.re == o.re and self.im == o.im
+
+    def __repr__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return "%s*i" % self.im
+        return "(%s%s%s*i)" % (self.re, "+" if self.im > 0 else "-", abs(self.im))
+
+
+# parts from ints, small and mixed denominators, and zero
+parts = st.one_of(st.integers(-30, 30), st.just(0),
+                  st.fractions(min_value=-9, max_value=9, max_denominator=12))
+pairs = st.tuples(parts, parts)
+
+
+def agrees(x, ref):
+    """x is canonical and equals the reference value, repr included."""
+    a, b, d = x._a, x._b, x._d
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (x.re, x.im) == (ref.re, ref.im)
+    assert repr(x) == repr(ref)
+    return True
+
+
+class TestAgainstReference:
+    @given(pairs, pairs, st.integers(-4, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_every_operation(self, p, q, k):
+        x, y = GaussianRational(*p), GaussianRational(*q)
+        rx, ry = ReferenceGaussian(*p), ReferenceGaussian(*q)
+        assert agrees(x, rx) and agrees(y, ry)
+        assert agrees(x + y, rx + ry)
+        assert agrees(x - y, rx - ry)
+        assert agrees(x * y, rx * ry)
+        assert agrees(-x, -rx)
+        assert agrees(x.conjugate(), rx.conjugate())
+        assert x.norm2() == rx.norm2()
+        assert (x == y) == (rx == ry)
+        if not y.is_zero():
+            assert agrees(x / y, rx / ry)
+            assert agrees(y.inverse(), ry.inverse())
+        if not x.is_zero() or k >= 0:
+            assert agrees(x ** k, rx ** k)
+
+    @given(pairs, st.one_of(st.integers(-30, 30),
+                            st.fractions(min_value=-9, max_value=9,
+                                         max_denominator=12)))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_with_plain_rationals(self, p, q):
+        x, rx, rq = GaussianRational(*p), ReferenceGaussian(*p), ReferenceGaussian(q)
+        assert agrees(x + q, rx + rq) and agrees(q + x, rx + rq)
+        assert agrees(x - q, rx - rq) and agrees(q - x, rq - rx)
+        assert agrees(x * q, rx * rq) and agrees(q * x, rx * rq)
+        if q != 0:
+            assert agrees(x / q, rx / rq)
+        if not x.is_zero():
+            assert agrees(q / x, rq / rx)
+
+    def test_construction(self):
+        assert agrees(GaussianRational("6/4", "-2/8"), ReferenceGaussian("3/2", "-1/4"))
+        assert agrees(GaussianRational(Fraction(4, 6)), ReferenceGaussian("2/3"))
+        assert agrees(GaussianRational(gr(1, 2), gr(0, 1)), ReferenceGaussian(0, 2))
+        assert agrees(ZERO, ReferenceGaussian())
+        with pytest.raises(TypeError):
+            GaussianRational(0.5)
+
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError):
+            ZERO.inverse()
+        with pytest.raises(ZeroDivisionError):
+            ONE / 0
+
+
+class TestHashAgreesWithEquality:
+    """A scalar equal to an int or a Fraction hashes like it, so the two
+    are one element of a set."""
+
+    @given(st.one_of(st.integers(-50, 50),
+                     st.fractions(min_value=-9, max_value=9, max_denominator=12)))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_values_hash_alike(self, q):
+        for x in (GaussianRational(q), ParamPoly.const(q), ParamScalar.coerce(q)):
+            assert x == q
+            assert hash(x) == hash(q)
+            assert len({x, q}) == 1
+        assert len({GaussianRational(q), ParamPoly.const(q),
+                    ParamScalar.coerce(q)}) == 1
+
+    @given(pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_scalar_poly_hash_alike(self, p):
+        x = GaussianRational(*p)
+        assert hash(ParamPoly.const(x)) == hash(x)
+        assert hash(ParamScalar.coerce(x)) == hash(x)
+
+    def test_nonconstant_values_still_hash(self):
+        s = ParamScalar(ParamPoly.affine(1, 0, 2), ParamPoly.affine(0, 1, 1))
+        assert len({s, ParamScalar(ParamPoly.affine(2, 0, 4),
+                                   ParamPoly.affine(0, 2, 2))}) == 1
+        assert len({PS_LAM, LAM}) == 1
 
 
 class TestGaussianRational:
@@ -165,3 +313,36 @@ class TestRationalFunctions:
         s = ParamScalar(ParamPoly.affine(1, 1, 0))
         assert s.subs_lam(-1, "-1/2") == ParamScalar.coerce("-1/2")
         assert s.shift(1, 0) == s + PS_ONE
+
+
+def _to_sympy(p, lam, nu):
+    def coeff(c):
+        return (sympy.Rational(c.re.numerator, c.re.denominator)
+                + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+    expr = sum((coeff(c) * lam ** a * nu ** b for (a, b), c in p.terms.items()),
+               sympy.Integer(0))
+    return sympy.Poly(expr, lam, nu, domain=sympy.QQ_I)
+
+
+small_gaussians = st.builds(GaussianRational,
+                            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                            st.integers(-2, 2))
+small_polys = st.builds(ParamPoly, st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)), small_gaussians, max_size=3))
+
+
+class TestGcdAgainstSympy:
+    @given(small_polys, small_polys, small_polys)
+    @settings(max_examples=40, deadline=None)
+    def test_poly_gcd_matches_sympy_over_gaussian_rationals(self, f, g, h):
+        lam, nu = sympy.symbols("lam nu")
+        p, q = f * g, f * h
+        got = poly_gcd(p, q)
+        want = sympy.gcd(_to_sympy(p, lam, nu), _to_sympy(q, lam, nu))
+        if want.is_zero:
+            assert got.is_zero()
+            return
+        # both are monic up to a unit; ours is grlex-monic with lam > nu
+        _, lead = got.leading()
+        assert lead == ONE
+        assert _to_sympy(got, lam, nu).monic() == want.monic()
