@@ -253,10 +253,17 @@ def cmd_kernel(args, out):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line; subcommand parsers share the class."""
+
+    def error(self, message):
+        self.exit(2, "%s: error: %s\n" % (self.prog, message))
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="sbolab",
-                                description="exact verification suites for "
-                                "spinor symmetry breaking kernels")
+    p = _Parser(prog="sbolab",
+                description="exact verification suites for "
+                "spinor symmetry breaking kernels")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run a verification suite")

@@ -14,8 +14,9 @@ finite jet pairing, absorb x_n powers into the sign/exponent data, and pull
 is decidable by structural comparison.
 """
 
-from .paramfield import GaussianRational, ParamScalar, ParamPoly, rat, PS_ONE
-from .cliffspin import zeta_matrix, spin_projection_P, spin_dim
+from .paramfield import (GaussianRational, ParamScalar, ParamPoly, rat, PS_ONE,
+                         _ps_times_i_power)
+from .cliffspin import zeta_matrix, spin_projection_P, spin_dim, _zeta_table
 
 
 class BadParams(ValueError):
@@ -33,12 +34,15 @@ class SymmetryFailure(AssertionError):
 class AffineExp:
     """a*lam + b*nu + c with exact rational coefficients."""
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ("a", "b", "c", "_hash")
 
     def __init__(self, a=0, b=0, c=0):
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
-        object.__setattr__(self, "c", rat(c))
+        a, b, c = rat(a), rat(b), rat(c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        # exponents are dict keys: hash the three Fractions once, not per lookup
+        object.__setattr__(self, "_hash", hash((a, b, c)))
 
     def __setattr__(self, *a):
         raise AttributeError("AffineExp is immutable")
@@ -62,7 +66,7 @@ class AffineExp:
                 and (self.a, self.b, self.c) == (other.a, other.b, other.c))
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c))
+        return self._hash
 
     def is_const(self):
         return self.a == 0 and self.b == 0
@@ -166,18 +170,22 @@ def _matmul(a, b):
     return {k: x for k, x in out.items() if not x.is_zero()}
 
 
-def _v_lmul(spinmap, v):
-    """Left-multiply by a SpinMap; scalar values are treated as c * id."""
-    if _v_is_matrix(v):
-        return _matmul(spinmap.entries, v)
-    out = {k: ParamScalar.coerce(m) * v for k, m in spinmap.entries.items()}
-    return {k: x for k, x in out.items() if not x.is_zero()}
+def _zeta_lmul(n, gen, v):
+    """zeta_n(e_gen) v, with a scalar v read as v * id.
 
-
-def _zeta_tensor(n, gen, coeff):
-    """coeff * zeta_n(e_gen) as a matrix value."""
-    return {rc: ParamScalar.coerce(v) * coeff
-            for rc, v in zeta_matrix(n, "+", gen).entries.items()}
+    zeta_n(e_gen) is a signed permutation of the mask basis, so the entry
+    (r, c) of v moves to (image of r, c) times a power of i."""
+    table = _zeta_table(n, "+", gen)
+    if not _v_is_matrix(v):
+        return {(image, r): _ps_times_i_power(k, v)
+                for r, (image, k) in enumerate(table)}
+    out = {}
+    for (r, c), x in v.items():
+        # a substitution can leave zero entries; the product drops them
+        if not x.is_zero():
+            image, k = table[r]
+            out[(image, c)] = _ps_times_i_power(k, x)
+    return out
 
 
 # -- the kernel expression ----------------------------------------------------
@@ -223,15 +231,25 @@ class KernelExpr:
 
     def _subs(self, method, *args):
         """Apply the affine substitution `method` (a method name shared by
-        AffineExp and ParamScalar) to every exponent and coefficient."""
+        AffineExp and ParamScalar) to every exponent and coefficient.
+        Coefficient values repeat across terms and matrix entries, so each
+        distinct one is substituted once."""
+        done = {}
+
         def sub(x):
             return getattr(x, method)(*args)
+
+        def coeff(x):
+            y = done.get(x)
+            if y is None:
+                y = done[x] = sub(x)
+            return y
         out = {}
         for k, v in self.terms.items():
             if k[0] != "P":
                 k = (k[0], k[1], sub(k[2]), sub(k[3]), k[4])
-            _put(out, k, {rc: sub(x) for rc, x in v.items()}
-                 if _v_is_matrix(v) else sub(v))
+            _put(out, k, {rc: coeff(x) for rc, x in v.items()}
+                 if _v_is_matrix(v) else coeff(v))
         return self.copy_with(out)
 
     def subs_lam(self, e, f):
@@ -375,14 +393,13 @@ def mult_zeta(K):
     n = K.n
     dim = spin_dim(n)
     src = K.shape[1] if K.shape else dim
-    if K.shape and K.shape[1] != dim:
+    if K.shape and K.shape[0] != dim:
         raise BadParams("kernel is not left-multipliable by zeta_n(x)")
     out = {}
     for i in range(1, n + 1):
         xi = mult_xn(K) if i == n else _mult_xi(K, i)
-        zi = zeta_matrix(n, "+", i)
         for key, val in xi.terms.items():
-            _put(out, key, _v_lmul(zi, val))
+            _put(out, key, _zeta_lmul(n, i, val))
     return KernelExpr(n, (dim, src), out,
                       _shift_meta(K.meta, rat("1/2"), -rat("1/2")),
                       normalized=False)
@@ -419,7 +436,7 @@ def project(K):
     P = spin_projection_P(K.n)
     out = {}
     for key, val in K.terms.items():
-        _put(out, key, _v_lmul(P, val))
+        _put(out, key, _matmul(P.entries, val))
     return KernelExpr(K.n, (spin_dim(K.n - 1), K.shape[1]), out, K.meta,
                       normalized=False)
 
@@ -487,17 +504,17 @@ def _add_point(terms, n, coeff, j, dn, dprime=None, gen=None):
         if dprime is not None:
             alpha = _bump(alpha, dprime - 1, 1)
         c = coeff * ParamScalar.coerce(w)
-        _put(terms, ("P", alpha), c if gen is None else _zeta_tensor(n, gen, c))
+        _put(terms, ("P", alpha), c if gen is None else _zeta_lmul(n, gen, c))
 
 
 def _zeta_layer(n, m, r, c):
     """Raw terms of zeta(x') c r^. delta^(m) - m e_n c r^. delta^(m-1), the
     common shape of the spinor B families and residue forms."""
     mono0 = (0,) * (n - 1)
-    terms = {("B", m, _AFF0, r, _bump(mono0, a - 1, 1)): _zeta_tensor(n, a, c)
+    terms = {("B", m, _AFF0, r, _bump(mono0, a - 1, 1)): _zeta_lmul(n, a, c)
              for a in range(1, n)}
     if m >= 1:
-        terms[("B", m - 1, _AFF0, r, mono0)] = _zeta_tensor(
+        terms[("B", m - 1, _AFF0, r, mono0)] = _zeta_lmul(
             n, n, c * ParamScalar.coerce(-m))
     return terms
 
@@ -919,7 +936,7 @@ def _rotation_apply(K, a, b):
             .scale(GaussianRational("1/2"))
         tw = {}
         for key, val in K.terms.items():
-            _put(tw, key, _v_add(_v_lmul(Xrow, val),
+            _put(tw, key, _v_add(_matmul(Xrow.entries, val),
                                  _v_scale(_matmul(val, Xcol.entries),
                                           ParamScalar.coerce(-1))))
         defect = defect + KernelExpr(K.n, K.shape, tw, K.meta, normalized=False)

@@ -142,13 +142,16 @@ class GaussianRational:
         if isinstance(other, GaussianRational):
             return (self._a == other._a and self._b == other._b
                     and self._d == other._d)
-        if isinstance(other, (int, Fraction, str)):
+        # a str is parsed on construction, never compared with
+        if isinstance(other, (int, Fraction)):
             return self == GaussianRational(other)
         return NotImplemented
 
     def __hash__(self):
         # a real value hashes like the int or Fraction it equals
         if not self._b:
+            if self._d == 1:
+                return hash(self._a)
             return hash(Fraction(self._a, self._d))
         return hash((self._a, self._b, self._d))
 
@@ -251,17 +254,18 @@ class ParamPoly:
         o = ParamPoly.coerce(other)
         t = dict(self.terms)
         for m, c in o.terms.items():
-            s = t.get(m, ZERO) + c
+            s = t.get(m)
+            s = c if s is None else s + c
             if s.is_zero():
-                t.pop(m, None)
+                del t[m]
             else:
                 t[m] = s
-        return ParamPoly(t)
+        return _poly(t)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-ParamPoly.coerce(other))
@@ -270,17 +274,7 @@ class ParamPoly:
         return ParamPoly.coerce(other) - self
 
     def __mul__(self, other):
-        o = ParamPoly.coerce(other)
-        t = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in o.terms.items():
-                m = (a1 + a2, b1 + b2)
-                s = t.get(m, ZERO) + c1 * c2
-                if s.is_zero():
-                    t.pop(m, None)
-                else:
-                    t[m] = s
-        return ParamPoly(t)
+        return _poly(_mul_terms(self.terms, ParamPoly.coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -296,7 +290,9 @@ class ParamPoly:
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
-            other = ParamPoly.coerce(other)
+            if not isinstance(other, _CONSTANTS):
+                return NotImplemented
+            other = ParamPoly.const(other)
         return self.terms == other.terms
 
     def __hash__(self):
@@ -318,22 +314,31 @@ class ParamPoly:
 
     def subs_lam(self, e, f):
         """Substitute lam := e*nu + f (e, f rationals)."""
-        e = GaussianRational.coerce(e)
-        f = GaussianRational.coerce(f)
-        lin = ParamPoly({(0, 1): e, (0, 0): f})
-        out = ParamPoly()
-        for (a, b), c in self.terms.items():
-            out = out + (lin ** a) * ParamPoly({(0, b): c})
-        return out
+        return self._affine_subs(ParamPoly({(0, 1): e, (0, 0): f}), NU)
 
     def shift(self, dlam, dnu):
         """Substitute lam := lam + dlam, nu := nu + dnu."""
-        lam = ParamPoly({(1, 0): ONE, (0, 0): GaussianRational.coerce(dlam)})
-        nu = ParamPoly({(0, 1): ONE, (0, 0): GaussianRational.coerce(dnu)})
-        out = ParamPoly()
+        return self._affine_subs(LAM + dlam, NU + dnu)
+
+    def _affine_subs(self, lam_img, nu_img):
+        """Substitute lam := lam_img, nu := nu_img (affine polynomials).
+
+        Each term c*lam^a*nu^b is expanded once against the powers of the
+        two images, which are built once per call."""
+        lam_pw, nu_pw = [_ONE_TERMS], [_ONE_TERMS]
+        out = {}
         for (a, b), c in self.terms.items():
-            out = out + (lam ** a) * (nu ** b) * ParamPoly.const(c)
-        return out
+            while len(lam_pw) <= a:
+                lam_pw.append(_mul_terms(lam_pw[-1], lam_img.terms))
+            while len(nu_pw) <= b:
+                nu_pw.append(_mul_terms(nu_pw[-1], nu_img.terms))
+            for (a1, b1), c1 in lam_pw[a].items():
+                c1 = c * c1
+                for (a2, b2), c2 in nu_pw[b].items():
+                    m = (a1 + a2, b1 + b2)
+                    s = out.get(m)
+                    out[m] = c1 * c2 if s is None else s + c1 * c2
+        return _poly({m: c for m, c in out.items() if not c.is_zero()})
 
     def leading(self):
         """(monomial, coeff) for the grlex(lam > nu) leading term."""
@@ -360,8 +365,42 @@ class ParamPoly:
         return " + ".join(parts)
 
 
+# the constants a scalar is coerced from without parsing
+_CONSTANTS = (GaussianRational, int, Fraction)
+_ONE_TERMS = {(0, 0): ONE}
+
+
+def _poly(t):
+    """The ParamPoly with terms t, whose coefficients are nonzero
+    GaussianRationals already; nothing is coerced or checked."""
+    p = _new(ParamPoly)
+    object.__setattr__(p, "terms", t)
+    return p
+
+
+def _mul_terms(s, t):
+    """Product of two term dicts; zero coefficients dropped."""
+    out = {}
+    for (a1, b1), c1 in s.items():
+        for (a2, b2), c2 in t.items():
+            m = (a1 + a2, b1 + b2)
+            x = out.get(m)
+            x = c1 * c2 if x is None else x + c1 * c2
+            if x.is_zero():
+                del out[m]
+            else:
+                out[m] = x
+    return out
+
+
+def _scaled(p, c):
+    """p * c for a nonzero GaussianRational c."""
+    return _poly({m: x * c for m, x in p.terms.items()})
+
+
 LAM = ParamPoly({(1, 0): ONE})
 NU = ParamPoly({(0, 1): ONE})
+_POLY_ONE = ParamPoly.const(1)
 
 
 # -- polynomial gcd over Q(i), used to keep rational functions reduced -------
@@ -589,40 +628,24 @@ class ParamScalar:
                         den = den * ParamPoly.const(f ** (-e))
                     continue
             key, m = _canon_gamma_arg(a, b, c)
-            z0 = ParamPoly.affine(key[0], key[1], key[2])
-            # Gamma(z0 + m) = (z0)_m Gamma(z0); negative m divides instead
-            if m > 0:
-                fac = ParamPoly.const(1)
-                for t in range(m):
-                    fac = fac * (z0 + ParamPoly.const(t))
-            elif m < 0:
-                fac = ParamPoly.const(1)
-                for t in range(m, 0):
-                    fac = fac * (z0 + ParamPoly.const(t))
+            if m:
+                # Gamma(z0 + m) = (z0)_m Gamma(z0) for m > 0, and
+                # Gamma(z0 + m) = Gamma(z0) / ((z0 + m) ... (z0 - 1)) for m < 0
+                z0 = ParamPoly.affine(*key)
+                fac = _POLY_ONE
+                for t in range(min(m, 0), max(m, 0)):
+                    fac = fac * (z0 + t)
                 if fac.is_zero():
                     raise PoleError("Gamma shift through a pole")
-                e_fac = -e
-                if e_fac > 0:
-                    for _ in range(e_fac):
-                        num = num * fac
+                p = e if m > 0 else -e
+                if p > 0:
+                    num = num * fac ** p
                 else:
-                    for _ in range(-e_fac):
-                        den = den * fac
-                net[key] = net.get(key, 0) + e
-                continue
-            else:
-                fac = None
-            if fac is not None and m > 0:
-                if e > 0:
-                    for _ in range(e):
-                        num = num * fac
-                else:
-                    for _ in range(-e):
-                        den = den * fac
+                    den = den * fac ** -p
             net[key] = net.get(key, 0) + e
         gammas = tuple(sorted((k, e) for k, e in net.items() if e != 0))
         if num.is_zero():
-            return ParamPoly(), ParamPoly.const(1), gammas
+            return ParamPoly(), _POLY_ONE, gammas
         # gcd reduction is only needed when both sides genuinely involve the
         # parameters; constant denominators cover most arithmetic
         if num.total_degree() > 0 and den.total_degree() > 0:
@@ -631,17 +654,30 @@ class ParamScalar:
                 num = poly_divexact(num, g)
                 den = poly_divexact(den, g)
         _, lead = den.leading()
-        inv = lead.inverse()
-        return num * ParamPoly.const(inv), den * ParamPoly.const(inv), gammas
+        if lead != ONE:
+            inv = lead.inverse()
+            num, den = _scaled(num, inv), _scaled(den, inv)
+        return num, den, gammas
+
+    def _den_is_one(self):
+        # den is monic, so a constant den is 1
+        t = self.den.terms
+        return len(t) == 1 and (0, 0) in t
+
+    def _constant(self):
+        """The value of a Gamma-free constant, else None."""
+        t = self.num.terms
+        if len(t) == 1 and not self.gammas and self._den_is_one():
+            return t.get((0, 0))
+        return None
 
     # construction helpers
     @staticmethod
     def coerce(x):
         if isinstance(x, ParamScalar):
             return x
-        if isinstance(x, ParamPoly):
-            return ParamScalar(x)
-        return ParamScalar(ParamPoly.const(x))
+        # a polynomial over 1 is canonical as it stands
+        return _ps(ParamPoly.coerce(x), _POLY_ONE, ())
 
     @staticmethod
     def from_fraction(num, den):
@@ -667,13 +703,15 @@ class ParamScalar:
             return self
         if self.gammas != o.gammas:
             raise ValueError("cannot add scalars with different Gamma content")
+        if self._den_is_one() and o._den_is_one():
+            return _ps(self.num + o.num, self.den, self.gammas)
         return ParamScalar(self.num * o.den + o.num * self.den,
                            self.den * o.den, self.gammas)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamScalar(-self.num, self.den, self.gammas)
+        return _ps(-self.num, self.den, self.gammas)
 
     def __sub__(self, other):
         return self + (-ParamScalar.coerce(other))
@@ -683,6 +721,11 @@ class ParamScalar:
 
     def __mul__(self, other):
         o = ParamScalar.coerce(other)
+        # a Gamma-free constant factor scales the numerator and nothing else
+        for x, y in ((o, self), (self, o)):
+            c = x._constant()
+            if c is not None:
+                return y if c == ONE else _ps(_scaled(y.num, c), y.den, y.gammas)
         g = dict(self.gammas)
         for k, e in o.gammas:
             g[k] = g.get(k, 0) + e
@@ -703,8 +746,11 @@ class ParamScalar:
     def __rtruediv__(self, other):
         return ParamScalar.coerce(other) * self.inverse()
 
-    def __eq__(self, other):
-        o = ParamScalar.coerce(other)
+    def __eq__(self, o):
+        if not isinstance(o, ParamScalar):
+            if not isinstance(o, (ParamPoly,) + _CONSTANTS):
+                return NotImplemented
+            o = ParamScalar.coerce(o)
         return (self.gammas == o.gammas
                 and (self.num * o.den) == (o.num * self.den))
 
@@ -732,6 +778,24 @@ class ParamScalar:
         for (a, b, c), e in self.gammas:
             s += "*Gamma(%s*lam+%s*nu+%s)^%d" % (a, b, c, e)
         return s
+
+
+def _ps(num, den, gammas):
+    """The ParamScalar with parts that are canonical already: den monic and
+    coprime to num, gammas merged and sorted.  Nothing is normalised."""
+    s = _new(ParamScalar)
+    object.__setattr__(s, "num", num)
+    object.__setattr__(s, "den", den)
+    object.__setattr__(s, "gammas", gammas)
+    return s
+
+
+def _ps_times_i_power(k, s):
+    """i**k * s: each numerator coefficient goes through _times_i_power."""
+    if k == 0:
+        return s
+    return _ps(_poly({m: _times_i_power(k, c) for m, c in s.num.terms.items()}),
+               s.den, s.gammas)
 
 
 PS_ONE = ParamScalar.coerce(1)

@@ -1,8 +1,10 @@
+import contextlib
 import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbolab import cli, kernelcalc
 
@@ -154,3 +156,57 @@ class TestDeterminism:
         for row in rows:
             want = 3 if row["on_lattice"] else 2
             assert row["total"] == want
+
+
+# -- exit contract under junk and out-of-domain argv ----------------------------
+
+_INTS = ["-2", "-1", "0", "1", "2", "3", "x", "", "1/2"]
+_SMALL = ["-1", "0", "1", "x"]
+_FRACS = ["-5/2", "-2", "0", "1/3", "x", "1/0", "", "nan"]
+# subcommand -> (positional choices, {flag: values}); None is a bare flag.
+# n and the family indices stay <= 3 and the loop bounds <= 1, so that
+# every valid argv is cheap
+_ARGV = {
+    "verify": (["gegenbauer", "branching", "lambda", "kernels", "projection",
+                "bogus"],
+               {"--n": _INTS, "--max-deg": _INTS, "--imax": _SMALL,
+                "--kmax": _SMALL, "--lmax": _SMALL, "--max-basis": _INTS}),
+    "multiplicity": ([], {"--n": _INTS, "--lam": _FRACS, "--nu": _FRACS,
+                          "--depth": _INTS,
+                          "--sector": ["plus", "minus", "both", "up"]}),
+    "table": (["composition", "lattice", "grid"],
+              {"--n": _INTS, "--imax": _SMALL, "--jmax": _SMALL,
+               "--depth": _INTS, "--format": ["json", "csv", "xml"]}),
+    "kernel": ([], {"--family": ["A+", "sAt-", "Bt+", "sBt-", "Ct-", "sCt+",
+                                 "Att+", "sAtt-", "Zz", ""],
+                    "--n": _INTS, "--k": _INTS, "--l": _INTS, "--i": _INTS,
+                    "--j": _INTS, "--project": [None], "--line": [None]}),
+}
+# flags whose defaults make a run slow are always given
+_ALWAYS = {"--max-deg", "--imax", "--jmax", "--kmax", "--lmax", "--depth"}
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(sorted(_ARGV) + ["bogus"]))
+    positionals, flags = _ARGV.get(cmd, ([], {}))
+    argv = [cmd] + ([draw(st.sampled_from(positionals))] if positionals else [])
+    for flag, values in flags.items():
+        if flag in _ALWAYS or draw(st.booleans()):
+            v = draw(st.sampled_from(values))
+            argv.append(flag if v is None else "%s=%s" % (flag, v))
+    return argv + draw(st.sampled_from([[], ["--bogus"], ["extra"], ["--n"],
+                                        ["-h"]]))
+
+
+@given(argvs())
+@settings(max_examples=150, deadline=None)
+def test_exit_contract(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv, out=io.StringIO())
+    err = err.getvalue()
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err
+    if rc == 2:
+        assert err.endswith("\n") and err.count("\n") == 1, err

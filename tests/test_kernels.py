@@ -7,6 +7,7 @@ import pytest
 
 from sbolab import kernelcalc
 from sbolab.paramfield import ParamScalar, ParamPoly, GaussianRational, rat
+from sbolab.cliffspin import spin_dim, zeta_matrix
 from sbolab.kernelcalc import (KernelExpr, AffineExp, make_family, mult_xn,
                                mult_zeta, mult_norm2, project, as_matrix,
                                support, check_identity, symmetry_checks,
@@ -106,6 +107,11 @@ class TestMultiplicationRules:
             K = make_family(tag, n, **kw)
             assert mult_zeta(mult_zeta(K)) == \
                 as_matrix(mult_norm2(K)).scale(ps(-1))
+
+    def test_zeta_needs_spinor_rows_of_s_n(self):
+        # a projected kernel at even n takes values in S_{n-1}, half the size
+        with pytest.raises(BadParams):
+            mult_zeta(project(make_family("sBt+", 4, k=0)))
 
     def test_support_shrinks_under_xn(self):
         order = {"empty": 0, "origin": 1, "hyperplane": 2, "full": 3}
@@ -377,9 +383,9 @@ GOLDEN_FAMILIES = os.path.join(os.path.dirname(__file__), "golden",
                                "kernel_families.json")
 
 
-def _family_cases():
-    """(case name, kernel) for every tag at n = 2..5 and indices 0..2."""
-    for n in range(2, 6):
+def _family_cases(ns=range(2, 6)):
+    """(case name, kernel) for every tag at each n in ns and indices 0..2."""
+    for n in ns:
         cases = [(tag, {}) for tag in ("A+", "A-", "At+", "At-", "sAt+", "sAt-")]
         cases += [(tag, {"k": k}) for tag in ("Bt+", "Bt-", "sBt+", "sBt-")
                   for k in range(3)]
@@ -416,3 +422,31 @@ def test_family_digests_match_golden():
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
 
+
+
+# -- mult_zeta against the dense product with the zeta_n(e_i) matrices ----------
+
+def dense_mult_zeta(K):
+    """zeta(x) K as sum_i zeta_n(e_i) (x_i K) with dense matrix products: the
+    route the signed-permutation remap replaced."""
+    n = K.n
+    dim = spin_dim(n)
+    out = {}
+    for i in range(1, n + 1):
+        xi = mult_xn(K) if i == n else kernelcalc._mult_xi(K, i)
+        zi = zeta_matrix(n, "+", i)
+        for key, val in xi.terms.items():
+            if not isinstance(val, dict):
+                val = {(r, r): val for r in range(dim)}
+            kernelcalc._put(out, key, kernelcalc._matmul(zi.entries, val))
+    return KernelExpr(n, (dim, K.shape[1] if K.shape else dim), out,
+                      kernelcalc._shift_meta(K.meta, rat("1/2"), -rat("1/2")))
+
+
+def test_mult_zeta_matches_dense_product():
+    for name, K in _family_cases(range(2, 7)):
+        if name.endswith("project"):
+            continue    # zeta_n(x) does not act on S_{n-1}-valued kernels
+        Z = mult_zeta(K)
+        assert to_json_dict(Z) == to_json_dict(dense_mult_zeta(K)), name
+        assert to_json_dict(mult_zeta(Z)) == to_json_dict(dense_mult_zeta(Z)), name

@@ -346,3 +346,122 @@ class TestGcdAgainstSympy:
         _, lead = got.leading()
         assert lead == ONE
         assert _to_sympy(got, lam, nu).monic() == want.monic()
+
+
+# -- the fast paths against the routes they replaced ---------------------------
+
+def reference_subs_lam(p, e, f):
+    """lam := e*nu + f with one `lin ** a` product per term: the old route."""
+    lin = ParamPoly({(0, 1): e, (0, 0): f})
+    out = ParamPoly()
+    for (a, b), c in p.terms.items():
+        out = out + (lin ** a) * ParamPoly({(0, b): c})
+    return out
+
+
+def reference_shift(p, dlam, dnu):
+    """(lam, nu) := (lam + dlam, nu + dnu) term by term: the old route."""
+    lam = ParamPoly({(1, 0): ONE, (0, 0): GaussianRational.coerce(dlam)})
+    nu = ParamPoly({(0, 1): ONE, (0, 0): GaussianRational.coerce(dnu)})
+    out = ParamPoly()
+    for (a, b), c in p.terms.items():
+        out = out + (lam ** a) * (nu ** b) * ParamPoly.const(c)
+    return out
+
+
+def parts_of(s):
+    return s.num.terms, s.den.terms, s.gammas
+
+
+def canonical(s):
+    """s has exactly the parts that a full normalisation of them gives."""
+    return parts_of(rebuilt(s)) == parts_of(s)
+
+
+subs_polys = st.builds(ParamPoly, st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 3)), small_gaussians, max_size=5))
+gamma_contents = st.sampled_from([
+    (),
+    ((("1/2", "1/2", "1/4"), -1),),
+    ((("0", "1", "5/2"), 1),),
+    ((("1/2", "-1/2", "-3/4"), 1), (("1", "0", "1/3"), -1))])
+# degrees and substitution values that keep the Gamma shifts and the gcds
+# small: poly_gcd takes seconds on bivariate inputs of degree 4
+small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+bilinear_polys = st.builds(ParamPoly, st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), small_gaussians, max_size=3))
+
+
+@st.composite
+def scalars(draw):
+    """Constants, units i^k, integers and quotients of polynomials, with or
+    without Gamma tokens."""
+    kind = draw(st.sampled_from(["const", "unit", "int", "ratio"]))
+    if kind == "const":
+        s = ParamScalar.coerce(draw(small_gaussians))
+    elif kind == "unit":
+        s = ParamScalar.coerce(I ** draw(st.integers(0, 3)))
+    elif kind == "int":
+        s = ParamScalar.coerce(draw(st.integers(-6, 6)))
+    else:
+        num, den = draw(bilinear_polys), draw(bilinear_polys)
+        s = ParamScalar(num, ParamPoly.affine(0, 1, 1) if den.is_zero() else den)
+    g = draw(gamma_contents)
+    return s * ParamScalar(1, None, g) if g else s
+
+
+class TestFastPaths:
+    """Every result is canonical and equals the full normalisation of the
+    operands' parts; the substitutions equal the per-term power route."""
+
+    @given(subs_polys, small_gaussians, small_gaussians)
+    @settings(max_examples=150, deadline=None)
+    def test_affine_substitution_matches_reference(self, p, e, f):
+        assert p.subs_lam(e, f) == reference_subs_lam(p, e, f)
+        assert p.shift(e, f) == reference_shift(p, e, f)
+
+    @given(scalars(), scalars())
+    @settings(max_examples=150, deadline=None)
+    def test_arithmetic_is_canonical(self, x, y):
+        y = ParamScalar(y.num, y.den, x.gammas)   # + needs equal Gamma content
+        want = {
+            "+": ParamScalar(x.num * y.den + y.num * x.den, x.den * y.den, x.gammas),
+            "-": ParamScalar(x.num * y.den - y.num * x.den, x.den * y.den, x.gammas),
+            "*": ParamScalar(x.num * y.num, x.den * y.den, x.gammas + y.gammas),
+            "neg": ParamScalar(-x.num, x.den, x.gammas)}
+        got = {"+": x + y, "-": x - y, "*": x * y, "neg": -x}
+        for op, r in got.items():
+            assert canonical(r), op
+            assert parts_of(r) == parts_of(want[op]), op
+        assert parts_of(y * x) == parts_of(want["*"])
+
+    @given(scalars(), small_rationals, small_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_substitutions_are_canonical(self, x, e, f):
+        for method in ("subs_lam", "shift"):
+            try:
+                r = getattr(x, method)(e, f)
+            except (ZeroDivisionError, PoleError):
+                continue
+            assert canonical(r), method
+
+
+class TestEqualityContract:
+    """A scalar equals only values it coerces from without parsing, so
+    equality agrees with hashing; a str still constructs one."""
+
+    @pytest.mark.parametrize("x", [GaussianRational(1), ParamPoly.const(1),
+                                   ParamScalar.coerce(1)])
+    def test_foreign_operands_are_unequal(self, x):
+        from sbolab.kernelcalc import AffineExp
+        for other in ("1", None, AffineExp(0, 0, 1), object()):
+            assert x.__eq__(other) is NotImplemented
+            assert not x == other
+            assert x != other
+        assert len({x, "1"}) == 2
+        assert x == 1 and x == Fraction(1) and x == ONE
+
+    def test_strings_still_construct(self):
+        assert GaussianRational("1/2") == Fraction(1, 2)
+        assert ParamPoly.const("-3") == -3
+        assert ParamScalar.coerce("-1/2") == Fraction(-1, 2)
