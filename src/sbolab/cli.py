@@ -172,7 +172,8 @@ def cmd_verify(args, out):
 
 
 # domain errors of the lattice solver: usage errors, not failed checks
-_LATTICE_DOMAIN = (sbolattice.BadDepth, cliffspin.DimensionMismatch)
+_LATTICE_DOMAIN = (sbolattice.BadDepth, sbolattice.BadLabel,
+                   cliffspin.DimensionMismatch)
 
 
 def cmd_multiplicity(args, out):
@@ -213,6 +214,8 @@ def _lattice_grid(n, imax, jmax, depth):
 
 def cmd_table(args, out):
     try:
+        if min(args.imax, args.jmax) < 0:
+            raise sbolattice.BadLabel("--imax and --jmax must be >= 0")
         if args.kind == "composition":
             rows = sbolattice.composition_table(args.n, args.imax, args.jmax,
                                                 depth=args.depth)

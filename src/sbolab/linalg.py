@@ -1,10 +1,12 @@
 """Exact sparse Gaussian elimination over the Gaussian rationals.
 
 Rows are dicts column->GaussianRational; no floating point anywhere.
-Elimination is fraction-free: each row is scaled to a primitive vector of
-Gaussian integers, stored as (re, im) pairs of ints, a row is reduced by
-r <- p*r - f*pivot and divided by the integer gcd of its parts, and only
-the pivot rows are brought back to Q(i), normalized to 1 at the pivot.
+Elimination is fraction-free and done once, in `echelon`: each row is
+scaled to a primitive vector of Gaussian integers, stored as (re, im) pairs
+of ints, a row is reduced by r <- p*r - f*pivot and divided by the integer
+gcd of its parts.  A rank is the number of pivots; only a caller that needs
+the pivot rows or a nullspace brings them back to Q(i), normalized to 1 at
+the pivot.
 """
 
 from math import gcd
@@ -44,62 +46,67 @@ def _to_rationals(row, col):
             for c, (x, y) in row.items()}
 
 
-def eliminate(rows, ncols):
-    """Forward-eliminate sparse rows; returns (pivot columns, pivot rows).
-
-    The pivot for a column is the first remaining row that holds it; each
-    pivot row is normalized to 1 at its pivot column.
-    """
-    work = [_to_gaussian_ints(r) for r in rows if r]
-    pivots = []
-    pivot_rows = []
-    for col in range(ncols):
-        pr = None
-        for idx, r in enumerate(work):
-            if col in r:
-                pr = idx
-                break
-        if pr is None:
+def _reduce(r, row, col):
+    """r <- p*r - f*row, which clears col, with p = row[col] and f = r[col]
+    stripped of their common factor; the primitive result, or None if zero."""
+    p_re, p_im = row[col]
+    f_re, f_im = r[col]
+    g = gcd(p_re, p_im, f_re, f_im)
+    a, b, e, h = p_re // g, p_im // g, f_re // g, f_im // g
+    out = {}
+    for c, (x, y) in r.items():
+        if c == col:
             continue
-        row = work.pop(pr)
-        p_re, p_im = row[col]
-        nxt = []
-        for r in work:
-            if col not in r:
-                nxt.append(r)
-                continue
-            # r <- p*r - f*row, with p, f stripped of their common factor
-            f_re, f_im = r[col]
-            g = gcd(p_re, p_im, f_re, f_im)
-            a, b, e, h = p_re // g, p_im // g, f_re // g, f_im // g
-            out = {}
-            for c, (x, y) in r.items():
-                if c == col:
-                    continue
-                u = a * x - b * y
-                v = a * y + b * x
-                w = row.get(c)
-                if w is not None:
-                    u -= e * w[0] - h * w[1]
-                    v -= e * w[1] + h * w[0]
-                if u or v:
-                    out[c] = (u, v)
-            for c, (x, y) in row.items():
-                if c != col and c not in r:
-                    out[c] = (h * y - e * x, -e * y - h * x)
-            if out:
-                nxt.append(_primitive(out))
-        work = nxt
-        pivots.append(col)
-        pivot_rows.append(_to_rationals(row, col))
+        u = a * x - b * y
+        v = a * y + b * x
+        w = row.get(c)
+        if w is not None:
+            u -= e * w[0] - h * w[1]
+            v -= e * w[1] + h * w[0]
+        if u or v:
+            out[c] = (u, v)
+    for c, (x, y) in row.items():
+        if c != col and c not in r:
+            out[c] = (h * y - e * x, -e * y - h * x)
+    return _primitive(out) if out else None
+
+
+def echelon(rows, ncols, piv=None):
+    """Fraction-free forward elimination of sparse Q(i) rows over Z[i].
+
+    Returns {pivot column: primitive Z[i] row}.  The pivot for a column is
+    the first remaining row that holds it.  Given piv, the echelon of
+    earlier rows, the new rows are first reduced against its pivots and then
+    extend it, so the result is the echelon of the earlier rows followed by
+    the new ones; piv itself is left as it was.
+    """
+    piv = dict(piv) if piv else {}
+    work = [_to_gaussian_ints(r) for r in rows if r]
+    for col in range(ncols):
         if not work:
             break
-    return pivots, pivot_rows
+        row = piv.get(col)
+        if row is None:
+            for idx, r in enumerate(work):
+                if col in r:
+                    row = piv[col] = work.pop(idx)
+                    break
+            else:
+                continue
+        work = [r if col not in r else _reduce(r, row, col) for r in work]
+        work = [r for r in work if r is not None]
+    return piv
+
+
+def eliminate(rows, ncols):
+    """Forward-eliminate sparse rows; returns (pivot columns, pivot rows),
+    each pivot row normalized to 1 at its pivot column."""
+    piv = echelon(rows, ncols)
+    return list(piv), [_to_rationals(r, c) for c, r in piv.items()]
 
 
 def rank(rows, ncols):
-    pivots, _ = eliminate(rows, ncols)
-    return len(pivots)
+    return len(echelon(rows, ncols))
 
 
 def nullspace(rows, ncols):
@@ -108,7 +115,13 @@ def nullspace(rows, ncols):
     Returns a list of dicts column->GaussianRational, one per free column,
     each normalized so the free column has coefficient 1.
     """
-    pivots, prows = eliminate(rows, ncols)
+    return echelon_nullspace(echelon(rows, ncols), ncols)
+
+
+def echelon_nullspace(piv, ncols):
+    """The nullspace basis of nullspace() from an echelon {col: Z[i] row}."""
+    pivots = sorted(piv)
+    prows = [_to_rationals(piv[c], c) for c in pivots]
     # back-substitute to reduced echelon form
     piv_of_col = {c: i for i, c in enumerate(pivots)}
     for i in range(len(prows) - 1, -1, -1):

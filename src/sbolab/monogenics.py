@@ -86,18 +86,9 @@ def _zp_diff(a):
     return _zp_trim([a[i] * ParamScalar.coerce(i) for i in range(1, len(a))])
 
 
-class GegenbauerPoly:
-    """C_deg^lam(z) with exact ParamScalar coefficients (coeff of z^t)."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree, coeffs):
-        self.degree = degree
-        self.coeffs = list(coeffs)
-
-
 def gegenbauer(deg, lam):
-    """C_deg^lam(z) = sum_m (-1)^m (lam)_{deg-m} / (m! (deg-2m)!) (2z)^{deg-2m}."""
+    """C_deg^lam(z) = sum_m (-1)^m (lam)_{deg-m} / (m! (deg-2m)!) (2z)^{deg-2m},
+    as its ParamScalar coefficient list (the coefficient of z^t at t)."""
     lam = ParamScalar.coerce(lam)
     coeffs = [ParamScalar.coerce(0)] * (deg + 1)
     fact = [1] * (deg + 2)
@@ -108,14 +99,14 @@ def gegenbauer(deg, lam):
         c = pochhammer(lam, deg - m) * ParamScalar.from_fraction(
             (-1) ** m * 2 ** p, fact[m] * fact[p])
         coeffs[p] = coeffs[p] + c
-    return GegenbauerPoly(deg, coeffs)
+    return coeffs
 
 
 def _geg_zp(deg, lam_shift):
     """Coefficient list of C_deg^{lam + shift}(z) in formal lam; [] for deg < 0."""
     if deg < 0:
         return []
-    return _zp_trim(list(gegenbauer(deg, PS_LAM + ParamScalar.coerce(lam_shift)).coeffs))
+    return _zp_trim(gegenbauer(deg, PS_LAM + ParamScalar.coerce(lam_shift)))
 
 
 def gegenbauer_coeffs_rational(deg, lam):

@@ -21,6 +21,10 @@ class BadDepth(ValueError):
     pass
 
 
+class BadLabel(ValueError):
+    """A sector sign, lattice index or parity outside its range."""
+
+
 def rho(n):
     return Fraction(n, 2)
 
@@ -195,12 +199,41 @@ class LatticeSystem:
 
 
 class SolutionSpace:
-    __slots__ = ("dim", "basis", "stabilized")
+    """Nullities of a truncated system at depths d and d + 1; the nullspace
+    basis at depth d is built from the echelon when first read."""
 
-    def __init__(self, dim, basis, stabilized):
+    __slots__ = ("dim", "dim_next", "stabilized", "_piv", "_cols", "_basis")
+
+    def __init__(self, dim, dim_next, piv, cols):
         self.dim = dim
-        self.basis = basis
-        self.stabilized = stabilized
+        self.dim_next = dim_next
+        self.stabilized = dim == dim_next
+        self._piv = piv
+        self._cols = cols
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = [{self._cols[c]: v for c, v in vec.items()} for vec in
+                           linalg.echelon_nullspace(self._piv, len(self._cols))]
+        return self._basis
+
+
+def _level_rows(n, lam0, nu0, sigma, i, region):
+    """Constraint rows of the sector identities at (i, j), 0 <= j <= i.
+
+    Entries outside the triangle, outside region (those unknowns are pinned
+    to zero) and zero entries are dropped, and so are rows left empty.
+    """
+    rows = []
+    for j in range(i + 1):
+        for row in _sector_rows(n, i, j, sigma, lam0, nu0):
+            num = {key: v for key, v in row.items() if 0 <= key[1] <= key[0]
+                   and (region is None or region(*key)) and not v.is_zero()}
+            if num:
+                rows.append(num)
+    return rows
 
 
 def build_system(n, lam0, nu0, sign, depth, region=None):
@@ -215,55 +248,35 @@ def build_system(n, lam0, nu0, sign, depth, region=None):
         raise DimensionMismatch("need n >= 2")
     if depth < 2:
         raise BadDepth("depth must be >= 2")
+    if sign not in (1, -1, "+", "-", "plus", "minus"):
+        raise BadLabel("sign must be 1, -1, '+', '-', 'plus' or 'minus'")
     lam0 = GaussianRational.coerce(lam0)
     nu0 = GaussianRational.coerce(nu0)
     sigma = 1 if sign in (1, "+", "plus") else -1
-    constraints = []
-    for i in range(depth):
-        for j in range(i + 1):
-            for row in _sector_rows(n, i, j, sigma, lam0, nu0):
-                num = {}
-                for key, v in row.items():
-                    k, l = key
-                    if not (0 <= l <= k):
-                        continue
-                    if region is not None and not region(k, l):
-                        continue  # pinned to zero
-                    if not v.is_zero():
-                        num[key] = v
-                if num:
-                    constraints.append(num)
+    constraints = [row for i in range(depth)
+                   for row in _level_rows(n, lam0, nu0, sigma, i, region)]
     return LatticeSystem(n, lam0, nu0, sigma, depth, constraints, region)
 
 
-def _solve(system):
-    idx = {}
-    for i in range(system.depth + 1):
-        for j in range(i + 1):
-            if system.region is None or system.region(i, j):
-                idx[(i, j)] = len(idx)
-    rows = []
-    for con in system.constraints:
-        row = {}
-        for key, v in con.items():
-            if key in idx:
-                row[idx[key]] = v
-        if row:
-            rows.append(row)
-    basis = linalg.nullspace(rows, len(idx))
-    inv = {v: k for k, v in idx.items()}
-    sols = [{inv[c]: val for c, val in vec.items()} for vec in basis]
-    return sols
+def _echelon(rows, depth, region, piv=None):
+    """The unknowns s_{i,j}, i <= depth, free in region, and the echelon of
+    rows over them; the list for depth d is a prefix of that for d + 1."""
+    cols = [(i, j) for i in range(depth + 1) for j in range(i + 1)
+            if region is None or region(i, j)]
+    idx = {key: c for c, key in enumerate(cols)}
+    return cols, linalg.echelon([{idx[key]: v for key, v in row.items()}
+                                 for row in rows], len(cols), piv)
 
 
 def solve_dimension(system):
-    """Exact nullspace of the truncated system, with a stabilization flag
-    from re-solving one depth higher."""
-    sols = _solve(system)
-    bigger = build_system(system.n, system.lam0, system.nu0, system.sign,
-                          system.depth + 1, system.region)
-    stab = len(_solve(bigger)) == len(sols)
-    return SolutionSpace(len(sols), sols, stab)
+    """Exact nullity of the truncated system, with a stabilization flag: the
+    depth-d echelon, extended by the rows of level d, gives the nullity at
+    depth d + 1 without solving that system again."""
+    d, region = system.depth, system.region
+    cols, piv = _echelon(system.constraints, d, region)
+    top = _level_rows(system.n, system.lam0, system.nu0, system.sign, d, region)
+    cols1, piv1 = _echelon(top, d + 1, region, piv)
+    return SolutionSpace(len(cols) - len(piv), len(cols1) - len(piv1), piv, cols)
 
 
 def on_special_set(n, lam0, nu0):
@@ -307,6 +320,8 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
     where it is a quotient, the target as a subrepresentation, and the
     lattice system is solved with the matching support pattern.
     """
+    if i < 0 or j < 0 or parity not in (0, 1):
+        raise BadLabel("need i, j >= 0 and parity 0 or 1")
     if depth <= i + j + 2:
         raise BadDepth("depth must exceed i + j + 2")
     if pair not in _PAIRS:
@@ -332,7 +347,8 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
     region = lambda k, l: row_ok(k) and col_ok(l)
     system = build_system(n, lam0, nu0, sign, depth, region)
     if not stabilize:
-        return len(_solve(system))
+        cols, piv = _echelon(system.constraints, depth, region)
+        return len(cols) - len(piv)
     return solve_dimension(system).dim
 
 

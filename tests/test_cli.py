@@ -116,6 +116,10 @@ class TestUsageErrors:
         ["verify", "projection", "--n", "1"],
         ["verify", "branching", "--n", "1", "--imax", "0"],
         ["verify", "gegenbauer", "--max-deg", "1"],
+        ["table", "composition", "--n", "4", "--imax=-1", "--jmax=-1",
+         "--depth", "8"],
+        ["table", "lattice", "--n", "4", "--imax", "0", "--jmax=-1",
+         "--depth", "8"],
     ])
     def test_lattice_domain_errors(self, argv, capsys):
         # domain errors of every subcommand, not only the lattice ones
@@ -127,12 +131,6 @@ class TestUsageErrors:
 
 
 class TestEdgeCases:
-    def test_empty_range_emits_header_only(self):
-        rc, text = run(["table", "composition", "--n", "4", "--imax=-1",
-                        "--jmax=-1", "--depth", "8"])
-        assert rc == 0
-        assert text == "n,i,j,parity,FF,FT,TF,TT\n"
-
     def test_residue_family_via_cli(self):
         rc, text = run(["kernel", "--family", "Att+", "--n", "3", "--i", "2",
                         "--j", "0"])

@@ -12,18 +12,18 @@ from sbolab.monogenics import (gegenbauer, gegenbauer_coeffs_rational,
 class TestExplicitCoefficients:
     def test_degree_zero(self):
         g = gegenbauer(0, PS_LAM)
-        assert g.coeffs == [PS_ONE]
+        assert g == [PS_ONE]
 
     def test_degree_one(self):
         g = gegenbauer(1, PS_LAM)
-        assert g.coeffs[0].is_zero()
-        assert g.coeffs[1] == 2 * PS_LAM
+        assert g[0].is_zero()
+        assert g[1] == 2 * PS_LAM
 
     def test_degree_two(self):
         g = gegenbauer(2, PS_LAM)
-        assert g.coeffs[2] == 2 * PS_LAM * (PS_LAM + PS_ONE)
-        assert g.coeffs[1].is_zero()
-        assert g.coeffs[0] == -PS_LAM
+        assert g[2] == 2 * PS_LAM * (PS_LAM + PS_ONE)
+        assert g[1].is_zero()
+        assert g[0] == -PS_LAM
 
     def test_rational_parameter_agrees(self):
         from sbolab.paramfield import evaluate
@@ -31,7 +31,7 @@ class TestExplicitCoefficients:
             num = gegenbauer_coeffs_rational(deg, "3/2")
             sym = gegenbauer(deg, PS_LAM)
             for t in range(deg + 1):
-                assert evaluate(sym.coeffs[t], "3/2", 0) == num[t]
+                assert evaluate(sym[t], "3/2", 0) == num[t]
 
 
 class TestAgainstSympy:

@@ -1,5 +1,6 @@
 import pytest
 
+from sbolab import linalg
 from sbolab.paramfield import (GaussianRational, ParamScalar, PS_LAM, PS_NU,
                                evaluate, rat)
 from sbolab.cliffspin import DimensionMismatch
@@ -9,7 +10,8 @@ from sbolab.sbolattice import (casimir_difference, general_identity_instance,
                                solve_dimension, multiplicity,
                                composition_multiplicity, composition_table,
                                expected_composition, on_special_set,
-                               t_system_dimension, BadDepth, _sector_rows)
+                               t_system_dimension, BadDepth, BadLabel,
+                               _sector_rows)
 
 
 class TestCasimir:
@@ -198,3 +200,134 @@ class TestComposition:
     def test_depth_guard(self):
         with pytest.raises(BadDepth):
             composition_multiplicity(4, 2, 2, 0, "TT", depth=5)
+
+
+class TestDomain:
+    @pytest.mark.parametrize("sign", [0, 2, "x", "", None, "plusminus"])
+    def test_bad_sign(self, sign):
+        with pytest.raises(BadLabel):
+            build_system(4, "-5/2", -2, sign, 4)
+
+    @pytest.mark.parametrize("sign,sigma", [
+        (1, 1), ("+", 1), ("plus", 1), (-1, -1), ("-", -1), ("minus", -1)])
+    def test_good_signs(self, sign, sigma):
+        assert build_system(4, "-5/2", -2, sign, 4).sign == sigma
+
+    @pytest.mark.parametrize("i,j,parity", [
+        (-1, 0, 0), (0, -1, 0), (2, 1, 5), (2, 1, -1), (-3, -3, 2)])
+    def test_bad_composition_label(self, i, j, parity):
+        with pytest.raises(BadLabel):
+            composition_multiplicity(4, i, j, parity, "FF", depth=12,
+                                     stabilize=False)
+
+
+# -- the from-scratch route, kept as the oracle for the extended echelon -------
+
+def reference_solve(system):
+    """Nullspace of the truncated system, solved from scratch over all
+    unknowns s_{i,j}, i <= depth, that the region leaves free."""
+    idx = {}
+    for i in range(system.depth + 1):
+        for j in range(i + 1):
+            if system.region is None or system.region(i, j):
+                idx[(i, j)] = len(idx)
+    rows = [{idx[key]: v for key, v in con.items() if key in idx}
+            for con in system.constraints]
+    inv = {c: key for key, c in idx.items()}
+    return [{inv[c]: v for c, v in vec.items()}
+            for vec in linalg.nullspace(rows, len(idx))]
+
+
+def reference_dimensions(system):
+    """Nullities at depth d and, rebuilding the whole system, at d + 1."""
+    bigger = build_system(system.n, system.lam0, system.nu0, system.sign,
+                          system.depth + 1, system.region)
+    return len(reference_solve(system)), len(reference_solve(bigger))
+
+
+def _point(n, a, b):
+    """(lam, nu) at the lattice offsets a, b; on the special set when
+    0 <= b <= a."""
+    return (-(rat(n) / 2 + rat("1/2") + a), -(rat(n - 1) / 2 + rat("1/2") + b))
+
+
+def _points(n):
+    """A point on the special set, one off it with j > i, a half-integer
+    point just outside the triangle and a generic rational point."""
+    return [_point(n, 2, 1), _point(n, 1, 2), _point(n, -1, 0),
+            (rat("2/5"), rat("-3/7"))]
+
+
+def _composition_system(n, i, j, parity, pair, depth):
+    """The system composition_multiplicity solves for one entry."""
+    lam_mag = rat(n) / 2 + rat("1/2") + i
+    nu_mag = rat(n - 1) / 2 + rat("1/2") + j
+    src_F, dst_F = pair[0] == "F", pair[1] == "F"
+    flip = (parity + src_F + (not dst_F)) % 2
+    region = lambda k, l: (k <= i if src_F else k > i) and \
+        (l <= j if dst_F else l > j)
+    return build_system(n, lam_mag if src_F else -lam_mag,
+                        -nu_mag if dst_F else nu_mag, -1 if flip else 1,
+                        depth, region)
+
+
+class TestExtendedEchelonOracle:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_nullities_at_d_and_d_plus_1(self, n):
+        # the last two points sit at the truncation edge, where the nullity
+        # still changes from depth d to d + 1
+        cases = list(zip(_points(n), (6, 8, 10, 12))) + \
+            [(_point(n, 5, 1), 6), (_point(n, 7, 0), 7)]
+        flags = set()
+        for (lam0, nu0), depth in cases:
+            for sign in (1, -1):
+                system = build_system(n, lam0, nu0, sign, depth)
+                sol = solve_dimension(system)
+                want = reference_dimensions(system)
+                assert (sol.dim, sol.dim_next) == want, (n, lam0, nu0, sign)
+                assert sol.stabilized == (want[0] == want[1])
+                assert sol.basis == reference_solve(system)
+                flags.add(sol.stabilized)
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_composition_regions(self, n):
+        for i, j, parity, depth in ((1, 0, 1, 6), (2, 1, 1, 8), (1, 2, 0, 8)):
+            for pair in ("FF", "FT", "TF", "TT"):
+                system = _composition_system(n, i, j, parity, pair, depth)
+                sol = solve_dimension(system)
+                want = reference_dimensions(system)
+                assert (sol.dim, sol.dim_next) == want, (n, i, j, pair)
+                assert composition_multiplicity(n, i, j, parity, pair, depth,
+                                                stabilize=False) == want[0]
+                assert composition_multiplicity(n, i, j, parity, pair,
+                                                depth) == want[0]
+                assert sol.basis == reference_solve(system)
+
+
+class TestSympyRank:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_small_nullities(self, n):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        def nullity(system):
+            cols = [(i, j) for i in range(system.depth + 1)
+                    for j in range(i + 1)]
+            rows = [[sympy.QQ_I(sympy.Rational(row[c].re.numerator,
+                                               row[c].re.denominator),
+                                sympy.Rational(row[c].im.numerator,
+                                               row[c].im.denominator))
+                     if c in row else sympy.QQ_I.zero for c in cols]
+                    for row in system.constraints]
+            shape = (len(rows), len(cols))
+            return len(cols) - DomainMatrix(rows, shape, sympy.QQ_I).rank()
+
+        for lam0, nu0 in _points(n) + [_point(n, 3, 1)]:
+            for sign in (1, -1):
+                for depth in (4, 6):
+                    system = build_system(n, lam0, nu0, sign, depth)
+                    bigger = build_system(n, lam0, nu0, sign, depth + 1)
+                    sol = solve_dimension(system)
+                    assert (sol.dim, sol.dim_next) == \
+                        (nullity(system), nullity(bigger)), (n, lam0, nu0, sign)

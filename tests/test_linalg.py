@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbolab import linalg, sbolattice as lt
-from sbolab.paramfield import GaussianRational, ZERO
+from sbolab.paramfield import GaussianRational, ZERO, ONE
 
 
 def reference_eliminate(rows, ncols):
@@ -50,6 +50,21 @@ def reference_eliminate(rows, ncols):
         if not work:
             break
     return pivots, pivot_rows
+
+
+def reference_nullspace(rows, ncols):
+    """Nullspace basis by back-substitution on the reference echelon form,
+    each vector 1 at its free column and 0 at the others."""
+    pivots, prows = reference_eliminate(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = {fc: ONE}
+        for pc, row in reversed(list(zip(pivots, prows))):
+            acc = _dot({c: v for c, v in row.items() if c != pc}, vec)
+            if not acc.is_zero():
+                vec[pc] = -acc
+        basis.append(vec)
+    return basis
 
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
@@ -101,6 +116,18 @@ def test_eliminate_matches_reference(system):
         [list(r.items()) for r in ref_prows]
 
 
+@given(sparse_systems(), sparse_systems())
+@settings(max_examples=80, deadline=None)
+def test_echelon_extension_is_echelon_of_all_rows(first, second):
+    rows = first[0] + second[0]
+    ncols = max(first[1], second[1])
+    piv = linalg.echelon(first[0], ncols)
+    before = dict(piv)
+    assert linalg.echelon(second[0], ncols, piv) == linalg.echelon(rows, ncols)
+    assert piv == before
+    assert len(linalg.echelon(rows, ncols)) == len(reference_eliminate(rows, ncols)[0])
+
+
 @given(sparse_systems())
 @settings(max_examples=50, deadline=None)
 def test_nullspace_annihilates_rows(system):
@@ -141,13 +168,15 @@ def test_solve_in_span_inconsistent():
 @pytest.mark.parametrize("n,lam0,nu0,sign", [
     (4, "-5/2", -2, 1), (4, "1/3", "-2/7", -1), (5, -3, "-5/2", 1),
     (6, "-7/2", "-5/2", -1)])
-def test_lattice_solve_matches_reference(monkeypatch, n, lam0, nu0, sign):
+def test_lattice_solve_matches_reference(n, lam0, nu0, sign):
     system = lt.build_system(n, lam0, nu0, sign, 8)
     rows = [{(i * (i + 1) // 2 + j): v for (i, j), v in con.items()}
             for con in system.constraints]
     ncols = 9 * 10 // 2
     pivots, prows = linalg.eliminate(rows, ncols)
     assert (pivots, prows) == reference_eliminate(rows, ncols)
-    basis = lt._solve(system)
-    monkeypatch.setattr(linalg, "eliminate", reference_eliminate)
-    assert basis == lt._solve(system)
+    cols = [(i, j) for i in range(9) for j in range(i + 1)]
+    want = [{cols[c]: v for c, v in vec.items()}
+            for vec in reference_nullspace(rows, ncols)]
+    sol = lt.solve_dimension(system)
+    assert sol.basis == want and sol.dim == len(want)
