@@ -235,7 +235,9 @@ class Spinor:
 
     def scale(self, v):
         v = GaussianRational.coerce(v)
-        return Spinor(self.m, {mask: c * v for mask, c in self.coeffs.items()})
+        if v.is_zero():
+            return Spinor(self.m)
+        return _spinor(self.m, {mask: c * v for mask, c in self.coeffs.items()})
 
     def is_zero(self):
         return not self.coeffs
@@ -257,6 +259,13 @@ class Spinor:
         return " + ".join(parts)
 
 
+def _spinor(m, coeffs):
+    """Spinor from a mask -> nonzero GaussianRational dict, taken as it is."""
+    s = object.__new__(Spinor)
+    s.m, s.coeffs = m, coeffs
+    return s
+
+
 @lru_cache(maxsize=None)
 def _zeta_table(n, variant, i):
     """zeta_n(e_i) as a signed permutation: entry `mask` is (image, k) with
@@ -265,6 +274,8 @@ def _zeta_table(n, variant, i):
     With m = n // 2, e_{2a-1} = w_a + w'_a and e_{2a} = -i w_a + i w'_a,
     where w_a wedges from the left and w'_a contracts; for odd n,
     e_n = i * gamma.  Variant '-' is the alpha-twist, -zeta(e_i)."""
+    if i < 1 or i > n:
+        raise DimensionMismatch("generator index out of range")
     table = []
     for mask in range(1 << (n // 2)):
         if n % 2 and i == n:
@@ -290,14 +301,12 @@ def zeta_gen_apply(n, variant, i, s):
     m = n // 2
     if s.m != m:
         raise DimensionMismatch("spinor has wrong half-dimension for n=%d" % n)
-    if i < 1 or i > n:
-        raise DimensionMismatch("generator index out of range")
     table = _zeta_table(n, variant, i)
     out = {}
     for mask, v in s.coeffs.items():
         image, k = table[mask]
         out[image] = _times_i_power(k, v)
-    return Spinor(m, out)
+    return _spinor(m, out)
 
 
 def zeta_action(n, variant, v, s):
@@ -315,8 +324,8 @@ def zeta_action(n, variant, v, s):
 
 def gamma(s):
     """Grading involution: (-1)^degree on the exterior algebra."""
-    return Spinor(s.m, {mask: (-v if bin(mask).count("1") & 1 else v)
-                        for mask, v in s.coeffs.items()})
+    return _spinor(s.m, {mask: (-v if bin(mask).count("1") & 1 else v)
+                         for mask, v in s.coeffs.items()})
 
 
 class SpinMap:

@@ -10,11 +10,14 @@ linear algebra over Q(sqrt(-1)).
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
+from operator import add
+from types import MappingProxyType
 
-from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE, I,
-                         PS_ONE, PS_I, PS_LAM, pochhammer, rat)
-from .cliffspin import (Spinor, zeta_gen_apply, gamma, fund_branching,
-                        spin_dim, DimensionMismatch)
+from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE,
+                         PS_ONE, PS_I, PS_LAM, pochhammer, rat, _times_i_power)
+from .cliffspin import (zeta_gen_apply, fund_branching, spin_dim,
+                        DimensionMismatch, _spinor, _zeta_table)
 from . import linalg
 
 
@@ -109,24 +112,18 @@ def _geg_zp(deg, lam_shift):
     return _zp_trim(gegenbauer(deg, PS_LAM + ParamScalar.coerce(lam_shift)))
 
 
+@lru_cache(maxsize=None)
 def gegenbauer_coeffs_rational(deg, lam):
     """Coefficients of C_deg^lam(z) for a fixed rational lam, as GaussianRational."""
     lam = rat(lam)
     out = [ZERO] * (deg + 1)
     for m in range(deg // 2 + 1):
         p = deg - 2 * m
-        num = Fraction(1)
+        q = Fraction((-1) ** m * 2 ** p, factorial(m) * factorial(p))
         for t in range(deg - m):
-            num *= Fraction(lam.numerator, lam.denominator) + t
-        fm = 1
-        for t in range(2, m + 1):
-            fm *= t
-        fp = 1
-        for t in range(2, p + 1):
-            fp *= t
-        q = Fraction((-1) ** m * 2 ** p, fm * fp) * num
-        out[p] = out[p] + GaussianRational(q)
-    return out
+            q *= lam + t
+        out[p] = GaussianRational(q)
+    return tuple(out)
 
 
 _GEG_IDENTITIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "G9", "ODE")
@@ -210,117 +207,150 @@ def verify_gegenbauer_identities(max_deg):
 
 # -- spinor-valued polynomials ------------------------------------------------
 
+def _sp(nvars, cn, variant, terms):
+    """SpinorPolynomial on a (monomial, mask) -> nonzero value dict, taken as it is."""
+    p = object.__new__(SpinorPolynomial)
+    p.nvars, p.cn, p.variant, p.terms = nvars, cn, variant, terms
+    return p
+
+
+def _acc(out, items):
+    """Add the (key, value) terms into the dict out, dropping sums that vanish."""
+    for key, v in items:
+        t = out.get(key)
+        if t is not None:
+            v = t + v
+            if v.is_zero():
+                del out[key]
+                continue
+        out[key] = v
+    return out
+
+
+def _bump(mono, idx, by):
+    return mono[:idx] + (mono[idx] + by,) + mono[idx + 1:]
+
+
 class SpinorPolynomial:
     """Polynomial map R^nvars -> S with exact Spinor coefficients.
 
     cn fixes the ambient Clifford algebra Cl(cn;C) acting on the values
     (cn >= nvars, so embedded polynomials can carry a larger spin module).
+    The value is one flat dict `terms`: (monomial, mask) -> nonzero
+    GaussianRational, so zeta(e_k), d/dx_k and multiplication by x^a are
+    remaps of its keys.  Values are immutable.
     """
 
-    __slots__ = ("nvars", "cn", "variant", "coeffs")
+    __slots__ = ("nvars", "cn", "variant", "terms")
 
     def __init__(self, nvars, cn=None, variant="+", coeffs=None):
         self.nvars = nvars
         self.cn = nvars if cn is None else cn
         self.variant = variant
-        m = self.cn // 2
-        c = {}
-        if coeffs:
-            for mono, s in coeffs.items():
-                if s.m != m:
-                    raise DimensionMismatch("spinor coefficient of wrong size")
-                if not s.is_zero():
-                    c[mono] = s
-        self.coeffs = c
+        coeffs = coeffs or {}
+        if any(s.m != self.m for s in coeffs.values()):
+            raise DimensionMismatch("spinor coefficient of wrong size")
+        self.terms = {(mono, mask): v for mono, s in coeffs.items()
+                      for mask, v in s.coeffs.items()}
 
     @property
     def m(self):
         return self.cn // 2
 
+    @property
+    def coeffs(self):
+        """Read-only {monomial: Spinor} view of the terms."""
+        out = {}
+        for (mono, mask), v in self.terms.items():
+            out.setdefault(mono, {})[mask] = v
+        m = self.m
+        return MappingProxyType({mono: _spinor(m, c) for mono, c in out.items()})
+
+    def _like(self, terms):
+        return _sp(self.nvars, self.cn, self.variant, terms)
+
     def _zero_like(self):
-        return SpinorPolynomial(self.nvars, self.cn, self.variant)
+        return self._like({})
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.terms
+
+    def _merge(self, other, k):
+        """self + i**k * other."""
+        if (self.nvars, self.cn, self.variant) != (other.nvars, other.cn, other.variant):
+            raise DimensionMismatch("incompatible spinor polynomials")
+        return self._like(_acc(dict(self.terms), ((key, _times_i_power(k, v))
+                                                  for key, v in other.terms.items())))
 
     def __add__(self, other):
-        if (self.nvars, self.cn) != (other.nvars, other.cn):
-            raise DimensionMismatch("incompatible spinor polynomials")
-        c = dict(self.coeffs)
-        for mono, s in other.coeffs.items():
-            t = c.get(mono)
-            t = s if t is None else t + s
-            if t.is_zero():
-                c.pop(mono, None)
-            else:
-                c[mono] = t
-        return SpinorPolynomial(self.nvars, self.cn, self.variant, c)
+        return self._merge(other, 0)
 
     def __sub__(self, other):
-        return self + other.scale(GaussianRational(-1))
+        return self._merge(other, 2)
 
     def scale(self, v):
         v = GaussianRational.coerce(v)
         if v.is_zero():
             return self._zero_like()
-        return SpinorPolynomial(self.nvars, self.cn, self.variant,
-                                {mono: s.scale(v) for mono, s in self.coeffs.items()})
+        if v == ONE:
+            return self
+        return self._like({key: c * v for key, c in self.terms.items()})
 
     def mul_monomial(self, exps, v=ONE):
-        v = GaussianRational.coerce(v)
-        out = {}
-        for mono, s in self.coeffs.items():
-            key = tuple(a + b for a, b in zip(mono, exps))
-            out[key] = s.scale(v)
-        return SpinorPolynomial(self.nvars, self.cn, self.variant, out)
+        return self._like({(tuple(map(add, mono, exps)), mask): c
+                           for (mono, mask), c in self.scale(v).terms.items()})
 
     def diff(self, k):
         """d/dx_k, 1-based k."""
-        out = {}
         idx = k - 1
-        for mono, s in self.coeffs.items():
-            e = mono[idx]
-            if e == 0:
-                continue
-            key = mono[:idx] + (e - 1,) + mono[idx + 1:]
-            t = s.scale(GaussianRational(e))
-            prev = out.get(key)
-            out[key] = t if prev is None else prev + t
-        return SpinorPolynomial(self.nvars, self.cn, self.variant, out)
+        return self._like({(_bump(mono, idx, -1), mask):
+                           c * mono[idx] if mono[idx] > 1 else c
+                           for (mono, mask), c in self.terms.items() if mono[idx]})
 
     def apply_e(self, i):
         """Apply zeta(e_i) of the ambient algebra to every coefficient."""
-        return SpinorPolynomial(self.nvars, self.cn, self.variant,
-                                {mono: zeta_gen_apply(self.cn, self.variant, i, s)
-                                 for mono, s in self.coeffs.items()})
+        table = _zeta_table(self.cn, self.variant, i)
+        out = {}
+        for (mono, mask), v in self.terms.items():
+            image, k = table[mask]
+            out[(mono, image)] = _times_i_power(k, v)
+        return self._like(out)
+
+    def _zeta_sum(self, step):
+        """sum_k zeta(e_k) x_k phi (step 1) or sum_k zeta(e_k) d(phi)/dx_k
+        (step -1) over the polynomial variables, in one accumulator."""
+        out = {}
+        for idx in range(self.nvars):
+            table = _zeta_table(self.cn, self.variant, idx + 1)
+            items = self.terms.items()
+            if step < 0:  # d/dx_k: drop the terms free of x_k, scale by the exponent
+                items = [((mono, mask), v * mono[idx] if mono[idx] > 1 else v)
+                         for (mono, mask), v in items if mono[idx]]
+            _acc(out, (((_bump(mono, idx, step), table[mask][0]),
+                        _times_i_power(table[mask][1], v))
+                       for (mono, mask), v in items))
+        return self._like(out)
 
     def zeta_x(self):
         """Multiply by zeta(x) = sum_k x_k e_k over the polynomial variables."""
-        out = self._zero_like()
-        for k in range(1, self.nvars + 1):
-            exps = tuple(1 if t == k - 1 else 0 for t in range(self.nvars))
-            out = out + self.apply_e(k).mul_monomial(exps)
-        return out
+        return self._zeta_sum(1)
 
     def norm2_mul(self):
-        out = self._zero_like()
-        for k in range(self.nvars):
-            exps = tuple(2 if t == k else 0 for t in range(self.nvars))
-            out = out + self.mul_monomial(exps)
-        return out
+        out = {}
+        for idx in range(self.nvars):
+            _acc(out, (((_bump(mono, idx, 2), mask), v)
+                       for (mono, mask), v in self.terms.items()))
+        return self._like(out)
 
     def gamma_twist(self):
-        return SpinorPolynomial(self.nvars, self.cn, self.variant,
-                                {mono: gamma(s) for mono, s in self.coeffs.items()})
+        return self._like({(mono, mask): (-v if bin(mask).count("1") & 1 else v)
+                           for (mono, mask), v in self.terms.items()})
 
     def degree(self):
-        if not self.coeffs:
-            return -1
-        return max(sum(mono) for mono in self.coeffs)
+        return max((sum(mono) for mono, _ in self.terms), default=-1)
 
     def is_homogeneous(self):
-        degs = {sum(mono) for mono in self.coeffs}
-        return len(degs) <= 1
+        return len({sum(mono) for mono, _ in self.terms}) <= 1
 
     def extend_vars(self, nvars, cn=None):
         """View in a larger variable set (new variables appended, exponent 0)."""
@@ -328,8 +358,11 @@ class SpinorPolynomial:
         if pad < 0:
             raise DimensionMismatch("cannot shrink variables")
         cn = self.cn if cn is None else cn
-        return SpinorPolynomial(nvars, cn, self.variant,
-                                {mono + (0,) * pad: s for mono, s in self.coeffs.items()})
+        if cn // 2 != self.m:
+            raise DimensionMismatch("spinor coefficient of wrong size")
+        pad = (0,) * pad
+        return _sp(nvars, cn, self.variant,
+                   {(mono + pad, mask): v for (mono, mask), v in self.terms.items()})
 
     def map_values(self, spinmap):
         return SpinorPolynomial(self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1),
@@ -339,28 +372,22 @@ class SpinorPolynomial:
 
     def vec(self):
         """Flat dict ((monomial, mask) -> coefficient) for exact linear algebra."""
-        out = {}
-        for mono, s in self.coeffs.items():
-            for mask, v in s.coeffs.items():
-                out[(mono, mask)] = v
-        return out
+        return dict(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, SpinorPolynomial)
-                and (self.nvars, self.cn) == (other.nvars, other.cn)
-                and self.coeffs == other.coeffs)
+                and (self.nvars, self.cn, self.variant)
+                == (other.nvars, other.cn, other.variant)
+                and self.terms == other.terms)
 
     def __repr__(self):
         return "SpinorPolynomial(nvars=%d, cn=%d, %d terms)" % (
-            self.nvars, self.cn, len(self.coeffs))
+            self.nvars, self.cn, len({mono for mono, _ in self.terms}))
 
 
 def dirac(phi):
     """Dirac operator: sum_k zeta(e_k) d(phi)/dx_k over the polynomial variables."""
-    out = phi._zero_like()
-    for k in range(1, phi.nvars + 1):
-        out = out + phi.diff(k).apply_e(k)
-    return out
+    return phi._zeta_sum(-1)
 
 
 def monomials(n, d):
@@ -378,30 +405,13 @@ def monogenic_basis(n, i):
     """Exact basis of M_i(R^n; S_n) = ker(Dirac) on degree-i polynomials."""
     if n < 1:
         raise DimensionMismatch("need n >= 1")
-    m = n // 2
-    dim_s = spin_dim(n)
-    monos = list(monomials(n, i))
-    cols = {}
-    for mono in monos:
-        for mask in range(dim_s):
-            cols[(mono, mask)] = len(cols)
+    cols = [(mono, mask) for mono in monomials(n, i) for mask in range(spin_dim(n))]
     rows = {}
-    for (mono, mask), j in cols.items():
-        phi = SpinorPolynomial(n, n, "+", {mono: Spinor.basis(m, mask)})
-        dphi = dirac(phi)
-        for key, v in dphi.vec().items():
-            rows.setdefault(key, {})[j] = v
-    basis_vecs = linalg.nullspace(list(rows.values()), len(cols))
-    inv = {j: key for key, j in cols.items()}
-    out = []
-    for vec in basis_vecs:
-        coeffs = {}
-        for j, v in vec.items():
-            mono, mask = inv[j]
-            s = coeffs.setdefault(mono, Spinor(m))
-            coeffs[mono] = s + Spinor(m, {mask: v})
-        out.append(SpinorPolynomial(n, n, "+", coeffs))
-    return tuple(out)
+    for j, key in enumerate(cols):
+        for dkey, v in dirac(_sp(n, n, "+", {key: ONE})).terms.items():
+            rows.setdefault(dkey, {})[j] = v
+    return tuple(_sp(n, n, "+", {cols[j]: v for j, v in vec.items()})
+                 for vec in linalg.nullspace(list(rows.values()), len(cols)))
 
 
 def _fischer_a(n, i, j):
@@ -473,11 +483,9 @@ def mult_coordinate_split(phi, k):
 def _embed_values(phi):
     """Embed S_n-valued phi into S_{n+1}-valued via the fixed spin embedding."""
     n = phi.nvars
-    if n % 2 == 0:
-        return SpinorPolynomial(n, n + 1, "+", dict(phi.coeffs))
-    plus, _ = fund_branching(n)
-    out = {mono: plus.apply_spinor(s) for mono, s in phi.coeffs.items()}
-    return SpinorPolynomial(n, n + 1, "+", out)
+    if n % 2:
+        phi = phi.map_values(fund_branching(n)[0])
+    return _sp(n, n + 1, "+", phi.terms)
 
 
 def _norm2_power_mul(phi, t):
@@ -515,11 +523,9 @@ def branch_embed(n, j, i, phi, check=False):
     if d >= 1:
         lam2 = Fraction(n + 1, 2) + j
         c2 = gegenbauer_coeffs_rational(d - 1, lam2)
+        # zeta(x') e_{n+1} emb, with zeta(x') = zeta(x) - x_{n+1} e_{n+1}
         core = emb.apply_e(n + 1)
-        xz = SpinorPolynomial(n + 1, n + 1, "+")
-        for k in range(1, n + 1):
-            exps = tuple(1 if t == k - 1 else 0 for t in range(n + 1))
-            xz = xz + core.apply_e(k).mul_monomial(exps)
+        xz = core.zeta_x() - core.apply_e(n + 1).mul_monomial((0,) * n + (1,))
         for p, c in enumerate(c2):
             if c.is_zero():
                 continue

@@ -93,7 +93,7 @@ class GaussianRational:
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return _gr(-self._a, -self._b, self._d)
+        return _times_i_power(2, self)
 
     def __mul__(self, other):
         other = GaussianRational.coerce(other)
@@ -192,15 +192,17 @@ def _parts(x):
 
 
 def _times_i_power(k, z):
-    """i**k * z for k in 0..3: the parts are swapped and negated, no product."""
-    a, b, d = z._a, z._b, z._d
+    """i**k * z for k in 0..3: swapping and negating parts keeps it canonical."""
     if k == 0:
         return z
-    if k == 1:
-        return _gr(-b, a, d)
-    if k == 2:
-        return _gr(-a, -b, d)
-    return _gr(b, -a, d)
+    a, b = z._a, z._b
+    if k & 1:
+        a, b = -b, a
+    if k & 2:
+        a, b = -a, -b
+    w = _new(GaussianRational)
+    w._a, w._b, w._d = a, b, z._d
+    return w
 
 
 ZERO = GaussianRational(0)

@@ -196,6 +196,31 @@ class TestZetaTable:
             zeta_gen_apply(4, "+", i, Spinor.basis(2, 0))
 
 
+class TestCanonicalResults:
+    """zeta_gen_apply, gamma and scale by a nonzero value skip coercion."""
+
+    def test_results_are_canonical(self):
+        rng = random.Random(7)
+        for n in (2, 3, 4, 5):
+            m = n // 2
+            for _ in range(5):
+                s = _random_spinor(rng, m)
+                outs = [gamma(s), s.scale(gr("2/3", -1)), s.scale(1)]
+                outs += [zeta_gen_apply(n, variant, i, s)
+                         for variant in "+-" for i in range(1, n + 1)]
+                for t in outs:
+                    assert t.m == m
+                    assert all(type(v) is GaussianRational and not v.is_zero()
+                               for v in t.coeffs.values())
+                    assert len(t.coeffs) == len(s.coeffs)
+
+    def test_scale_by_zero(self):
+        s = Spinor(2, {0: gr(1), 3: gr(0, 2)})
+        for zero in (ZERO, 0):
+            z = s.scale(zero)
+            assert z.is_zero() and z.coeffs == {} and z.m == 2
+
+
 class TestGamma:
     def test_degree_zero(self):
         assert gamma(Spinor.basis(2, 0)) == Spinor.basis(2, 0)

@@ -34,6 +34,12 @@ class TestExplicitCoefficients:
                 assert evaluate(sym[t], "3/2", 0) == num[t]
 
 
+    def test_rational_coefficients_are_memoized(self):
+        got = gegenbauer_coeffs_rational(4, Fraction(3, 2))
+        assert isinstance(got, tuple)
+        assert gegenbauer_coeffs_rational(4, Fraction(3, 2)) is got
+
+
 class TestAgainstSympy:
     @pytest.mark.parametrize("lam", ["1/2", "3/2", "-1/3", "5/4", "2", "7/3", "-5/2"])
     def test_rational_coefficients(self, lam):

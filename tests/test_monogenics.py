@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sbolab import monogenics
 from sbolab.paramfield import GaussianRational, ONE, ZERO
-from sbolab.cliffspin import Spinor, spin_dim
+from sbolab.cliffspin import (Spinor, spin_dim, zeta_gen_apply, gamma,
+                              fund_branching, zeta_matrix, DimensionMismatch)
 from sbolab.monogenics import (SpinorPolynomial, dirac, monomials,
                                monogenic_basis, fischer_split,
                                mult_coordinate_split, branch_embed,
@@ -15,6 +19,245 @@ from sbolab.monogenics import (SpinorPolynomial, dirac, monomials,
 
 def gr(a, b=0):
     return GaussianRational(a, b)
+
+
+# -- the two-level form monomial -> Spinor, the oracle for the flat class ----
+
+class ReferenceSpinorPolynomial:
+    """SpinorPolynomial held as a dict monomial -> Spinor, every operation
+    rebuilding one Spinor per monomial."""
+
+    def __init__(self, nvars, cn=None, variant="+", coeffs=None):
+        self.nvars = nvars
+        self.cn = nvars if cn is None else cn
+        self.variant = variant
+        m = self.cn // 2
+        c = {}
+        if coeffs:
+            for mono, s in coeffs.items():
+                if s.m != m:
+                    raise DimensionMismatch("spinor coefficient of wrong size")
+                if not s.is_zero():
+                    c[mono] = s
+        self.coeffs = c
+
+    def _zero_like(self):
+        return ReferenceSpinorPolynomial(self.nvars, self.cn, self.variant)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __add__(self, other):
+        c = dict(self.coeffs)
+        for mono, s in other.coeffs.items():
+            t = c.get(mono)
+            t = s if t is None else t + s
+            if t.is_zero():
+                c.pop(mono, None)
+            else:
+                c[mono] = t
+        return ReferenceSpinorPolynomial(self.nvars, self.cn, self.variant, c)
+
+    def __sub__(self, other):
+        return self + other.scale(gr(-1))
+
+    def scale(self, v):
+        v = GaussianRational.coerce(v)
+        if v.is_zero():
+            return self._zero_like()
+        return ReferenceSpinorPolynomial(self.nvars, self.cn, self.variant,
+                                         {mono: s.scale(v) for mono, s in self.coeffs.items()})
+
+    def mul_monomial(self, exps, v=ONE):
+        return ReferenceSpinorPolynomial(
+            self.nvars, self.cn, self.variant,
+            {tuple(a + b for a, b in zip(mono, exps)): s.scale(v)
+             for mono, s in self.coeffs.items()})
+
+    def diff(self, k):
+        out = {}
+        idx = k - 1
+        for mono, s in self.coeffs.items():
+            e = mono[idx]
+            if e == 0:
+                continue
+            key = mono[:idx] + (e - 1,) + mono[idx + 1:]
+            t = s.scale(gr(e))
+            prev = out.get(key)
+            out[key] = t if prev is None else prev + t
+        return ReferenceSpinorPolynomial(self.nvars, self.cn, self.variant, out)
+
+    def apply_e(self, i):
+        return ReferenceSpinorPolynomial(
+            self.nvars, self.cn, self.variant,
+            {mono: zeta_gen_apply(self.cn, self.variant, i, s)
+             for mono, s in self.coeffs.items()})
+
+    def zeta_x(self):
+        out = self._zero_like()
+        for k in range(1, self.nvars + 1):
+            exps = tuple(1 if t == k - 1 else 0 for t in range(self.nvars))
+            out = out + self.apply_e(k).mul_monomial(exps)
+        return out
+
+    def norm2_mul(self):
+        out = self._zero_like()
+        for k in range(self.nvars):
+            exps = tuple(2 if t == k else 0 for t in range(self.nvars))
+            out = out + self.mul_monomial(exps)
+        return out
+
+    def gamma_twist(self):
+        return ReferenceSpinorPolynomial(self.nvars, self.cn, self.variant,
+                                         {mono: gamma(s) for mono, s in self.coeffs.items()})
+
+    def degree(self):
+        return max((sum(mono) for mono in self.coeffs), default=-1)
+
+    def is_homogeneous(self):
+        return len({sum(mono) for mono in self.coeffs}) <= 1
+
+    def extend_vars(self, nvars, cn=None):
+        pad = (0,) * (nvars - self.nvars)
+        return ReferenceSpinorPolynomial(nvars, self.cn if cn is None else cn, self.variant,
+                                         {mono + pad: s for mono, s in self.coeffs.items()})
+
+    def map_values(self, spinmap):
+        return ReferenceSpinorPolynomial(
+            self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1), self.variant,
+            {mono: spinmap.apply_spinor(s) for mono, s in self.coeffs.items()})
+
+    def vec(self):
+        return {(mono, mask): v for mono, s in self.coeffs.items()
+                for mask, v in s.coeffs.items()}
+
+    def __eq__(self, other):
+        return ((self.nvars, self.cn, self.variant) == (other.nvars, other.cn, other.variant)
+                and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return "SpinorPolynomial(nvars=%d, cn=%d, %d terms)" % (
+            self.nvars, self.cn, len(self.coeffs))
+
+
+def reference_dirac(phi):
+    out = phi._zero_like()
+    for k in range(1, phi.nvars + 1):
+        out = out + phi.diff(k).apply_e(k)
+    return out
+
+
+def as_reference(phi):
+    return ReferenceSpinorPolynomial(phi.nvars, phi.cn, phi.variant, dict(phi.coeffs))
+
+
+def agrees(got, want):
+    """The flat result equals the reference one: terms, view, repr and shape."""
+    assert isinstance(got, SpinorPolynomial)
+    assert got.vec() == want.vec()
+    assert dict(got.coeffs) == want.coeffs
+    assert repr(got) == repr(want)
+    assert (got.nvars, got.cn, got.variant) == (want.nvars, want.cn, want.variant)
+    assert (got.is_zero(), got.degree(), got.is_homogeneous()) == \
+        (want.is_zero(), want.degree(), want.is_homogeneous())
+    return True
+
+
+gaussians = st.builds(GaussianRational,
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def sparse_coeffs(draw, n, deg=None, max_terms=6):
+    """{monomial: Spinor} with a few random terms, of degree deg if given."""
+    m = n // 2
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        d = draw(st.integers(0, 3)) if deg is None else deg
+        mono = draw(st.sampled_from(list(monomials(n, d))))
+        out.setdefault(mono, {})[draw(st.integers(0, (1 << m) - 1))] = draw(gaussians)
+    return {mono: Spinor(m, c) for mono, c in out.items()}
+
+
+class TestAgainstReference:
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_operation(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        variant = data.draw(st.sampled_from("+-"), label="variant")
+        ca, cb = data.draw(sparse_coeffs(n)), data.draw(sparse_coeffs(n))
+        a, ra = SpinorPolynomial(n, n, variant, ca), ReferenceSpinorPolynomial(n, n, variant, ca)
+        b, rb = SpinorPolynomial(n, n, variant, cb), ReferenceSpinorPolynomial(n, n, variant, cb)
+        v = data.draw(gaussians, label="v")
+        k = data.draw(st.integers(1, n), label="k")
+        exps = data.draw(st.tuples(*[st.integers(0, 2)] * n), label="exps")
+        spinmap = data.draw(st.sampled_from(fund_branching(n) + (zeta_matrix(n, variant, k),)))
+        assert agrees(a, ra) and agrees(b, rb)
+        assert agrees(a + b, ra + rb)
+        assert agrees(a - b, ra - rb)
+        assert agrees(a - a, ra - ra)
+        for w in (v, ONE, ZERO, gr(-1)):
+            assert agrees(a.scale(w), ra.scale(w))
+            assert agrees(a.mul_monomial(exps, w), ra.mul_monomial(exps, w))
+        assert agrees(a.mul_monomial(exps), ra.mul_monomial(exps))
+        assert agrees(a.diff(k), ra.diff(k))
+        assert agrees(a.apply_e(k), ra.apply_e(k))
+        assert agrees(a.zeta_x(), ra.zeta_x())
+        assert agrees(a.norm2_mul(), ra.norm2_mul())
+        assert agrees(a.gamma_twist(), ra.gamma_twist())
+        assert agrees(a.extend_vars(n + 1), ra.extend_vars(n + 1))
+        assert agrees(a.map_values(spinmap), ra.map_values(spinmap))
+        assert agrees(dirac(a), reference_dirac(ra))
+        assert (a == b) == (ra == rb)
+        assert a == SpinorPolynomial(n, n, variant, ca)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_fischer_split(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        deg = data.draw(st.integers(0, 3 if n <= 4 else 2), label="deg")
+        c = data.draw(sparse_coeffs(n, deg))
+        got = fischer_split(SpinorPolynomial(n, n, "+", c))
+        with mock.patch.object(monogenics, "dirac", reference_dirac):
+            want = fischer_split(ReferenceSpinorPolynomial(n, n, "+", c))
+        assert [j for j, _ in got] == [j for j, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert agrees(g, w)
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_mult_coordinate_split(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        i = data.draw(st.integers(0, 2 if n <= 4 else 1), label="i")
+        variant = data.draw(st.sampled_from("+-"), label="variant")
+        basis = monogenic_basis(n, i)
+        phi = SpinorPolynomial(n, n, variant)
+        for _ in range(data.draw(st.integers(1, 3))):
+            psi = basis[data.draw(st.integers(0, len(basis) - 1))]
+            phi = phi + SpinorPolynomial(n, n, variant, dict(psi.coeffs)).scale(
+                data.draw(gaussians))
+        k = data.draw(st.integers(1, n), label="k")
+        got = mult_coordinate_split(phi, k)
+        with mock.patch.object(monogenics, "dirac", reference_dirac):
+            want = mult_coordinate_split(as_reference(phi), k)
+        for g, w in zip(got, want):
+            assert agrees(g, w)
+
+
+class TestVariant:
+    def test_sum_of_variants_rejected(self):
+        c = {(1, 0, 0): Spinor.basis(1, 0)}
+        plus, minus = SpinorPolynomial(3, 3, "+", c), SpinorPolynomial(3, 3, "-", c)
+        with pytest.raises(DimensionMismatch):
+            plus + minus
+        with pytest.raises(DimensionMismatch):
+            plus - minus
+
+    def test_variant_is_compared(self):
+        c = {(1, 0, 0): Spinor.basis(1, 0)}
+        assert SpinorPolynomial(3, 3, "+", c) != SpinorPolynomial(3, 3, "-", c)
+        assert SpinorPolynomial(3, 3, "-", c) == SpinorPolynomial(3, 3, "-", c)
 
 
 def const_poly(n, s):
@@ -141,6 +384,15 @@ class TestCoordinateSplit:
         bad = const_poly(2, s).mul_monomial((1, 0))  # x_1 s is not monogenic
         with pytest.raises(NotMonogenic):
             mult_coordinate_split(bad, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_split_and_embedding_reject_non_monogenic(self, n):
+        bad = const_poly(n, Spinor.basis(n // 2, 0)).mul_monomial(
+            (1,) + (0,) * (n - 1))
+        with pytest.raises(NotMonogenic):
+            mult_coordinate_split(bad, 1)
+        with pytest.raises(NotMonogenic):
+            branch_embed(n, 1, 2, bad)
 
 
 class TestBranchEmbed:

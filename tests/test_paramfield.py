@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sbolab.paramfield import (GaussianRational, ParamPoly, ParamScalar,
                                pochhammer, evaluate,
                                PoleError, GammaResidual, poly_gcd,
-                               PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat)
+                               PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat,
+                               _times_i_power)
 
 
 def rebuilt(s):
@@ -109,6 +110,15 @@ class TestAgainstReference:
             assert agrees(y.inverse(), ry.inverse())
         if not x.is_zero() or k >= 0:
             assert agrees(x ** k, rx ** k)
+
+    @given(pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_times_i_power(self, p):
+        # built without a gcd: swapping and negating parts stays canonical
+        x, rx = GaussianRational(*p), ReferenceGaussian(*p)
+        for k in range(4):
+            assert agrees(_times_i_power(k, x), ReferenceGaussian(0, 1) ** k * rx)
+            assert _times_i_power(k, x) == I ** k * x
 
     @given(pairs, st.one_of(st.integers(-30, 30),
                             st.fractions(min_value=-9, max_value=9,
