@@ -80,24 +80,6 @@ class CliffordElt:
         v = GaussianRational.coerce(v)
         return CliffordElt(self.n, {m: c * v for m, c in self.coeffs.items()}, self.p)
 
-    def _blade_mul(self, s, t):
-        """(sign-with-squares, result-mask) for e_S * e_T."""
-        sign = 1
-        # merge T's generators into S in ascending order, counting swaps
-        for i in range(self.n):
-            bit = 1 << i
-            if t & bit:
-                if bin(s >> (i + 1)).count("1") & 1:
-                    sign = -sign
-                if s & bit:
-                    # e_i^2 = -1 for i < p else +1
-                    if i < self.p:
-                        sign = -sign
-                    s &= ~bit
-                else:
-                    s |= bit
-        return (GaussianRational(sign), s)
-
     def __mul__(self, other):
         if isinstance(other, (int, GaussianRational)):
             return self.scale(other)
@@ -105,7 +87,7 @@ class CliffordElt:
         out = {}
         for s, a in self.coeffs.items():
             for t, b in other.coeffs.items():
-                sgn, m = self._blade_mul(s, t)
+                sgn, m = _blade_mul(self.n, self.p, s, t)
                 v = out.get(m, ZERO) + a * b * sgn
                 if v.is_zero():
                     out.pop(m, None)
@@ -166,6 +148,25 @@ class CliffordElt:
             idx = [str(i + 1) for i in range(self.n) if m & (1 << i)]
             parts.append("%r*e%s" % (self.coeffs[m], "_".join(idx) if idx else "0"))
         return " + ".join(parts)
+
+
+def _blade_mul(n, p, s, t):
+    """(sign, mask) with e_S e_T = sign * e_mask in Cl(p, n - p)."""
+    sign = 1
+    # merge T's generators into S in ascending order, counting swaps
+    for i in range(n):
+        bit = 1 << i
+        if t & bit:
+            if bin(s >> (i + 1)).count("1") & 1:
+                sign = -sign
+            if s & bit:
+                # e_i^2 = -1 for i < p else +1
+                if i < p:
+                    sign = -sign
+                s &= ~bit
+            else:
+                s |= bit
+    return sign, s
 
 
 def pin_element(vectors, p=None):
@@ -293,6 +294,42 @@ def _zeta_table(n, variant, i):
             k += 2
         table.append((image, k % 4))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _blade_action(n, mask):
+    """zeta_n(e_S) for the blade e_S = e_{s_1} ... e_{s_k}, s_1 < ... < s_k,
+    as a signed permutation like `_zeta_table`: entry w is (image, k) with
+    zeta_n(e_S) w_w = i^k w_image."""
+    gens = [i for i in range(n, 0, -1) if mask >> (i - 1) & 1]
+    out = []
+    for w in range(1 << (n // 2)):
+        k = 0
+        for i in gens:  # the rightmost factor acts first
+            w, d = _zeta_table(n, "+", i)[w]
+            k += d
+        out.append((w, k % 4))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _blade_lmul(n, i):
+    """Left multiplication by e_i on the blades that span End(S_n): entry S
+    is (image, k) with zeta_n(e_i e_S) = i^k zeta_n(e_image).
+
+    The blades run over e_1..e_n for even n, where Cl(n) (x) C = End(S_n),
+    and over e_1..e_{n-1} for odd n, where e_n acts as i^k e_1 ... e_{n-1}
+    with k read off the zeta tables."""
+    nb = n - n % 2
+    left, k0 = 1 << (i - 1), 0
+    if i > nb:
+        left = (1 << nb) - 1
+        k0 = _zeta_table(n, "+", n)[0][1] - _blade_action(n, left)[0][1]
+    out = []
+    for s in range(1 << nb):
+        sign, image = _blade_mul(nb, nb, left, s)
+        out.append((image, (k0 + 1 - sign) % 4))
+    return tuple(out)
 
 
 def zeta_gen_apply(n, variant, i, s):

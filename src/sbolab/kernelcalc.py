@@ -6,17 +6,20 @@ A kernel expression is a normalized sum of three kinds of terms:
   Boundary c(lam,nu) * x'^mono * |x'|^xp delta^(m)(x_n)
   Point    c(lam,nu) * d^alpha delta(x)
 
-with matrix-valued coefficients for spinor kernels.  Exponents are affine in
-(lam, nu); coefficients live in the exact rational-function field with formal
-Gamma tokens.  Normal forms expand radial factors against delta layers by the
-finite jet pairing, absorb x_n powers into the sign/exponent data, and pull
-|x'|^2-divisible prefactors into the radial exponents, so equality of kernels
-is decidable by structural comparison.
+Exponents are affine in (lam, nu).  A coefficient is a sparse dict, with no
+zero entry, of exact rational functions with formal Gamma tokens: {blade:
+scalar} on the blades of Cl(n) (x) C = End(S_n) (`cliffspin._blade_lmul`;
+blade 0 for a scalar kernel), or {(row, col): scalar} for a projected kernel,
+whose rows lie in S_{n-1}.  Normal forms expand radial factors against delta
+layers by the finite jet pairing, absorb x_n powers into the sign/exponent
+data, and pull |x'|^2-divisible prefactors into the radial exponents, so
+equality of kernels is decidable by structural comparison.
 """
 
 from .paramfield import (GaussianRational, ParamScalar, ParamPoly, rat, PS_ONE,
                          _ps_times_i_power)
-from .cliffspin import zeta_matrix, spin_projection_P, spin_dim, _zeta_table
+from .cliffspin import (zeta_matrix, spin_projection_P, spin_dim, _blade_action,
+                        _blade_lmul)
 
 
 class BadParams(ValueError):
@@ -110,97 +113,103 @@ def _bump(t, pos, d):
     return t[:pos] + (t[pos] + d,) + t[pos + 1:]
 
 
-# -- matrix-or-scalar coefficient helpers -------------------------------------
+# -- coefficient values ----------------------------------------------------------
 
-def _v_is_matrix(v):
-    return isinstance(v, dict)
-
-
-def _v_add(a, b):
-    if a is None:
-        return b
-    if _v_is_matrix(a):
-        out = dict(a)
-        for k, x in b.items():
-            s = out.get(k)
-            s = x if s is None else s + x
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return out
-    return a + b
+_NEG = ParamScalar.coerce(-1)
 
 
-def _v_scale(v, c):
-    if _v_is_matrix(v):
-        return {k: x * c for k, x in v.items()}
-    return v * c
-
-
-def _v_iszero(v):
-    if _v_is_matrix(v):
-        return all(x.is_zero() for x in v.values())
-    return v.is_zero()
-
-
-def _put(terms, key, val):
-    """Add val to terms[key]; a key whose sum is zero is dropped."""
-    if _v_iszero(val):
-        return
-    s = _v_add(terms.get(key), val)
-    if _v_iszero(s):
-        terms.pop(key, None)
+def _put(terms, key, val, c=None):
+    """Add c * val (c None for 1) to terms[key] entry by entry; an entry whose
+    sum is zero is dropped, and so is a key left with no entry."""
+    acc = dict(terms.get(key, ()))
+    for b, x in val.items():
+        if c is not None:
+            x = x * c
+        s = acc.get(b)
+        x = x if s is None else s + x
+        if x.is_zero():
+            acc.pop(b, None)
+        else:
+            acc[b] = x
+    if acc:
+        terms[key] = acc
     else:
-        terms[key] = s
+        terms.pop(key, None)
 
 
-def _matmul(a, b):
-    """Product of sparse matrices {(row, col): entry}; zero entries dropped."""
-    rows_b = {}
-    for (r, c), y in b.items():
-        rows_b.setdefault(r, []).append((c, y))
+def _sum(pairs):
+    """{key: sum of x} over (key, x) pairs, zero sums dropped."""
     out = {}
-    for (r, c), x in a.items():
-        x = ParamScalar.coerce(x)
-        for cc, y in rows_b.get(c, ()):
-            term = x * y
-            acc = out.get((r, cc))
-            out[(r, cc)] = term if acc is None else acc + term
+    for k, x in pairs:
+        s = out.get(k)
+        out[k] = x if s is None else s + x
     return {k: x for k, x in out.items() if not x.is_zero()}
 
 
-def _zeta_lmul(n, gen, v):
-    """zeta_n(e_gen) v, with a scalar v read as v * id.
+def _matmul(a, b):
+    """Product of sparse matrices {(row, col): entry}."""
+    rows_b = {}
+    for (r, c), y in b.items():
+        rows_b.setdefault(r, []).append((c, y))
+    return _sum(((r, cc), ParamScalar.coerce(x) * y)
+                for (r, c), x in a.items() for cc, y in rows_b.get(c, ()))
 
-    zeta_n(e_gen) is a signed permutation of the mask basis, so the entry
-    (r, c) of v moves to (image of r, c) times a power of i."""
-    table = _zeta_table(n, "+", gen)
-    if not _v_is_matrix(v):
-        return {(image, r): _ps_times_i_power(k, v)
-                for r, (image, k) in enumerate(table)}
-    out = {}
-    for (r, c), x in v.items():
-        # a substitution can leave zero entries; the product drops them
-        if not x.is_zero():
-            image, k = table[r]
-            out[(image, c)] = _ps_times_i_power(k, x)
-    return out
+
+def _zeta_lmul(n, gen, v):
+    """zeta_n(e_gen) v for a blade dict v: a remap of blades times powers of i."""
+    table = _blade_lmul(n, gen)
+    return {table[b][0]: _ps_times_i_power(table[b][1], x) for b, x in v.items()}
+
+
+def blade_matrix(n, v):
+    """The dense End(S_n) matrix {(row, col): x} of a blade dict v."""
+    return _sum(((row, col), _ps_times_i_power(k, x)) for b, x in v.items()
+                for col, (row, k) in enumerate(_blade_action(n, b)))
+
+
+def _matrix_blades(n, m):
+    """The blade dict of a dense End(S_n) matrix m.  The blades are
+    trace-orthogonal, so the coefficient of e_S is tr(zeta_n(e_S)^-1 m)/dim;
+    zeta_n(e_S) has i^k at (row, col), its inverse i^-k at (col, row)."""
+    inv = ParamScalar.from_fraction(1, spin_dim(n))
+    return _sum((b, _ps_times_i_power(-k % 4, ParamScalar.coerce(m[row, col])) * inv)
+                for b in range(1 << (n - n % 2))
+                for col, (row, k) in enumerate(_blade_action(n, b)) if (row, col) in m)
+
+
+def _raw_value(n, v):
+    """A coefficient given to the constructor, as a blade dict: a scalar x is
+    x e_0 and a dense matrix {(row, col): x} is expanded on the blades."""
+    if not isinstance(v, dict):
+        return {0: ParamScalar.coerce(v)}
+    if isinstance(next(iter(v), 0), tuple):
+        return _matrix_blades(n, v)
+    return {b: ParamScalar.coerce(x) for b, x in v.items()}
 
 
 # -- the kernel expression ----------------------------------------------------
 
 class KernelExpr:
-    """Normalized formal sum of Smooth/Boundary/Point kernel terms."""
+    """Normalized formal sum of Smooth/Boundary/Point kernel terms.
 
-    __slots__ = ("n", "shape", "terms", "meta")
+    row_n is n - 1 for a projected kernel (rows in S_{n-1}), else n.  Raw
+    terms may also carry a scalar or a dense End(S_n) matrix as value."""
 
-    def __init__(self, n, shape=None, terms=None, meta=None, normalized=False):
+    __slots__ = ("n", "shape", "terms", "meta", "row_n")
+
+    def __init__(self, n, shape=None, terms=None, meta=None, normalized=False,
+                 row_n=None):
         self.n = n
         self.shape = shape
+        self.row_n = n if row_n is None else row_n
+        if shape and self.row_n == n and tuple(shape) != (spin_dim(n),) * 2:
+            raise BadParams("a spinor kernel on R^%d has shape (%d, %d)"
+                            % ((n,) + (spin_dim(n),) * 2))
         self.meta = dict(meta or {})
         t = terms or {}
         if not normalized:
+            if self.row_n == n:
+                t = {k: _raw_value(n, v) for k, v in t.items()}
             t = _normalize(n, t)
         self.terms = t
 
@@ -209,10 +218,11 @@ class KernelExpr:
 
     def copy_with(self, terms, normalized=False, meta=None):
         return KernelExpr(self.n, self.shape, terms,
-                          meta if meta is not None else self.meta, normalized)
+                          meta if meta is not None else self.meta, normalized,
+                          self.row_n)
 
     def __add__(self, other):
-        if (self.n, self.shape) != (other.n, other.shape):
+        if (self.n, self.shape, self.row_n) != (other.n, other.shape, other.row_n):
             raise BadParams("incompatible kernel expressions")
         t = dict(self.terms)
         for k, v in other.terms.items():
@@ -220,20 +230,20 @@ class KernelExpr:
         return self.copy_with(t, normalized=True)
 
     def __sub__(self, other):
-        return self + other.scale(ParamScalar.coerce(-1))
+        return self + other.scale(_NEG)
 
     def scale(self, c):
         c = ParamScalar.coerce(c)
         if c.is_zero():
             return self.copy_with({}, normalized=True)
-        return self.copy_with({k: _v_scale(v, c) for k, v in self.terms.items()},
-                              normalized=True)
+        return self.copy_with({k: {b: x * c for b, x in v.items()}
+                               for k, v in self.terms.items()}, normalized=True)
 
     def _subs(self, method, *args):
         """Apply the affine substitution `method` (a method name shared by
         AffineExp and ParamScalar) to every exponent and coefficient.
-        Coefficient values repeat across terms and matrix entries, so each
-        distinct one is substituted once."""
+        Coefficient values repeat across terms and blades, so each distinct
+        one is substituted once; entries that become zero are dropped."""
         done = {}
 
         def sub(x):
@@ -248,8 +258,7 @@ class KernelExpr:
         for k, v in self.terms.items():
             if k[0] != "P":
                 k = (k[0], k[1], sub(k[2]), sub(k[3]), k[4])
-            _put(out, k, {rc: coeff(x) for rc, x in v.items()}
-                 if _v_is_matrix(v) else coeff(v))
+            _put(out, k, {b: coeff(x) for b, x in v.items()})
         return self.copy_with(out)
 
     def subs_lam(self, e, f):
@@ -262,7 +271,7 @@ class KernelExpr:
 
     def __eq__(self, other):
         return (isinstance(other, KernelExpr)
-                and (self.n, self.shape) == (other.n, other.shape)
+                and (self.n, self.shape, self.row_n) == (other.n, other.shape, other.row_n)
                 and self.terms == other.terms)
 
     def __repr__(self):
@@ -285,9 +294,8 @@ def _divide_r2(poly, nx):
             _put(q, qm, val)
             # subtract val * x^qm * (x_1^2 + ... + x_nx^2); the x_1^2 piece
             # is the popped leading term itself
-            neg = _v_scale(val, ParamScalar.coerce(-1))
             for i in range(1, nx):
-                _put(work, _bump(qm, i, 2), neg)
+                _put(work, _bump(qm, i, 2), val, _NEG)
         else:
             _put(rem, mono, val)
     return q, rem
@@ -309,7 +317,7 @@ def _normalize(n, raw):
             # x_n^{2t} delta^(m) = m!/(m-2t)! delta^(m-2t)
             c = _binom_affine(r, t) * ParamScalar.coerce(_fact(m) // _fact(m - 2 * t))
             newxp = xp + AffineExp(2 * r.a, 2 * r.b, 2 * (r.c - t))
-            _put(terms, ("B", m - 2 * t, newxp, _AFF0, mono), _v_scale(val, c))
+            _put(terms, ("B", m - 2 * t, newxp, _AFF0, mono), val, c)
 
     # pass 2: pull |x'|^2-divisible prefactors into exponents.  A group is
     # one term shape (key without its x' monomial); each sweep rewrites all
@@ -337,8 +345,7 @@ def _normalize(n, raw):
                 if kind == "S":
                     # |x'|^2 = (|x'|^2 + x_n^2) - x_n^2
                     _put(out, ("S", a, b, r + 1, mono), val)
-                    _put(out, ("S", a, b + 2, r, mono),
-                         _v_scale(val, ParamScalar.coerce(-1)))
+                    _put(out, ("S", a, b + 2, r, mono), val, _NEG)
                 else:
                     _put(out, ("B", a, b + 2, _AFF0, mono), val)
         terms = out
@@ -363,15 +370,13 @@ def mult_xn(K):
         elif kind == "B":
             _, m, xp, r, mono = key
             if m > 0:
-                _put(out, ("B", m - 1, xp, r, mono),
-                     _v_scale(val, ParamScalar.coerce(-m)))
+                _put(out, ("B", m - 1, xp, r, mono), val, ParamScalar.coerce(-m))
         else:
             an = key[1][-1]
             if an > 0:
-                _put(out, ("P", _bump(key[1], K.n - 1, -1)),
-                     _v_scale(val, ParamScalar.coerce(-an)))
-    return KernelExpr(K.n, K.shape, out, _shift_meta(K.meta, 1, 0),
-                      normalized=False)
+                _put(out, ("P", _bump(key[1], K.n - 1, -1)), val,
+                     ParamScalar.coerce(-an))
+    return K.copy_with(out, meta=_shift_meta(K.meta, 1, 0))
 
 
 def _mult_xi(K, i):
@@ -383,26 +388,24 @@ def _mult_xi(K, i):
         else:
             ai = key[1][i - 1]
             if ai > 0:
-                _put(out, ("P", _bump(key[1], i - 1, -1)),
-                     _v_scale(val, ParamScalar.coerce(-ai)))
-    return KernelExpr(K.n, K.shape, out, K.meta, normalized=False)
+                _put(out, ("P", _bump(key[1], i - 1, -1)), val,
+                     ParamScalar.coerce(-ai))
+    return K.copy_with(out)
 
 
 def mult_zeta(K):
     """Left-multiply by zeta(x) = sum_i x_i e_i; scalar kernels become End-valued."""
     n = K.n
-    dim = spin_dim(n)
-    src = K.shape[1] if K.shape else dim
-    if K.shape and K.shape[0] != dim:
+    if K.row_n != n:
         raise BadParams("kernel is not left-multipliable by zeta_n(x)")
+    dim = spin_dim(n)
     out = {}
     for i in range(1, n + 1):
         xi = mult_xn(K) if i == n else _mult_xi(K, i)
         for key, val in xi.terms.items():
             _put(out, key, _zeta_lmul(n, i, val))
-    return KernelExpr(n, (dim, src), out,
-                      _shift_meta(K.meta, rat("1/2"), -rat("1/2")),
-                      normalized=False)
+    return KernelExpr(n, (dim, dim), out,
+                      _shift_meta(K.meta, rat("1/2"), -rat("1/2")))
 
 
 def mult_norm2(K):
@@ -417,39 +420,36 @@ def mult_norm2(K):
             _, m, xp, r, mono = key
             _put(out, ("B", m, xp + 2, r, mono), val)
             if m >= 2:
-                _put(out, ("B", m - 2, xp, r, mono),
-                     _v_scale(val, ParamScalar.coerce(m * (m - 1))))
+                _put(out, ("B", m - 2, xp, r, mono), val,
+                     ParamScalar.coerce(m * (m - 1)))
         else:
             alpha = key[1]
             for i in range(K.n):
                 ai = alpha[i]
                 if ai >= 2:
-                    _put(out, ("P", _bump(alpha, i, -2)),
-                         _v_scale(val, ParamScalar.coerce(ai * (ai - 1))))
-    return KernelExpr(K.n, K.shape, out, K.meta, normalized=False)
+                    _put(out, ("P", _bump(alpha, i, -2)), val,
+                         ParamScalar.coerce(ai * (ai - 1)))
+    return K.copy_with(out)
 
 
 def project(K):
     """Compose with the spin projection S_n -> S_{n-1} on the left."""
-    if not K.shape:
-        raise BadParams("project needs a spinor-valued kernel")
-    P = spin_projection_P(K.n)
+    if not K.shape or K.row_n != K.n:
+        raise BadParams("project needs a spinor-valued kernel with rows in S_n")
+    P = spin_projection_P(K.n).entries
     out = {}
     for key, val in K.terms.items():
-        _put(out, key, _matmul(P.entries, val))
+        _put(out, key, _matmul(P, blade_matrix(K.n, val)))
     return KernelExpr(K.n, (spin_dim(K.n - 1), K.shape[1]), out, K.meta,
-                      normalized=False)
+                      row_n=K.n - 1)
 
 
-def as_matrix(K, dim=None):
-    """Tensor a scalar kernel with the identity on the spin module."""
+def as_matrix(K):
+    """Tensor a scalar kernel with the identity on S_n: its values are blade
+    0 already, so only the shape changes."""
     if K.shape:
         raise BadParams("kernel is already matrix-valued")
-    dim = spin_dim(K.n) if dim is None else dim
-    out = {}
-    for key, val in K.terms.items():
-        out[key] = {(i, i): val for i in range(dim)}
-    return KernelExpr(K.n, (dim, dim), out, K.meta, normalized=True)
+    return KernelExpr(K.n, (spin_dim(K.n),) * 2, K.terms, K.meta, normalized=True)
 
 
 def support(K):
@@ -503,7 +503,7 @@ def _add_point(terms, n, coeff, j, dn, dprime=None, gen=None):
         alpha = _bump(alpha, n - 1, dn)
         if dprime is not None:
             alpha = _bump(alpha, dprime - 1, 1)
-        c = coeff * ParamScalar.coerce(w)
+        c = {0: coeff * ParamScalar.coerce(w)}
         _put(terms, ("P", alpha), c if gen is None else _zeta_lmul(n, gen, c))
 
 
@@ -511,11 +511,11 @@ def _zeta_layer(n, m, r, c):
     """Raw terms of zeta(x') c r^. delta^(m) - m e_n c r^. delta^(m-1), the
     common shape of the spinor B families and residue forms."""
     mono0 = (0,) * (n - 1)
-    terms = {("B", m, _AFF0, r, _bump(mono0, a - 1, 1)): _zeta_lmul(n, a, c)
+    terms = {("B", m, _AFF0, r, _bump(mono0, a - 1, 1)): _zeta_lmul(n, a, {0: c})
              for a in range(1, n)}
     if m >= 1:
         terms[("B", m - 1, _AFF0, r, mono0)] = _zeta_lmul(
-            n, n, c * ParamScalar.coerce(-m))
+            n, n, {0: c * ParamScalar.coerce(-m)})
     return terms
 
 
@@ -720,8 +720,7 @@ _IDENTITIES = {
     "juhl_down": (
         "l", ("diff", -3 * _H),
         lambda n, l: mult_xn(make_family("Ct-", n, l=l)),
-        lambda n, l: make_family("Ct+", n, l=l).shift_params(1, 0).scale(
-            ParamScalar.coerce(-1))),
+        lambda n, l: make_family("Ct+", n, l=l).shift_params(1, 0).scale(_NEG)),
     # the radial display of Bt+-(k) equals its expanded form
     "b_double_display": (
         "kj", None,
@@ -746,7 +745,7 @@ _IDENTITIES = {
     "spinor_c_plus": (
         "l", ("diff", -_H),
         lambda n, l: mult_zeta(make_family("Ct-", n, l=l).shift_params(-_H, _H)),
-        lambda n, l: make_family("sCt+", n, l=l).scale(ParamScalar.coerce(-1))),
+        lambda n, l: make_family("sCt+", n, l=l).scale(_NEG)),
     # zeta(x) sAt- = -At+|_{lam+1/2, nu-1/2} (x) id, generic parameters
     "spinor_a_closure_minus": (
         None, None,
@@ -916,7 +915,7 @@ def _rotation_apply(K, a, b):
                 if e:
                     nm = _bump(_bump(mono, src - 1, -1), dst - 1, 1)
                     sgn = 1 if src == b else -1
-                    _put(out, key[:4] + (nm,), _v_scale(val, ParamScalar.coerce(-sgn * e)))
+                    _put(out, key[:4] + (nm,), val, ParamScalar.coerce(-sgn * e))
         else:
             alpha = key[1]
             # V(d^alpha delta) = -alpha_a d^{alpha+e_b-e_a} + alpha_b d^{alpha+e_a-e_b}
@@ -924,22 +923,21 @@ def _rotation_apply(K, a, b):
                 e = alpha[src - 1]
                 if e:
                     na = _bump(_bump(alpha, src - 1, -1), dst - 1, 1)
-                    _put(out, ("P", na), _v_scale(val, ParamScalar.coerce(sgn * e)))
-    defect = KernelExpr(K.n, K.shape, out, K.meta, normalized=False)
+                    _put(out, ("P", na), val, ParamScalar.coerce(sgn * e))
+    defect = K.copy_with(out)
     if K.shape:
-        # spin twists: X_row o K - K o X_col with X = zeta(e_a e_b)/2
-        dst = K.shape[0]
-        row_n = K.n - 1 if dst == spin_dim(K.n - 1) and dst != spin_dim(K.n) else K.n
-        Xrow = zeta_matrix(row_n, "+", a).compose(zeta_matrix(row_n, "+", b)) \
-            .scale(GaussianRational("1/2"))
-        Xcol = zeta_matrix(K.n, "+", a).compose(zeta_matrix(K.n, "+", b)) \
-            .scale(GaussianRational("1/2"))
+        # spin twists: X_row o K - K o X_col with X = zeta(e_a e_b)/2, on
+        # dense matrices; copy_with takes them back to blades for rows in S_n
+        Xrow, Xcol = (zeta_matrix(m, "+", a).compose(zeta_matrix(m, "+", b))
+                      .scale(GaussianRational("1/2")).entries
+                      for m in (K.row_n, K.n))
         tw = {}
         for key, val in K.terms.items():
-            _put(tw, key, _v_add(_matmul(Xrow.entries, val),
-                                 _v_scale(_matmul(val, Xcol.entries),
-                                          ParamScalar.coerce(-1))))
-        defect = defect + KernelExpr(K.n, K.shape, tw, K.meta, normalized=False)
+            if K.row_n == K.n:
+                val = blade_matrix(K.n, val)
+            _put(tw, key, _matmul(Xrow, val))
+            _put(tw, key, _matmul(val, Xcol), _NEG)
+        defect = defect + K.copy_with(tw)
     return defect
 
 
@@ -980,11 +978,12 @@ def _scalar_json(s):
             "gammas": [[str(a), str(b), str(c), e] for (a, b, c), e in s.gammas]}
 
 
-def _value_json(v):
-    if _v_is_matrix(v):
-        return {"matrix": {"%d,%d" % k: _scalar_json(x)
-                           for k, x in sorted(v.items())}}
-    return {"scalar": _scalar_json(v)}
+def _value_json(K, v):
+    if not K.shape:
+        return {"scalar": _scalar_json(v[0])}
+    if K.row_n == K.n:
+        v = blade_matrix(K.n, v)
+    return {"matrix": {"%d,%d" % k: _scalar_json(x) for k, x in sorted(v.items())}}
 
 
 def _aff_json(a):
@@ -1010,7 +1009,7 @@ def to_json_dict(K):
                  "xp_exp": _aff_json(key[2]), "prefactor": list(key[4])}
         else:
             t = {"variant": "point", "multi": list(key[1])}
-        t["coeff"] = _value_json(val)
+        t["coeff"] = _value_json(K, val)
         terms.append(t)
     return {"n": K.n, "shape": list(K.shape) if K.shape else None,
             "terms": terms, "meta": {k: _meta_str(v) for k, v in sorted(K.meta.items())}}

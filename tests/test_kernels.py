@@ -4,14 +4,16 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbolab import kernelcalc
-from sbolab.paramfield import ParamScalar, ParamPoly, GaussianRational, rat
-from sbolab.cliffspin import spin_dim, zeta_matrix
+from sbolab.paramfield import (ParamScalar, ParamPoly, GaussianRational, rat,
+                               _ps_times_i_power)
+from sbolab.cliffspin import SpinMap, spin_dim, zeta_matrix
 from sbolab.kernelcalc import (KernelExpr, AffineExp, make_family, mult_xn,
                                mult_zeta, mult_norm2, project, as_matrix,
                                support, check_identity, symmetry_checks,
-                               to_json_dict, BadParams,
+                               to_json_dict, blade_matrix, BadParams,
                                UnknownIdentity, SymmetryFailure, _on_line,
                                _term_degree, _identity_sides, IDENTITY_TAGS)
 
@@ -25,12 +27,13 @@ class TestFamilies:
         # |x'|^{1-n-2nu} delta(x_n) times 1/Gamma((lam-nu+1/2)/2)
         K = make_family("Bt+", 4, k=0)
         assert list(K.terms) == [("B", 0, AffineExp(0, -2, 1 - 4), AffineExp(), (0, 0, 0))]
-        (coeff,) = K.terms.values()
-        assert coeff.gammas == (((rat("1/2"), rat("-1/2"), rat("1/4")), -1),)
+        (value,) = K.terms.values()
+        assert list(value) == [0]  # a scalar kernel holds blade 0
+        assert value[0].gammas == (((rat("1/2"), rat("-1/2"), rat("1/4")), -1),)
 
     def test_c_plus_l0_is_delta(self):
         K = make_family("Ct+", 3, l=0)
-        assert K.terms == {("P", (0, 0, 0)): ps(1)}
+        assert K.terms == {("P", (0, 0, 0)): {0: ps(1)}}
 
     def test_c_minus_l0_is_normal_derivative(self):
         K = make_family("Ct-", 3, l=0)
@@ -41,7 +44,7 @@ class TestFamilies:
         K = make_family("sCt-", 3, l=0)
         keys = set(K.terms)
         assert ("P", (0, 0, 1)) in keys and ("P", (1, 0, 0)) in keys
-        mat = K.terms[("P", (0, 0, 1))]
+        mat = blade_matrix(3, K.terms[("P", (0, 0, 1))])
         twice = ParamScalar(ParamPoly.affine(0, 2, -1))
         from sbolab.cliffspin import zeta_matrix
         want = {k: ps(v) * twice for k, v in zeta_matrix(3, "+", 3).entries.items()}
@@ -65,6 +68,8 @@ class TestFamilies:
             make_family("sBt+", 1, k=0)  # needs n >= 2
         with pytest.raises(BadParams):
             check_identity("juhl_up", 1, l=0)
+        with pytest.raises(BadParams):  # End(S_4) is 4 x 4
+            KernelExpr(4, (2, 4), {("P", (0, 0, 0, 0)): {(0, 0): ps(1)}})
 
 
 class TestMultiplicationRules:
@@ -84,7 +89,7 @@ class TestMultiplicationRules:
         assert mult_xn(K).is_zero()
         Km = make_family("Ct-", 3, l=0)
         X = mult_xn(Km)
-        assert X.terms == {("P", (0, 0, 0)): ps(-1)}
+        assert X.terms == {("P", (0, 0, 0)): {0: ps(-1)}}
 
     def test_sign_algebra(self):
         # x_n (sgn(x_n)|x_n|^a r^b) = |x_n|^{a+1} r^b
@@ -98,7 +103,8 @@ class TestMultiplicationRules:
         Z = mult_zeta(make_family("Ct-", 3, l=0))
         from sbolab.cliffspin import zeta_matrix
         want = {k: ps(v) * ps(-1) for k, v in zeta_matrix(3, "+", 3).entries.items()}
-        assert Z.terms == {("P", (0, 0, 0)): want}
+        assert {key: blade_matrix(3, v) for key, v in Z.terms.items()} == \
+            {("P", (0, 0, 0)): want}
 
     @pytest.mark.parametrize("tag,kw", [("A+", {}), ("Bt+", {"k": 1}),
                                         ("Ct-", {"l": 1})])
@@ -112,6 +118,39 @@ class TestMultiplicationRules:
         # a projected kernel at even n takes values in S_{n-1}, half the size
         with pytest.raises(BadParams):
             mult_zeta(project(make_family("sBt+", 4, k=0)))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_zeta_needs_spinor_rows_of_s_n_odd(self, n):
+        # at odd n, S_{n-1} and S_n have one dimension, so only the row flag
+        # tells a projected kernel apart
+        P = project(make_family("sBt+", n, k=0))
+        with pytest.raises(BadParams):
+            mult_zeta(P)
+        with pytest.raises(BadParams):
+            project(P)
+        assert P.shape == (spin_dim(n),) * 2 and P.row_n == n - 1
+
+    def test_raw_values(self):
+        # a scalar, a blade dict and a dense matrix with int entries all give
+        # the same blade values
+        point = ("P", (0, 0, 0, 0))
+        want = as_matrix(KernelExpr(4, None, {point: 2}))
+        assert KernelExpr(4, (4, 4), {point: {0: 2}}) == want
+        assert KernelExpr(4, (4, 4), {point: {(r, r): 2 for r in range(4)}}) == want
+
+    def test_substitution_drops_zero_entries(self):
+        lam_minus_nu = ParamScalar(ParamPoly.affine(1, -1, 0))
+        point = ("P", (0, 0, 0))
+        K = KernelExpr(3, (2, 2), {point: {(0, 0): lam_minus_nu, (1, 1): ps(1)}})
+        L = K.subs_lam(1, 0)
+        W = KernelExpr(3, (2, 2), {point: {(1, 1): ps(1)}})
+        assert (L - W).is_zero()
+        assert L == W
+        assert to_json_dict(L) == to_json_dict(W)
+        # on blade values: blade 0 vanishes on the line and is dropped
+        point = ("P", (0, 0, 0, 0))
+        B = KernelExpr(4, (4, 4), {point: {0: lam_minus_nu, 3: ps(1)}})
+        assert B.subs_lam(1, 0).terms == {point: {3: ps(1)}}
 
     def test_support_shrinks_under_xn(self):
         order = {"empty": 0, "origin": 1, "hyperplane": 2, "full": 3}
@@ -135,8 +174,8 @@ class TestExpandAgainstDelta:
         K = KernelExpr(4, None, raw)
         t2 = K.terms[("B", 2, AffineExp(0, -2, 0), AffineExp(), (0, 0, 0))]
         t0 = K.terms[("B", 0, AffineExp(0, -2, -2), AffineExp(), (0, 0, 0))]
-        assert t2 == ps(1)
-        assert t0 == ParamScalar(ParamPoly.affine(0, -2, 0))
+        assert t2 == {0: ps(1)}
+        assert t0 == {0: ParamScalar(ParamPoly.affine(0, -2, 0))}
 
     def test_normalization_is_additive(self):
         # pulling |x'|^2 out of one group adds to a second group that is
@@ -428,7 +467,8 @@ def test_family_digests_match_golden():
 
 def dense_mult_zeta(K):
     """zeta(x) K as sum_i zeta_n(e_i) (x_i K) with dense matrix products: the
-    route the signed-permutation remap replaced."""
+    route the blade remap replaced.  The constructor takes the dense values
+    back to blades."""
     n = K.n
     dim = spin_dim(n)
     out = {}
@@ -436,10 +476,9 @@ def dense_mult_zeta(K):
         xi = mult_xn(K) if i == n else kernelcalc._mult_xi(K, i)
         zi = zeta_matrix(n, "+", i)
         for key, val in xi.terms.items():
-            if not isinstance(val, dict):
-                val = {(r, r): val for r in range(dim)}
-            kernelcalc._put(out, key, kernelcalc._matmul(zi.entries, val))
-    return KernelExpr(n, (dim, K.shape[1] if K.shape else dim), out,
+            kernelcalc._put(out, key, kernelcalc._matmul(zi.entries,
+                                                         blade_matrix(n, val)))
+    return KernelExpr(n, (dim, dim), out,
                       kernelcalc._shift_meta(K.meta, rat("1/2"), -rat("1/2")))
 
 
@@ -450,3 +489,100 @@ def test_mult_zeta_matches_dense_product():
         Z = mult_zeta(K)
         assert to_json_dict(Z) == to_json_dict(dense_mult_zeta(K)), name
         assert to_json_dict(mult_zeta(Z)) == to_json_dict(dense_mult_zeta(Z)), name
+
+
+# -- the blades against the dense zeta_n(e_i) products ----------------------------
+
+def dense_blade(n, mask):
+    """zeta_n(e_S) as the product of the zeta_n(e_i) matrices, i in S ascending."""
+    M = SpinMap.identity(spin_dim(n))
+    for i in range(1, n + 1):
+        if mask >> (i - 1) & 1:
+            M = M.compose(zeta_matrix(n, "+", i))
+    return M
+
+
+def ps_entries(M):
+    return {rc: ps(v) for rc, v in M.entries.items()}
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_blade_table_matches_dense_products(n):
+    # the canonical blades run over e_1..e_n at even n and e_1..e_{n-1} at odd
+    # n; left multiplication by every generator, e_n at odd n included
+    one = ps(1)
+    for s in range(1 << (n - n % 2)):
+        M = dense_blade(n, s)
+        assert blade_matrix(n, {s: one}) == ps_entries(M)
+        assert kernelcalc._matrix_blades(n, ps_entries(M)) == {s: one}
+        for gen in range(1, n + 1):
+            got = blade_matrix(n, kernelcalc._zeta_lmul(n, gen, {s: one}))
+            assert got == ps_entries(zeta_matrix(n, "+", gen).compose(M)), (s, gen)
+
+
+scalars = st.builds(lambda a, b, c, k: _ps_times_i_power(
+    k, ParamScalar(ParamPoly.affine(a, b, c))),
+    st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3),
+    st.integers(0, 3)).filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def blade_cases(draw):
+    """n, two spinor kernels with random blade values on point terms (so
+    normalization leaves them as they are) and a generator."""
+    n = draw(st.integers(2, 6))
+    keys = st.tuples(*[st.integers(0, 1)] * n).map(lambda a: ("P", a))
+    values = st.dictionaries(st.integers(0, (1 << (n - n % 2)) - 1), scalars,
+                             min_size=1, max_size=4)
+    dim = spin_dim(n)
+    K1, K2 = (KernelExpr(n, (dim, dim), draw(st.dictionaries(keys, values,
+                                                             max_size=3)))
+              for _ in range(2))
+    return n, K1, K2, draw(st.integers(1, n))
+
+
+def dense(K):
+    return {key: blade_matrix(K.n, v) for key, v in K.terms.items()}
+
+
+def dense_map(D, f):
+    """f on every entry of the dense values, zero entries and values dropped."""
+    out = {}
+    for key, m in D.items():
+        m = {rc: y for rc, y in ((rc, f(x)) for rc, x in m.items()) if not y.is_zero()}
+        if m:
+            out[key] = m
+    return out
+
+
+def dense_add(D, E):
+    out = {key: dict(m) for key, m in D.items()}
+    for key, m in E.items():
+        acc = out.setdefault(key, {})
+        for rc, x in m.items():
+            acc[rc] = acc[rc] + x if rc in acc else x
+    return dense_map(out, lambda x: x)
+
+
+def dense_product(a, b):
+    out = {}
+    for (r, c), x in a.items():
+        for (c2, cc), y in b.items():
+            if c2 == c:
+                out[(r, cc)] = out.get((r, cc), ps(0)) + ps(x) * y
+    return {rc: x for rc, x in out.items() if not x.is_zero()}
+
+
+@given(blade_cases(), scalars, st.integers(-2, 2),
+       st.fractions(min_value=-2, max_value=2, max_denominator=2))
+@settings(max_examples=60, deadline=None)
+def test_blades_to_matrix_commutes(case, c, e, f):
+    n, K1, K2, gen = case
+    assert dense(K1 + K2) == dense_add(dense(K1), dense(K2))
+    assert dense(K1.scale(c)) == dense_map(dense(K1), lambda x: x * c)
+    Z = K1.copy_with({key: kernelcalc._zeta_lmul(n, gen, v)
+                      for key, v in K1.terms.items()})
+    zg = zeta_matrix(n, "+", gen).entries
+    assert dense(Z) == {key: dense_product(zg, m) for key, m in dense(K1).items()}
+    assert dense(K1.subs_lam(e, f)) == dense_map(dense(K1), lambda x: x.subs_lam(e, f))
+    assert dense(K1.shift_params(e, f)) == dense_map(dense(K1), lambda x: x.shift(e, f))
