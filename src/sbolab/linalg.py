@@ -1,12 +1,14 @@
 """Exact sparse Gaussian elimination over the Gaussian rationals.
 
 Rows are dicts column->GaussianRational; no floating point anywhere.
-Elimination is fraction-free and done once, in `echelon`: each row is
-scaled to a primitive vector of Gaussian integers, stored as (re, im) pairs
-of ints, a row is reduced by r <- p*r - f*pivot and divided by the integer
-gcd of its parts.  A rank is the number of pivots; only a caller that needs
-the pivot rows or a nullspace brings them back to Q(i), normalized to 1 at
-the pivot.
+Elimination is fraction-free and done once, in `echelon`, on primitive
+rows of Gaussian integers stored as (re, im) pairs of ints: a row is
+reduced by r <- p*r - f*pivot and divided by its content.  `gaussian_ints`
+turns a Q(i) row into such a row; `eliminate`, `rank` and `nullspace` take
+Q(i) rows and convert them, while a caller that builds its rows in Z[i]
+passes them to `echelon` directly.  A rank is the number of pivots; only a
+caller that needs the pivot rows or a nullspace brings them back to Q(i),
+normalized to 1 at the pivot.
 """
 
 from math import gcd
@@ -24,7 +26,39 @@ def _primitive(row):
     return {c: (a // g, b // g) for c, (a, b) in row.items()}
 
 
-def _to_gaussian_ints(row):
+def _ggcd(a, b, c, d):
+    """A gcd of a + b*i and c + d*i in Z[i], by Euclid's algorithm."""
+    while c or d:
+        # q = (a + b i) / (c + d i) rounded to the nearest Gaussian integer
+        nrm = c * c + d * d
+        qr = (2 * (a * c + b * d) + nrm) // (2 * nrm)
+        qi = (2 * (b * c - a * d) + nrm) // (2 * nrm)
+        a, b, c, d = c, d, a - qr * c + qi * d, b - qr * d - qi * c
+    return a, b
+
+
+def _gdiv(x, y, a, b):
+    """(x + y*i) / (a + b*i), exact in Z[i]."""
+    nrm = a * a + b * b
+    return (x * a + y * b) // nrm, (y * a - x * b) // nrm
+
+
+def _gprimitive(row):
+    """Divide a Z[i] row by the Gaussian gcd of its entries."""
+    # start Euclid from the gcd of the norms, which the gcd divides
+    a = b = 0
+    for x, y in row.values():
+        a = gcd(a, x * x + y * y)
+        if a == 1:
+            return row
+    for x, y in row.values():
+        a, b = _ggcd(x, y, a, b)
+        if a * a + b * b == 1:
+            return row
+    return {c: _gdiv(x, y, a, b) for c, (x, y) in row.items()}
+
+
+def gaussian_ints(row):
     """Scale a Q(i) row by the lcm of its denominators; primitive Z[i] row."""
     den = 1
     for v in row.values():
@@ -48,11 +82,19 @@ def _to_rationals(row, col):
 
 def _reduce(r, row, col):
     """r <- p*r - f*row, which clears col, with p = row[col] and f = r[col]
-    stripped of their common factor; the primitive result, or None if zero."""
+    stripped of their common factor; the primitive result, or None if zero.
+    Only when p or f has two nonzero parts (at a non-real point) are the
+    common factor and the content taken in Z[i], not from integer gcds."""
     p_re, p_im = row[col]
     f_re, f_im = r[col]
-    g = gcd(p_re, p_im, f_re, f_im)
-    a, b, e, h = p_re // g, p_im // g, f_re // g, f_im // g
+    mixed = (p_re and p_im) or (f_re and f_im)
+    if mixed:
+        g_re, g_im = _ggcd(p_re, p_im, f_re, f_im)
+        a, b = _gdiv(p_re, p_im, g_re, g_im)
+        e, h = _gdiv(f_re, f_im, g_re, g_im)
+    else:
+        g = gcd(p_re, p_im, f_re, f_im)
+        a, b, e, h = p_re // g, p_im // g, f_re // g, f_im // g
     out = {}
     for c, (x, y) in r.items():
         if c == col:
@@ -68,20 +110,22 @@ def _reduce(r, row, col):
     for c, (x, y) in row.items():
         if c != col and c not in r:
             out[c] = (h * y - e * x, -e * y - h * x)
-    return _primitive(out) if out else None
+    return (_gprimitive(out) if mixed else _primitive(out)) if out else None
 
 
 def echelon(rows, ncols, piv=None):
-    """Fraction-free forward elimination of sparse Q(i) rows over Z[i].
+    """Fraction-free forward elimination of sparse Z[i] rows.
 
-    Returns {pivot column: primitive Z[i] row}.  The pivot for a column is
-    the first remaining row that holds it.  Given piv, the echelon of
-    earlier rows, the new rows are first reduced against its pivots and then
-    extend it, so the result is the echelon of the earlier rows followed by
-    the new ones; piv itself is left as it was.
+    rows is an iterable of primitive Z[i] rows {col: (re, im)}, as made by
+    `gaussian_ints`; empty rows are skipped, none is modified.  Returns {pivot
+    column: primitive Z[i] row}.  The pivot for a column is the first
+    remaining row that holds it.  Given piv, the echelon of earlier rows,
+    the new rows are first reduced against its pivots and then extend it,
+    so the result is the echelon of the earlier rows followed by the new
+    ones; piv itself is left as it was.
     """
     piv = dict(piv) if piv else {}
-    work = [_to_gaussian_ints(r) for r in rows if r]
+    work = [r for r in rows if r]
     for col in range(ncols):
         if not work:
             break
@@ -101,12 +145,12 @@ def echelon(rows, ncols, piv=None):
 def eliminate(rows, ncols):
     """Forward-eliminate sparse rows; returns (pivot columns, pivot rows),
     each pivot row normalized to 1 at its pivot column."""
-    piv = echelon(rows, ncols)
+    piv = echelon((gaussian_ints(r) for r in rows), ncols)
     return list(piv), [_to_rationals(r, c) for c, r in piv.items()]
 
 
 def rank(rows, ncols):
-    return len(echelon(rows, ncols))
+    return len(echelon((gaussian_ints(r) for r in rows), ncols))
 
 
 def nullspace(rows, ncols):
@@ -115,7 +159,8 @@ def nullspace(rows, ncols):
     Returns a list of dicts column->GaussianRational, one per free column,
     each normalized so the free column has coefficient 1.
     """
-    return echelon_nullspace(echelon(rows, ncols), ncols)
+    return echelon_nullspace(echelon((gaussian_ints(r) for r in rows), ncols),
+                             ncols)
 
 
 def echelon_nullspace(piv, ncols):

@@ -9,9 +9,10 @@ vanishing patterns that select quotients and subrepresentations.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from .paramfield import (GaussianRational, ParamScalar, rat, I,
-                         PS_LAM, PS_NU, PS_I, evaluate)
+from .paramfield import (GaussianRational, ParamScalar, rat, PS_LAM, PS_NU,
+                         PS_I, evaluate, _gr)
 from .cliffspin import DimensionMismatch
 from .monogenics import lambda_constant, NotAdjacent, _split_label, _adjacent_move
 from . import linalg
@@ -127,75 +128,35 @@ def scalar_identity_display(n, i, j, which, sign):
 
 # -- the sector systems ---------------------------------------------------------
 
-def _sector_rows(n, i, j, sigma, lam=PS_LAM, nu=PS_NU):
-    """Coefficient rows of the three sector identities at (i, j).
-
-    Each row is {(k, l): coefficient}; invalid neighbor indices are dropped.
-    sigma = +-1 selects the sector.  The arithmetic is that of lam's type:
-    with the default symbolic PS_LAM, PS_NU the coefficients are ParamScalars,
-    with Gaussian rationals they are the rows evaluated at that point.
-    """
-    c = type(lam).coerce
-    L, N = lam, nu
-    unit_i = c(I)
-    r, rh = Fraction(n, 2), Fraction(n - 1, 2)
-    lam_up = L + c(rat(r + Fraction(1, 2) + i))
-    lam_dn = L - c(rat(r - Fraction(1, 2) + i))
-    even = n % 2 == 0
-    sgn = sigma * (-1) ** (i - j)
-    rows = []
-    # family 1: couples (i, j) to degree j+1 neighbors
-    row = {(i, j): c((n + 2 * i - 1) * (n + 2 * i + 1)) *
-           (N + c(rat(rh + Fraction(1, 2) + j)))}
-    row[(i + 1, j + 1)] = -c((n + 2 * i - 1) * (n + 2 * j - 1)) * lam_up
-    if j + 1 <= i:
-        mid = c(2 * (n + 2 * j - 1)) * L
-        row[(i, j + 1)] = (sgn * unit_i * mid if even else mid)
-    if j + 1 <= i - 1:
-        row[(i - 1, j + 1)] = c((n + 2 * i + 1) * (n + 2 * j - 1)) * lam_dn
-    rows.append(row)
-    # family 2: horizontal neighbors
-    lead = c((n + 2 * i - 1) * (n + 2 * i + 1)) * N - \
-        c(sgn * (n + 2 * i) * (n + 2 * j - 1)) * L
-    row = {(i, j): lead}
-    up = c((i - j + 1) * (n + 2 * i - 1)) * lam_up
-    dn = c((n + 2 * i + 1) * (n + i + j - 1)) * lam_dn
-    if even:
-        row[(i + 1, j)] = unit_i * up
-        if i - 1 >= j:
-            row[(i - 1, j)] = -unit_i * dn
-    else:
-        row[(i + 1, j)] = c(sgn) * up
-        if i - 1 >= j:
-            row[(i - 1, j)] = -c(sgn) * dn
-    rows.append(row)
-    # family 3: couples (i, j) to degree j-1 neighbors
-    if j >= 1:
-        row = {(i, j): c((n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3)) *
-               (N - c(rat(rh - Fraction(1, 2) + j)))}
-        row[(i + 1, j - 1)] = c((i - j + 1) * (i - j + 2) * (n + 2 * i - 1)) * lam_up
-        mid = c(2 * (i - j + 1) * (n + i + j - 1)) * L
-        row[(i, j - 1)] = (sgn * unit_i * mid if even else mid)
-        if i - 1 >= j - 1:
-            row[(i - 1, j - 1)] = -c((n + 2 * i + 1) * (n + i + j - 2) *
-                                     (n + i + j - 1)) * lam_dn
-        rows.append(row)
-    return rows
-
-
 class LatticeSystem:
-    """Truncated linear system in the sector scalars s_{i,j}."""
+    """Truncated linear system in the sector scalars s_{i,j}.
 
-    __slots__ = ("n", "lam0", "nu0", "sign", "depth", "constraints", "region")
+    rows are the constraints as primitive Z[i] rows {(i, j): (re, im)},
+    built at the scaled point (D, D*lam0, D*nu0) of `_scaled_point`: row k
+    times contents[k] / D is constraint k over Q(i).
+    """
 
-    def __init__(self, n, lam0, nu0, sign, depth, constraints, region=None):
-        self.n = n
-        self.lam0 = lam0
-        self.nu0 = nu0
-        self.sign = sign
-        self.depth = depth
-        self.constraints = constraints
-        self.region = region
+    __slots__ = ("n", "lam0", "nu0", "sign", "depth", "region", "point",
+                 "rows", "contents", "_constraints")
+
+    def __init__(self, n, lam0, nu0, sign, depth, point, rows, contents,
+                 region=None):
+        self.n, self.lam0, self.nu0, self.sign, self.depth = \
+            n, lam0, nu0, sign, depth
+        self.point, self.rows, self.contents, self.region = \
+            point, rows, contents, region
+        self._constraints = None
+
+    @property
+    def constraints(self):
+        """The constraint rows {(i, j): GaussianRational}, built when first
+        read: the sector identities evaluated at (lam0, nu0)."""
+        if self._constraints is None:
+            d = self.point[0]
+            self._constraints = [
+                {key: _gr(x * g, y * g, d) for key, (x, y) in row.items()}
+                for row, g in zip(self.rows, self.contents)]
+        return self._constraints
 
 
 class SolutionSpace:
@@ -220,52 +181,101 @@ class SolutionSpace:
         return self._basis
 
 
-def _level_rows(n, lam0, nu0, sigma, i, region):
-    """Constraint rows of the sector identities at (i, j), 0 <= j <= i.
+def _scaled_point(lam0, nu0):
+    """D = 2 lcm(den lam0, den nu0) and D*lam0, D*nu0 as Z[i] pairs."""
+    dl, dn = lam0._d, nu0._d
+    d = 2 * dl * dn // gcd(dl, dn)
+    return d, (lam0._a * (d // dl), lam0._b * (d // dl)), \
+        (nu0._a * (d // dn), nu0._b * (d // dn))
 
-    Entries outside the triangle, outside region (those unknowns are pinned
-    to zero) and zero entries are dropped, and so are rows left empty.
-    """
-    rows = []
+
+def _level_rows(n, point, sigma, i, region):
+    """The sector identities at (i, j), 0 <= j <= i, at the scaled point
+    (D, D*lam0, D*nu0), as (row, content) pairs: each identity times D has
+    Gaussian-integer entries (an integer times an affine form in lam0, nu0,
+    possibly times i) and is divided by its integer content.  Neighbors
+    outside the triangle are never formed; entries outside region (pinned
+    to zero) and zero entries are dropped, and so are rows left empty."""
+    d, (lr, li), (nr, ni) = point
+    h = d // 2
+    one, lam = (1, 0), (lr, li)
+    a, b = n + 2 * i - 1, n + 2 * i + 1
+    up = (lr + h * (n + 1) + d * i, li)  # D * (lam0 + rho + 1/2 + i)
+    dn = (lr - h * (n - 1) - d * i, li)  # D * (lam0 - rho + 1/2 - i)
+    out = []
     for j in range(i + 1):
-        for row in _sector_rows(n, i, j, sigma, lam0, nu0):
-            num = {key: v for key, v in row.items() if 0 <= key[1] <= key[0]
-                   and (region is None or region(*key)) and not v.is_zero()}
-            if num:
-                rows.append(num)
-    return rows
+        sgn = sigma if (i - j) % 2 == 0 else -sigma
+        m = n + 2 * j - 1
+        # the units on the (i, j +- 1) and the (i +- 1, j) neighbors
+        mid, side = ((0, sgn), (0, 1)) if n % 2 == 0 else (one, (sgn, 0))
+        # family 1: couples (i, j) to degree j+1 neighbors
+        f1 = [((i, j), a * b, one, (nr + h * n + d * j, ni)),
+              ((i + 1, j + 1), -a * m, one, up)]
+        if j + 1 <= i:
+            f1.append(((i, j + 1), 2 * m, mid, lam))
+        if j + 1 <= i - 1:
+            f1.append(((i - 1, j + 1), b * m, one, dn))
+        # family 2: horizontal neighbors
+        c = sgn * (n + 2 * i) * m
+        f2 = [((i, j), 1, one, (a * b * nr - c * lr, a * b * ni - c * li)),
+              ((i + 1, j), (i - j + 1) * a, side, up)]
+        if i - 1 >= j:
+            f2.append(((i - 1, j), -b * (n + i + j - 1), side, dn))
+        rows = [f1, f2]
+        # family 3: couples (i, j) to degree j-1 neighbors
+        if j >= 1:
+            rows.append([
+                ((i, j), a * b * (n + 2 * j - 3), one,
+                 (nr - h * (n - 2) - d * j, ni)),
+                ((i + 1, j - 1), (i - j + 1) * (i - j + 2) * a, one, up),
+                ((i, j - 1), 2 * (i - j + 1) * (n + i + j - 1), mid, lam),
+                ((i - 1, j - 1), -b * (n + i + j - 2) * (n + i + j - 1), one, dn)])
+        for row in rows:
+            g, ents = 0, []
+            for key, k, (u, v), (x, y) in row:
+                x, y = k * (u * x - v * y), k * (u * y + v * x)
+                if (x or y) and (region is None or region(*key)):
+                    g = gcd(g, x, y)
+                    ents.append((key, x, y))
+            if ents:
+                out.append(({key: (x // g, y // g) for key, x, y in ents}, g))
+    return out
 
 
 def build_system(n, lam0, nu0, sign, depth, region=None):
     """Instantiate all three identity families inside the depth-truncated
-    triangle at exact rational parameters.
+    triangle at an exact parameter point, as primitive Z[i] rows.
 
     A constraint is kept only when every lattice point it references lies in
     the triangle; region (a predicate) restricts the free unknowns, points
-    outside it are pinned to zero.
+    outside it are pinned to zero.  The Q(i) rows are built only when
+    `constraints` is read.
     """
-    if n < 2:
-        raise DimensionMismatch("need n >= 2")
-    if depth < 2:
-        raise BadDepth("depth must be >= 2")
+    if not isinstance(n, int) or n < 2:
+        raise DimensionMismatch("need an integer n >= 2")
+    if not isinstance(depth, int) or depth < 2:
+        raise BadDepth("depth must be an integer >= 2")
     if sign not in (1, -1, "+", "-", "plus", "minus"):
         raise BadLabel("sign must be 1, -1, '+', '-', 'plus' or 'minus'")
     lam0 = GaussianRational.coerce(lam0)
     nu0 = GaussianRational.coerce(nu0)
     sigma = 1 if sign in (1, "+", "plus") else -1
-    constraints = [row for i in range(depth)
-                   for row in _level_rows(n, lam0, nu0, sigma, i, region)]
-    return LatticeSystem(n, lam0, nu0, sigma, depth, constraints, region)
+    point = _scaled_point(lam0, nu0)
+    pairs = [p for i in range(depth)
+             for p in _level_rows(n, point, sigma, i, region)]
+    return LatticeSystem(n, lam0, nu0, sigma, depth, point,
+                         [p[0] for p in pairs], [p[1] for p in pairs], region)
 
 
 def _echelon(rows, depth, region, piv=None):
     """The unknowns s_{i,j}, i <= depth, free in region, and the echelon of
-    rows over them; the list for depth d is a prefix of that for d + 1."""
+    the Z[i] rows over them; the list for depth d is a prefix of that for
+    d + 1."""
     cols = [(i, j) for i in range(depth + 1) for j in range(i + 1)
             if region is None or region(i, j)]
     idx = {key: c for c, key in enumerate(cols)}
-    return cols, linalg.echelon([{idx[key]: v for key, v in row.items()}
-                                 for row in rows], len(cols), piv)
+    return cols, linalg.echelon(({idx[key]: v for key, v in row.items()}
+                                 for row in rows), len(cols), piv)
 
 
 def solve_dimension(system):
@@ -273,17 +283,21 @@ def solve_dimension(system):
     depth-d echelon, extended by the rows of level d, gives the nullity at
     depth d + 1 without solving that system again."""
     d, region = system.depth, system.region
-    cols, piv = _echelon(system.constraints, d, region)
-    top = _level_rows(system.n, system.lam0, system.nu0, system.sign, d, region)
+    cols, piv = _echelon(system.rows, d, region)
+    top = [row for row, _ in
+           _level_rows(system.n, system.point, system.sign, d, region)]
     cols1, piv1 = _echelon(top, d + 1, region, piv)
     return SolutionSpace(len(cols) - len(piv), len(cols1) - len(piv1), piv, cols)
 
 
 def on_special_set(n, lam0, nu0):
-    """True when (lam0, nu0) sits on the multiplicity-3 parameter set."""
-    lam0, nu0 = rat(lam0), rat(nu0)
-    a = -(lam0 + rat(rho(n)) + rat("1/2"))
-    b = -(nu0 + rat(rho_h(n)) + rat("1/2"))
+    """True when (lam0, nu0) sits on the multiplicity-3 parameter set; any
+    exact scalar is accepted, and a point off the real line is not on it."""
+    lam0, nu0 = GaussianRational.coerce(lam0), GaussianRational.coerce(nu0)
+    if lam0.im or nu0.im:
+        return False
+    a = -(lam0.re + rat(rho(n)) + rat("1/2"))
+    b = -(nu0.re + rat(rho_h(n)) + rat("1/2"))
     if a.denominator != 1 or b.denominator != 1:
         return False
     i, j = int(a), int(b)
@@ -347,7 +361,7 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
     region = lambda k, l: row_ok(k) and col_ok(l)
     system = build_system(n, lam0, nu0, sign, depth, region)
     if not stabilize:
-        cols, piv = _echelon(system.constraints, depth, region)
+        cols, piv = _echelon(system.rows, depth, region)
         return len(cols) - len(piv)
     return solve_dimension(system).dim
 

@@ -1,8 +1,13 @@
+import functools
+import time
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbolab import linalg
 from sbolab.paramfield import (GaussianRational, ParamScalar, PS_LAM, PS_NU,
-                               evaluate, rat)
+                               PS_I, evaluate, rat)
 from sbolab.cliffspin import DimensionMismatch
 from sbolab.monogenics import NotAdjacent
 from sbolab.sbolattice import (casimir_difference, general_identity_instance,
@@ -11,7 +16,60 @@ from sbolab.sbolattice import (casimir_difference, general_identity_instance,
                                composition_multiplicity, composition_table,
                                expected_composition, on_special_set,
                                t_system_dimension, BadDepth, BadLabel,
-                               _sector_rows)
+                               _echelon)
+
+
+# -- the symbolic sector rows: the oracle for the rows built at the point -----
+
+def _sector_rows(n, i, j, sigma):
+    """Coefficient rows of the three sector identities at (i, j) in the
+    symbolic lam, nu: {(k, l): ParamScalar}, invalid neighbor indices
+    dropped.  sigma = +-1 selects the sector."""
+    c = ParamScalar.coerce
+    L, N = PS_LAM, PS_NU
+    r, rh = Fraction(n, 2), Fraction(n - 1, 2)
+    lam_up = L + c(r + Fraction(1, 2) + i)
+    lam_dn = L - c(r - Fraction(1, 2) + i)
+    even = n % 2 == 0
+    sgn = sigma * (-1) ** (i - j)
+    rows = []
+    # family 1: couples (i, j) to degree j+1 neighbors
+    row = {(i, j): c((n + 2 * i - 1) * (n + 2 * i + 1)) *
+           (N + c(rh + Fraction(1, 2) + j))}
+    row[(i + 1, j + 1)] = -c((n + 2 * i - 1) * (n + 2 * j - 1)) * lam_up
+    if j + 1 <= i:
+        mid = c(2 * (n + 2 * j - 1)) * L
+        row[(i, j + 1)] = (c(sgn) * PS_I * mid if even else mid)
+    if j + 1 <= i - 1:
+        row[(i - 1, j + 1)] = c((n + 2 * i + 1) * (n + 2 * j - 1)) * lam_dn
+    rows.append(row)
+    # family 2: horizontal neighbors
+    lead = c((n + 2 * i - 1) * (n + 2 * i + 1)) * N - \
+        c(sgn * (n + 2 * i) * (n + 2 * j - 1)) * L
+    row = {(i, j): lead}
+    up = c((i - j + 1) * (n + 2 * i - 1)) * lam_up
+    dn = c((n + 2 * i + 1) * (n + i + j - 1)) * lam_dn
+    if even:
+        row[(i + 1, j)] = PS_I * up
+        if i - 1 >= j:
+            row[(i - 1, j)] = -PS_I * dn
+    else:
+        row[(i + 1, j)] = c(sgn) * up
+        if i - 1 >= j:
+            row[(i - 1, j)] = -c(sgn) * dn
+    rows.append(row)
+    # family 3: couples (i, j) to degree j-1 neighbors
+    if j >= 1:
+        row = {(i, j): c((n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3)) *
+               (N - c(rh - Fraction(1, 2) + j))}
+        row[(i + 1, j - 1)] = c((i - j + 1) * (i - j + 2) * (n + 2 * i - 1)) * lam_up
+        mid = c(2 * (i - j + 1) * (n + i + j - 1)) * L
+        row[(i, j - 1)] = (c(sgn) * PS_I * mid if even else mid)
+        if i - 1 >= j - 1:
+            row[(i - 1, j - 1)] = -c((n + 2 * i + 1) * (n + i + j - 2) *
+                                     (n + i + j - 1)) * lam_dn
+        rows.append(row)
+    return rows
 
 
 class TestCasimir:
@@ -70,21 +128,27 @@ class TestGeneralIdentity:
         assert set(row) == {(2, 2), (3, 3)}
 
 
-def _evaluated_symbolic_rows(n, sigma, depth, points):
+@functools.lru_cache(maxsize=None)
+def _symbolic_rows(n, sigma, depth):
+    return tuple(row for i in range(depth) for j in range(i + 1)
+                 for row in _sector_rows(n, i, j, sigma))
+
+
+def _evaluated_symbolic_rows(n, sigma, depth, points, region=None):
     """The symbolic sector rows of the whole triangle, evaluated at each
     point and filtered as build_system does: the oracle for the rows that
     build_system computes directly at the point."""
-    symbolic = [row for i in range(depth) for j in range(i + 1)
-                for row in _sector_rows(n, i, j, sigma)]
+    symbolic = _symbolic_rows(n, sigma, depth)
     out = []
     for lam0, nu0 in points:
-        lam0, nu0 = GaussianRational(lam0), GaussianRational(nu0)
+        lam0, nu0 = GaussianRational.coerce(lam0), GaussianRational.coerce(nu0)
         rows = []
         for row in symbolic:
             num = {}
             for (k, l), coeff in row.items():
                 v = evaluate(coeff, lam0, nu0)
-                if 0 <= l <= k and not v.is_zero():
+                if 0 <= l <= k and (region is None or region(k, l)) \
+                        and not v.is_zero():
                     num[(k, l)] = v
             if num:
                 rows.append(num)
@@ -305,24 +369,25 @@ class TestExtendedEchelonOracle:
                 assert sol.basis == reference_solve(system)
 
 
+def _sympy_nullity(system):
+    """Nullity of the system's Q(i) rows by sympy's rank over QQ_I."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    cols = [(i, j) for i in range(system.depth + 1) for j in range(i + 1)]
+    rows = [[sympy.QQ_I(sympy.Rational(row[c].re.numerator,
+                                       row[c].re.denominator),
+                        sympy.Rational(row[c].im.numerator,
+                                       row[c].im.denominator))
+             if c in row else sympy.QQ_I.zero for c in cols]
+            for row in system.constraints]
+    shape = (len(rows), len(cols))
+    return len(cols) - DomainMatrix(rows, shape, sympy.QQ_I).rank()
+
+
 class TestSympyRank:
     @pytest.mark.parametrize("n", [4, 5])
     def test_small_nullities(self, n):
-        sympy = pytest.importorskip("sympy")
-        from sympy.polys.matrices import DomainMatrix
-
-        def nullity(system):
-            cols = [(i, j) for i in range(system.depth + 1)
-                    for j in range(i + 1)]
-            rows = [[sympy.QQ_I(sympy.Rational(row[c].re.numerator,
-                                               row[c].re.denominator),
-                                sympy.Rational(row[c].im.numerator,
-                                               row[c].im.denominator))
-                     if c in row else sympy.QQ_I.zero for c in cols]
-                    for row in system.constraints]
-            shape = (len(rows), len(cols))
-            return len(cols) - DomainMatrix(rows, shape, sympy.QQ_I).rank()
-
+        nullity = _sympy_nullity
         for lam0, nu0 in _points(n) + [_point(n, 3, 1)]:
             for sign in (1, -1):
                 for depth in (4, 6):
@@ -331,3 +396,119 @@ class TestSympyRank:
                     sol = solve_dimension(system)
                     assert (sol.dim, sol.dim_next) == \
                         (nullity(system), nullity(bigger)), (n, lam0, nu0, sign)
+
+
+# -- the Z[i] rows built at the point ------------------------------------------
+
+def _gauss(re, im=0):
+    return GaussianRational(rat(re), rat(im))
+
+
+def _row_points(n):
+    """A special point, one off the set with j > i, a generic rational
+    point and a non-real one."""
+    return [_point(n, 3, 1), _point(n, 1, 2), (rat("1/3"), rat("-2/7")),
+            (_gauss("1/3", "2/5"), _gauss("-1/2", 1))]
+
+
+def _assert_rows_match(system, want):
+    """The integer rows are the primitive Z[i] form of the Q(i) rows, and
+    the Q(i) view rebuilt from them is those rows."""
+    assert system.rows == [linalg.gaussian_ints(row) for row in want]
+    assert [list(row) for row in system.rows] == [list(row) for row in want]
+    assert system.constraints == want
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_rows_are_primitive_symbolic_rows(self, n, sigma):
+        points = _row_points(n)
+        want = _evaluated_symbolic_rows(n, sigma, 7, points)
+        for (lam0, nu0), rows in zip(points, want):
+            _assert_rows_match(build_system(n, lam0, nu0, sigma, 7), rows)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_composition_region(self, n):
+        for i, j, parity, pair in ((2, 1, 1, "FT"), (1, 2, 0, "TF"),
+                                   (1, 0, 1, "TT")):
+            system = _composition_system(n, i, j, parity, pair, 7)
+            want, = _evaluated_symbolic_rows(
+                n, system.sign, 7, [(system.lam0, system.nu0)], system.region)
+            _assert_rows_match(system, want)
+
+    @given(n=st.integers(2, 7), sigma=st.sampled_from([1, -1]),
+           depth=st.integers(2, 6),
+           parts=st.lists(st.fractions(min_value=-8, max_value=8,
+                                       max_denominator=12),
+                          min_size=4, max_size=4),
+           real=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_random_points(self, n, sigma, depth, parts, real):
+        lam0 = GaussianRational(parts[0], 0 if real else parts[1])
+        nu0 = GaussianRational(parts[2], 0 if real else parts[3])
+        system = build_system(n, lam0, nu0, sigma, depth)
+        want, = _evaluated_symbolic_rows(n, sigma, depth, [(lam0, nu0)])
+        _assert_rows_match(system, want)
+        # the nullities equal those of the Q(i) rows through linalg.nullspace
+        sol = solve_dimension(system)
+        assert (sol.dim, sol.dim_next) == reference_dimensions(system)
+
+
+class TestNonRealPoint:
+    """n = 4, lam = 1/3 + i, nu = 0: eliminating at a non-real point takes
+    the common factors in Z[i], so entries stay small."""
+
+    LAM = _gauss("1/3", 1)
+
+    def test_echelon_entries_stay_small(self):
+        system = build_system(4, self.LAM, 0, 1, 5)
+        _, piv = _echelon(system.rows, 5, None)
+        bits = max(max(abs(x).bit_length(), abs(y).bit_length())
+                   for row in piv.values() for x, y in row.values())
+        assert bits < 200
+
+    def test_depth_12_is_fast(self):
+        t0 = time.perf_counter()
+        got = multiplicity(4, self.LAM, 0, depth=12)
+        assert time.perf_counter() - t0 < 2.0
+        assert got == {"dim_plus": 1, "dim_minus": 1, "total": 2,
+                       "stabilized": True, "on_lattice": False}
+
+    @pytest.mark.parametrize("lam0,nu0", [
+        (_gauss("1/3", 1), 0), (_gauss("-5/2", "1/2"), _gauss(-2, "-3/4"))])
+    def test_nullities_match_sympy(self, lam0, nu0):
+        for sign in (1, -1):
+            for depth in (4, 6):
+                system = build_system(4, lam0, nu0, sign, depth)
+                bigger = build_system(4, lam0, nu0, sign, depth + 1)
+                sol = solve_dimension(system)
+                assert (sol.dim, sol.dim_next) == \
+                    (_sympy_nullity(system), _sympy_nullity(bigger)), \
+                    (lam0, nu0, sign)
+
+
+class TestScalarInputs:
+    def test_gaussian_rational_point(self):
+        point = (GaussianRational(Fraction(-5, 2)), GaussianRational(-2))
+        assert on_special_set(4, *point)
+        assert multiplicity(4, *point) == multiplicity(4, "-5/2", -2)
+
+    def test_non_real_point_is_off_the_set(self):
+        assert not on_special_set(4, _gauss("-5/2", 1), -2)
+        assert not on_special_set(4, "-5/2", _gauss(-2, "1/2"))
+        assert isinstance(multiplicity(4, _gauss("-5/2", 1), -2, depth=6), dict)
+
+    @pytest.mark.parametrize("n", [4.0, Fraction(4), "4", None])
+    def test_non_integer_n(self, n):
+        with pytest.raises(DimensionMismatch):
+            build_system(n, 0, 0, 1, 4)
+        with pytest.raises(DimensionMismatch):
+            multiplicity(n, 0, 0)
+
+    @pytest.mark.parametrize("depth", [6.5, 6.0, "6", None])
+    def test_non_integer_depth(self, depth):
+        with pytest.raises(BadDepth):
+            build_system(4, 0, 0, 1, depth)
+        with pytest.raises(BadDepth):
+            multiplicity(4, 0, 0, depth=depth)

@@ -121,11 +121,14 @@ def test_eliminate_matches_reference(system):
 def test_echelon_extension_is_echelon_of_all_rows(first, second):
     rows = first[0] + second[0]
     ncols = max(first[1], second[1])
-    piv = linalg.echelon(first[0], ncols)
+    # echelon takes Z[i] rows; the Q(i) rows go through the public converter
+    first_z, second_z, rows_z = ([linalg.gaussian_ints(r) for r in part]
+                                 for part in (first[0], second[0], rows))
+    piv = linalg.echelon(first_z, ncols)
     before = dict(piv)
-    assert linalg.echelon(second[0], ncols, piv) == linalg.echelon(rows, ncols)
+    assert linalg.echelon(second_z, ncols, piv) == linalg.echelon(rows_z, ncols)
     assert piv == before
-    assert len(linalg.echelon(rows, ncols)) == len(reference_eliminate(rows, ncols)[0])
+    assert len(linalg.echelon(rows_z, ncols)) == len(reference_eliminate(rows, ncols)[0])
 
 
 @given(sparse_systems())
