@@ -2,13 +2,15 @@
 
 Subcommands: verify (run a named suite, one JSON report per line), and
 multiplicity / table / kernel for the lattice solver and kernel normal
-forms.  Exit codes: 0 all passed, 1 any failure, 2 usage error.
+forms.  Exit codes: 0 all passed, 1 any failure, 2 usage error, 141
+(128 + SIGPIPE) when the reader closed the output pipe early.
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 
@@ -317,7 +319,21 @@ def main(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.fn(args, out)
+    try:
+        rc = args.fn(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader is gone (`sbolab ... | head -1`): what is still buffered
+        # goes to devnull, so that the flush at exit raises nothing either
+        try:
+            fd = out.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
+    return rc
 
 
 if __name__ == "__main__":

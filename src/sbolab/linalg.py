@@ -205,38 +205,43 @@ def solve_in_span(columns, target):
     columns and target are dicts key->GaussianRational over an arbitrary key
     space.  Returns the coefficient list, or None if the system is
     inconsistent.  Raises ValueError if the solution is not unique.
+
+    The echelon grows one row (key) at a time only until every coefficient
+    column has a pivot; the solution is then checked on the remaining rows
+    by substitution.  A system that never reaches full rank is decided by
+    its full echelon.
     """
-    keys = {}
-    for col in columns:
-        for k in col:
-            keys.setdefault(k, len(keys))
-    for k in target:
-        keys.setdefault(k, len(keys))
     m = len(columns)
-    rows = []
-    for k, ridx in keys.items():
-        row = {}
-        for j, col in enumerate(columns):
-            v = col.get(k)
-            if v is not None and not v.is_zero():
-                row[j] = v
-        t = target.get(k)
-        if t is not None and not t.is_zero():
-            row[m] = t
+    # one row per key, in order of first appearance; the target is column m
+    keys = iter(dict.fromkeys(k for col in (*columns, target) for k in col))
+    end = object()
+    piv = {}
+    while len(piv) < m:
+        k = next(keys, end)
+        if k is end:
+            raise ValueError("solution not unique: rank %d < %d" % (len(piv), m))
+        row = {j: v for j, v in enumerate([col.get(k) for col in columns]
+                                          + [target.get(k)])
+               if v is not None and not v.is_zero()}
         if row:
-            rows.append(row)
-    pivots, prows = eliminate(rows, m + 1)
-    if m in pivots:
-        return None  # inconsistent
-    if len(pivots) < m:
-        raise ValueError("solution not unique: rank %d < %d" % (len(pivots), m))
-    # back substitution: columns are 0..m-1 pivots in order
+            piv = echelon([gaussian_ints(row)], m + 1, piv)
+            if m in piv:
+                return None  # inconsistent
+    # back substitution: the pivots are the columns 0..m-1
     sol = [ZERO] * m
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        acc = prows[i].get(m, ZERO)
-        for cc, v in prows[i].items():
+    for c in range(m - 1, -1, -1):
+        prow = _to_rationals(piv[c], c)
+        acc = prow.get(m, ZERO)
+        for cc, v in prow.items():
             if cc != m and cc != c:
                 acc = acc - v * sol[cc]
         sol[c] = acc
+    for k in keys:
+        acc = -target.get(k, ZERO)
+        for col, c in zip(columns, sol):
+            v = col.get(k)
+            if v is not None:
+                acc = acc + v * c
+        if not acc.is_zero():
+            return None  # inconsistent
     return sol

@@ -450,31 +450,42 @@ def fischer_split(phi):
     return sorted(comps.items())
 
 
-def mult_coordinate_split(phi, k):
+def mult_coordinate_split(phi, k, moves=(1, 0, -1)):
     """Split x_k * phi = phi_plus - zeta(x) phi_zero + |x|^2 phi_minus.
 
     phi must be homogeneous monogenic; the three components are returned as
     (phi_plus, phi_zero, phi_minus), each monogenic by the closed formulas.
+    Only the components whose degree move (+1, 0, -1 respectively) is in
+    moves, a non-empty subset of {1, 0, -1}, are built; the others are None.
     """
     if not phi.is_homogeneous():
         raise NotMonogenic("input not homogeneous")
     if not dirac(phi).is_zero():
         raise NotMonogenic("input not monogenic")
+    try:
+        want = frozenset(moves)
+    except TypeError:
+        want = frozenset()
+    if not want or not want <= {1, 0, -1}:
+        raise ValueError("moves must be a non-empty subset of {1, 0, -1}, got %r"
+                         % (moves,))
     n = phi.nvars
     i = max(phi.degree(), 0)
-    xk = tuple(1 if t == k - 1 else 0 for t in range(n))
-    xphi = phi.mul_monomial(xk)
-    ek_phi = phi.apply_e(k)
     dphi = phi.diff(k)
     inv_ni = GaussianRational(Fraction(1, n + 2 * i))
-    plus = xphi + (ek_phi.zeta_x() - dphi.norm2_mul()).scale(inv_ni)
-    if dphi.is_zero():
-        zero = ek_phi.scale(inv_ni)
-        minus = phi._zero_like()
-    else:
-        inv_nm = GaussianRational(Fraction(1, n + 2 * i - 2))
-        zero = (ek_phi - dphi.zeta_x().scale(GaussianRational(Fraction(2, n + 2 * i - 2)))).scale(inv_ni)
-        minus = dphi.scale(inv_nm)
+    plus = zero = minus = None
+    if want & {1, 0}:
+        ek_phi = phi.apply_e(k)
+    if 1 in want:
+        xk = tuple(1 if t == k - 1 else 0 for t in range(n))
+        plus = phi.mul_monomial(xk) + (ek_phi.zeta_x() - dphi.norm2_mul()).scale(inv_ni)
+    # dphi == 0 also covers n + 2i - 2 == 0 (n = 2, i = 0)
+    if 0 in want:
+        zero = ek_phi if dphi.is_zero() else \
+            ek_phi - dphi.zeta_x().scale(GaussianRational(Fraction(2, n + 2 * i - 2)))
+        zero = zero.scale(inv_ni)
+    if -1 in want:
+        minus = dphi if dphi.is_zero() else dphi.scale(GaussianRational(Fraction(1, n + 2 * i - 2)))
     return plus, zero, minus
 
 
@@ -630,24 +641,23 @@ def lambda_constant(n, alpha, alphap, beta, betap):
     return val
 
 
-def _omega_components(phi, k, kind):
+def _omega_components(phi, k, kind, moves):
     """E'(beta')-components of multiplication by x_k on a sphere K-type element.
 
     kind 'plain' (element psi), 'xz' (element zeta(x) psi) or 'mixed'
-    (element psi + zeta(x) gamma(psi)); returns {move: (kind, rep)} with move
-    in {+1, 0, -1} for the target degree j + move.
+    (element psi + zeta(x) gamma(psi)); returns {move: (kind, rep)} for each
+    move in moves, a subset of {+1, 0, -1}, for the target degree j + move.
     """
+    # the zeta(x) factor of the 0 component swaps the plain and xz kinds
+    flipped = {"plain": "xz", "xz": "plain", "mixed": "mixed"}.get(kind)
+    if flipped is None:
+        raise ValueError(kind)
     # on the unit sphere x_k phi = phi_plus - zeta(x) phi_zero + phi_minus
-    plus, zero, minus = mult_coordinate_split(phi, k)
-    if kind == "plain":
-        return {1: ("plain", plus), 0: ("xz", zero.scale(GaussianRational(-1))),
-                -1: ("plain", minus)}
-    if kind == "xz":
-        return {1: ("xz", plus), 0: ("plain", zero), -1: ("xz", minus)}
-    if kind == "mixed":
-        return {1: ("mixed", plus), 0: ("mixed", zero.gamma_twist().scale(GaussianRational(-1))),
-                -1: ("mixed", minus)}
-    raise ValueError(kind)
+    plus, zero, minus = mult_coordinate_split(phi, k, moves)
+    if zero is not None and kind != "xz":
+        zero = (zero.gamma_twist() if kind == "mixed" else zero).scale(GaussianRational(-1))
+    comps = {1: (kind, plus), 0: (flipped, zero), -1: (kind, minus)}
+    return {mv: comps[mv] for mv in moves}
 
 
 @lru_cache(maxsize=256)
@@ -698,8 +708,9 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
                 Psi, lhs_kind = branch_embed(n, j, i, phi).gamma_twist(), "mixed"
                 omega_kind = "xz"
         for k in range(1, n + 1):
-            lhs_kind_b, lhs_rep = _omega_components(Psi, k, lhs_kind)[lhs_move]
-            src_comps = _omega_components(phi, k, omega_kind)
+            lhs_kind_b, lhs_rep = _omega_components(Psi, k, lhs_kind,
+                                                    (lhs_move,))[lhs_move]
+            src_comps = _omega_components(phi, k, omega_kind, cand_moves)
             for mvq in cand_moves:
                 comp_kind, rep = src_comps[mvq]
                 cand = embed_candidate(j + mvq, ib_target, comp_kind, rep)

@@ -1,7 +1,10 @@
 import contextlib
+import fcntl
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from sbolab import cli, kernelcalc
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
 
 
 def run(argv):
@@ -128,6 +133,42 @@ class TestUsageErrors:
         assert rc == 2 and text == ""
         assert err.endswith("\n") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestClosedPipe:
+    """A reader that goes away early ends the run with 141 (128 + SIGPIPE),
+    quietly: never exit 1, which means a failed check."""
+
+    def test_write_raises(self, capsys):
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+        assert cli.main(["verify", "gegenbauer", "--max-deg", "2"],
+                        out=Closed()) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_closed_after_first_line(self):
+        read_fd, write_fd = os.pipe()
+        # a one-page pipe: the report (about 9.7 kB) cannot fit, so the
+        # writer is still blocked on it when the reader closes its end
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sbolab.cli", "verify", "lambda", "--n", "3",
+             "--imax", "2"], stdout=write_fd, stderr=subprocess.PIPE, env=env)
+        os.close(write_fd)
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = os.read(read_fd, 1)
+            if not byte:
+                break
+            line += byte
+        os.close(read_fd)
+        _, err = proc.communicate(timeout=120)
+        assert json.loads(line)["check"] == "lambda"
+        assert proc.returncode == 141
+        assert err == b""
 
 
 class TestEdgeCases:

@@ -1,8 +1,11 @@
 import pytest
 
-from sbolab.paramfield import ParamScalar, PS_I
+from sbolab import monogenics as mg
+from sbolab.paramfield import GaussianRational, ParamScalar, PS_I
 from sbolab.monogenics import (lambda_constant, lambda_constant_bruteforce,
                                NotAdjacent, ZeroMap, MultiplicityViolation)
+
+from test_linalg import reference_solve_in_span
 
 
 def frac(a, b=1):
@@ -85,3 +88,132 @@ class TestBruteForceAgreement:
         v = lambda_constant_bruteforce(4, (1, 1), 1, (1, -1), 1)
         assert v == lambda_constant(4, (1, 1), 1, (1, -1), 1)
         assert v != frac(1, 2)
+
+
+# -- the block that builds every split component, the oracle for the one
+# -- that builds only the components its solve reads ----------------------
+
+def reference_omega_components(phi, k, kind):
+    """All three E'(beta')-components of x_k on a sphere K-type element."""
+    plus, zero, minus = mg.mult_coordinate_split(phi, k)
+    if kind == "plain":
+        return {1: ("plain", plus), 0: ("xz", zero.scale(GaussianRational(-1))),
+                -1: ("plain", minus)}
+    if kind == "xz":
+        return {1: ("xz", plus), 0: ("plain", zero), -1: ("xz", minus)}
+    if kind == "mixed":
+        return {1: ("mixed", plus), 0: ("mixed", zero.gamma_twist().scale(GaussianRational(-1))),
+                -1: ("mixed", minus)}
+    raise ValueError(kind)
+
+
+def reference_bruteforce_block(n, alpha, alphap, beta, max_basis):
+    """monogenics._bruteforce_block with every split component built and the
+    system solved by full elimination; {move: value}."""
+    i, si = mg._split_label(alpha)
+    j, sj = mg._split_label(alphap)
+    even = n % 2 == 0
+    basis = mg.monogenic_basis(n, j)
+    if max_basis is not None:
+        basis = basis[:max_basis]
+    if not basis:
+        raise ZeroMap("empty source K-type")
+    sib_target = mg._split_label(beta)[1]
+    ib_target = mg._split_label(beta)[0]
+    lhs_move = mg._adjacent_move(alpha, beta)[0]
+
+    def embed_candidate(jp, ipb, kind, rep):
+        """S_{beta,beta'} applied to an omega'-component rep."""
+        if rep.is_zero() or jp > ipb:
+            return None
+        if even:
+            # target sign decides whether the x-factor (and gamma twist) is used
+            if sib_target == 1:
+                return ("plain", mg.branch_embed(n, jp, ipb, rep))
+            return ("xz", mg.branch_embed(n, jp, ipb, rep.gamma_twist()))
+        if kind == "plain":
+            return ("mixed", mg.branch_embed(n, jp, ipb, rep))
+        return ("mixed", mg.branch_embed(n, jp, ipb, rep).gamma_twist())
+
+    target = {}
+    cand_moves = [mvq for mvq in (1, 0, -1) if 0 <= j + mvq <= ib_target]
+    col_vecs = {mvq: {} for mvq in cand_moves}
+    sample_idx = 0
+    for phi in basis:
+        if even:
+            # alpha = (i,+): Psi = I(phi); (i,-): Psi = I(gamma phi), xz kind
+            if si == 1:
+                Psi, lhs_kind = mg.branch_embed(n, j, i, phi), "plain"
+            else:
+                Psi, lhs_kind = mg.branch_embed(n, j, i, phi.gamma_twist()), "xz"
+            omega_kind = "mixed"
+        else:
+            if sj == 1:
+                Psi, lhs_kind = mg.branch_embed(n, j, i, phi), "mixed"
+                omega_kind = "plain"
+            else:
+                Psi, lhs_kind = mg.branch_embed(n, j, i, phi).gamma_twist(), "mixed"
+                omega_kind = "xz"
+        for k in range(1, n + 1):
+            lhs_kind_b, lhs_rep = reference_omega_components(Psi, k, lhs_kind)[lhs_move]
+            src_comps = reference_omega_components(phi, k, omega_kind)
+            for mvq in cand_moves:
+                comp_kind, rep = src_comps[mvq]
+                cand = embed_candidate(j + mvq, ib_target, comp_kind, rep)
+                if cand is not None:
+                    ck, cpoly = cand
+                    if ck != lhs_kind_b:
+                        raise MultiplicityViolation(
+                            "component kinds disagree: %s vs %s" % (ck, lhs_kind_b))
+                    for key, v in cpoly.vec().items():
+                        col_vecs[mvq][(sample_idx, key)] = v
+            for key, v in lhs_rep.vec().items():
+                target[(sample_idx, key)] = v
+            sample_idx += 1
+
+    live = [mvq for mvq in cand_moves if col_vecs[mvq]]
+    if not live:
+        raise ZeroMap("comparison map vanishes on the spanning set")
+    try:
+        sol = reference_solve_in_span([col_vecs[mvq] for mvq in live], target)
+    except ValueError as exc:
+        raise ZeroMap(str(exc))
+    if sol is None:
+        raise MultiplicityViolation(
+            "sides are not proportional for %r -> %r" % ((alpha, alphap), beta))
+    return {mvq: sol[t] for t, mvq in enumerate(live)}
+
+
+def criterion_3_blocks(n, imax, max_basis):
+    """The (n, alpha, alphap, beta, max_basis) blocks criterion 3 solves for
+    i <= imax: those with at least one adjacent betap."""
+    blocks = []
+    for i in range(imax + 1):
+        for j in range(i + 1):
+            for sa in (1, -1):
+                for alpha, alphap, beta, betap in adjacent_quadruples(n, i, j, sa):
+                    try:
+                        mg._validate_pair(n, alpha, alphap, beta, betap)
+                    except NotAdjacent:
+                        continue
+                    block = (n, alpha, alphap, beta, max_basis)
+                    if block not in blocks:
+                        blocks.append(block)
+    return blocks
+
+
+def _block_outcome(solve, block):
+    try:
+        return solve(*block)
+    except (ZeroMap, MultiplicityViolation) as exc:
+        return type(exc)
+
+
+def test_block_matches_full_split_oracle():
+    blocks = (criterion_3_blocks(3, 2, None) + criterion_3_blocks(4, 2, None)
+              + criterion_3_blocks(5, 1, 6) + criterion_3_blocks(6, 1, 4))
+    assert len(blocks) == 100
+    for block in blocks:
+        # __wrapped__: past the cache, so this block is solved here
+        got = _block_outcome(mg._bruteforce_block.__wrapped__, block)
+        assert got == _block_outcome(reference_bruteforce_block, block), block

@@ -97,6 +97,45 @@ def sparse_systems(draw):
     return rows, ncols
 
 
+def reference_solve_in_span(columns, target):
+    """linalg.solve_in_span by full elimination of every row before the
+    solve: the oracle for the solve that stops at full rank."""
+    keys = {}
+    for col in columns:
+        for k in col:
+            keys.setdefault(k, len(keys))
+    for k in target:
+        keys.setdefault(k, len(keys))
+    m = len(columns)
+    rows = []
+    for k, ridx in keys.items():
+        row = {}
+        for j, col in enumerate(columns):
+            v = col.get(k)
+            if v is not None and not v.is_zero():
+                row[j] = v
+        t = target.get(k)
+        if t is not None and not t.is_zero():
+            row[m] = t
+        if row:
+            rows.append(row)
+    pivots, prows = linalg.eliminate(rows, m + 1)
+    if m in pivots:
+        return None  # inconsistent
+    if len(pivots) < m:
+        raise ValueError("solution not unique: rank %d < %d" % (len(pivots), m))
+    # back substitution: columns are 0..m-1 pivots in order
+    sol = [ZERO] * m
+    for i in range(len(pivots) - 1, -1, -1):
+        c = pivots[i]
+        acc = prows[i].get(m, ZERO)
+        for cc, v in prows[i].items():
+            if cc != m and cc != c:
+                acc = acc - v * sol[cc]
+        sol[c] = acc
+    return sol
+
+
 def _dot(row, vec):
     acc = ZERO
     for c, v in row.items():
@@ -166,6 +205,67 @@ def test_solve_in_span_roundtrip(system, coeffs):
 def test_solve_in_span_inconsistent():
     one = GaussianRational(1)
     assert linalg.solve_in_span([{"a": one}], {"b": one}) is None
+
+
+@st.composite
+def span_systems(draw):
+    """(columns, target) with at most 3 columns over a few keys: the target
+    a combination of the columns, possibly perturbed at one key, and some
+    columns combinations of others, so that consistent, inconsistent and
+    rank-deficient systems all occur, with non-real entries."""
+    entries = draw(st.sampled_from([reals, gaussians]))
+    keys = draw(st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=8,
+                         unique=True))
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        if columns and draw(st.integers(0, 3)) == 0:
+            a, b = draw(entries), draw(entries)
+            other = draw(st.sampled_from(columns))
+            col = {k: a * columns[-1].get(k, ZERO) + b * other.get(k, ZERO)
+                   for k in keys}
+        else:
+            col = {k: draw(entries) for k in draw(st.lists(
+                st.sampled_from(keys), unique=True, min_size=1,
+                max_size=len(keys)))}
+        columns.append({k: v for k, v in col.items() if not v.is_zero()})
+    target = {}
+    for col in columns:
+        a = draw(entries)
+        for k, v in col.items():
+            target[k] = target.get(k, ZERO) + a * v
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(keys))
+        target[k] = target.get(k, ZERO) + draw(entries)
+    return columns, {k: v for k, v in target.items() if not v.is_zero()}
+
+
+def _solve_outcome(solve, columns, target):
+    try:
+        return solve(columns, target)
+    except ValueError:
+        return ValueError
+
+
+@given(span_systems())
+@settings(max_examples=100, deadline=None)
+def test_solve_in_span_matches_full_elimination(system):
+    columns, target = system
+    assert _solve_outcome(linalg.solve_in_span, columns, target) == \
+        _solve_outcome(reference_solve_in_span, columns, target)
+
+
+@pytest.mark.parametrize("columns,target", [
+    # rows a and c pin (2, 4); the last row, b, asks for x_1 = 3
+    ([{"a": ONE, "c": ONE}, {"b": ONE, "c": ONE}],
+     {"a": GaussianRational(2), "b": GaussianRational(3),
+      "c": GaussianRational(6)}),
+    # full rank on the first two rows; the last row is the target alone
+    ([{"a": ONE}, {"b": GaussianRational(0, 1)}],
+     {"a": ONE, "b": ONE, "z": GaussianRational(1, 1)}),
+])
+def test_solve_in_span_checks_rows_after_full_rank(columns, target):
+    assert reference_solve_in_span(columns, target) is None
+    assert linalg.solve_in_span(columns, target) is None
 
 
 @pytest.mark.parametrize("n,lam0,nu0,sign", [

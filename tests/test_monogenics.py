@@ -356,6 +356,11 @@ class TestFischer:
             fischer_split(phi)
 
 
+# every non-empty subset of the moves, in several orders
+SPLIT_MOVES = [(1,), (0,), (-1,), (1, 0), (0, -1), (-1, 1), (-1, 0, 1),
+               (1, 0, -1)]
+
+
 class TestCoordinateSplit:
     def test_degree_zero_formulas(self):
         for n in (2, 3, 4):
@@ -384,6 +389,39 @@ class TestCoordinateSplit:
         bad = const_poly(2, s).mul_monomial((1, 0))  # x_1 s is not monogenic
         with pytest.raises(NotMonogenic):
             mult_coordinate_split(bad, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_requested_components_only(self, n):
+        # the brute force splits basis elements and their embeddings
+        imax = 2 if n <= 4 else 1
+        inputs = []
+        for i in range(imax + 1):
+            basis = monogenic_basis(n, i)[:2]
+            inputs += basis
+            inputs += [branch_embed(n, i, imax, phi) for phi in basis]
+        for phi in inputs:
+            for k in range(1, phi.nvars + 1):
+                full = mult_coordinate_split(phi, k)
+                for moves in SPLIT_MOVES:
+                    got = mult_coordinate_split(phi, k, moves)
+                    for mv, g, f in zip((1, 0, -1), got, full):
+                        assert g == (f if mv in moves else None), (mv, moves)
+
+    @pytest.mark.parametrize("moves", [(), [], (2,), (1, 2), (0, -2), "10",
+                                       None, 1, [[1]]])
+    def test_bad_moves(self, moves):
+        c = const_poly(3, Spinor.basis(1, 0))
+        with pytest.raises(ValueError, match="moves"):
+            mult_coordinate_split(c, 1, moves)
+
+    @pytest.mark.parametrize("moves", SPLIT_MOVES + [(), (2,)])
+    def test_precondition_checked_for_any_moves(self, moves):
+        s = Spinor.basis(1, 0)
+        inhomogeneous = SpinorPolynomial(2, 2, "+", {(0, 0): s, (1, 0): s})
+        not_monogenic = const_poly(2, s).mul_monomial((1, 0))
+        for bad in (inhomogeneous, not_monogenic):
+            with pytest.raises(NotMonogenic):
+                mult_coordinate_split(bad, 1, moves)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_split_and_embedding_reject_non_monogenic(self, n):
