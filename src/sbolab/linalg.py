@@ -3,7 +3,11 @@
 Rows are dicts column->GaussianRational; no floating point anywhere.
 Elimination is fraction-free and done once, in `echelon`, on primitive
 rows of Gaussian integers stored as (re, im) pairs of ints: a row is
-reduced by r <- p*r - f*pivot and divided by its content.  `gaussian_ints`
+reduced by r <- p*r - f*pivot and divided by its content.  The pivot of a
+column is the shortest row holding it (Markowitz's rule, which limits
+fill), so a redundant row is reduced few times before it vanishes; the
+columns are taken in order, so the pivot columns and the reduced echelon
+form do not depend on which row is chosen.  `gaussian_ints`
 turns a Q(i) row into such a row; `eliminate`, `rank` and `nullspace` take
 Q(i) rows and convert them, while a caller that builds its rows in Z[i]
 passes them to `echelon` directly.  A rank is the number of pivots; only a
@@ -118,27 +122,35 @@ def echelon(rows, ncols, piv=None):
 
     rows is an iterable of primitive Z[i] rows {col: (re, im)}, as made by
     `gaussian_ints`; empty rows are skipped, none is modified.  Returns {pivot
-    column: primitive Z[i] row}.  The pivot for a column is the first
-    remaining row that holds it.  Given piv, the echelon of earlier rows,
-    the new rows are first reduced against its pivots and then extend it,
-    so the result is the echelon of the earlier rows followed by the new
-    ones; piv itself is left as it was.
+    column: primitive Z[i] row}.  The remaining rows wait in queues keyed by
+    their leading column, so the queue of a column holds every row that
+    still has an entry there.  Its pivot is the shortest row in the queue,
+    the oldest on a tie (input rows in input order, then reduced rows in the
+    order they were made); the rest are reduced against it and join the
+    queue of their new leading column.  Given piv, the echelon of earlier
+    rows, its row for a column stays that column's pivot and the new rows
+    extend it; the pivot columns, the rank and `echelon_nullspace` are then
+    those of the echelon of all rows.  piv itself is left as it was.
     """
     piv = dict(piv) if piv else {}
-    work = [r for r in rows if r]
+    queue = {}
+    for r in rows:
+        if r:
+            queue.setdefault(min(r), []).append(r)
     for col in range(ncols):
-        if not work:
+        if not queue:
             break
+        work = queue.pop(col, None)
+        if not work:
+            continue
         row = piv.get(col)
         if row is None:
-            for idx, r in enumerate(work):
-                if col in r:
-                    row = piv[col] = work.pop(idx)
-                    break
-            else:
-                continue
-        work = [r if col not in r else _reduce(r, row, col) for r in work]
-        work = [r for r in work if r is not None]
+            row = piv[col] = work.pop(min(range(len(work)),
+                                          key=lambda k: len(work[k])))
+        for r in work:
+            r = _reduce(r, row, col)
+            if r is not None:
+                queue.setdefault(min(r), []).append(r)
     return piv
 
 

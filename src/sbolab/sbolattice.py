@@ -11,10 +11,8 @@ vanishing patterns that select quotients and subrepresentations.
 from fractions import Fraction
 from math import gcd
 
-from .paramfield import (GaussianRational, ParamScalar, rat, PS_LAM, PS_NU,
-                         PS_I, evaluate, _gr)
+from .paramfield import GaussianRational, rat, _gr
 from .cliffspin import DimensionMismatch
-from .monogenics import lambda_constant, NotAdjacent, _split_label, _adjacent_move
 from . import linalg
 
 
@@ -32,98 +30,6 @@ def rho(n):
 
 def rho_h(n):
     return Fraction(n - 1, 2)
-
-
-def casimir_difference(n, alpha, beta, primed=False):
-    """Casimir eigenvalue difference sigma_beta - sigma_alpha for one move.
-
-    The primed variant is the same table one dimension down (the subgroup's
-    K-types).
-    """
-    mv = _adjacent_move(alpha, beta)
-    if mv is None:
-        raise NotAdjacent("labels %r, %r are not adjacent" % (alpha, beta))
-    i = _split_label(alpha)[0]
-    dim = n - 1 if primed else n
-    if mv[0] == 1:
-        return 2 * i + dim + 1
-    if mv[0] == -1:
-        return -2 * i - dim + 1
-    return 0
-
-
-def general_identity_instance(n, alpha, alphap, betap):
-    """One instance of the general scalar identity, with symbolic lam, nu.
-
-    Returns {label: ParamScalar} representing sum_label coeff * t_label = 0,
-    where label = (alpha, alphap) for the left side and (beta, betap) for
-    every adjacent beta containing betap.
-    """
-    mvp = _adjacent_move(alphap, betap)
-    if mvp is None:
-        raise NotAdjacent("alphap and betap are not adjacent")
-    i, si = _split_label(alpha)
-    jp, sjp = _split_label(betap)
-    out = {}
-    lhs = (PS_NU * 2 + ParamScalar.coerce(casimir_difference(n, alphap, betap,
-                                                             primed=True)))
-    out[(alpha, alphap)] = lhs
-    if n % 2 == 0:
-        betas = [(i + 1, si), (i, -si), (i - 1, si)]
-    else:
-        betas = [i + 1, i, i - 1]
-    for beta in betas:
-        ib = _split_label(beta)[0]
-        if ib < 0 or jp > ib:
-            continue
-        try:
-            lam = lambda_constant(n, alpha, alphap, beta, betap)
-        except NotAdjacent:
-            continue
-        coeff = lam * (PS_LAM * 2 + ParamScalar.coerce(
-            casimir_difference(n, alpha, beta)))
-        key = (beta, betap)
-        out[key] = out.get(key, ParamScalar.coerce(0)) - coeff
-    return out
-
-
-def scalar_identity_display(n, i, j, which, sign):
-    """The three displayed t-coefficient identities for even n, as printed.
-
-    which is 1, 2 or 3 (target degree j+1, j or j-1); sign is the +-1 carried
-    by alpha = (i, sign).  Returned as {label: ParamScalar} with the same
-    normalization as the printed displays (denominators cleared).
-    """
-    if n % 2:
-        raise NotAdjacent("displays are stated for even n")
-    s = sign
-    L, N = PS_LAM, PS_NU
-    c = ParamScalar.coerce
-    r, rh = rat(n) / 2, rat(n - 1) / 2
-    lam_up = L + c(rat(r) + rat("1/2") + i)
-    lam_dn = L - c(rat(r) - rat("1/2") + i)
-    out = {}
-    if which == 1:
-        out[((i, s), j)] = c((n + 2 * i - 1) * (n + 2 * i + 1)) * \
-            (N + c(rat(rh) + rat("1/2") + j))
-        out[((i + 1, s), j + 1)] = -c((n + 2 * i - 1) * (n + 2 * j - 1)) * lam_up
-        out[((i, -s), j + 1)] = -c(2 * (n + 2 * j - 1) * s) * PS_I * L
-        out[((i - 1, s), j + 1)] = c((n + 2 * i + 1) * (n + 2 * j - 1)) * lam_dn
-    elif which == 2:
-        out[((i, s), j)] = c((n + 2 * i - 1) * (n + 2 * i + 1)) * N
-        out[((i + 1, s), j)] = c((i - j + 1) * (n + 2 * i - 1) * s) * PS_I * lam_up
-        out[((i, -s), j)] = -c((n + 2 * i) * (n + 2 * j - 1)) * L
-        out[((i - 1, s), j)] = -c((n + 2 * i + 1) * (n + i + j - 1) * s) * PS_I * lam_dn
-    elif which == 3:
-        out[((i, s), j)] = c((n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3)) * \
-            (N - c(rat(rh) - rat("1/2") + j))
-        out[((i + 1, s), j - 1)] = c((i - j + 1) * (i - j + 2) * (n + 2 * i - 1)) * lam_up
-        out[((i, -s), j - 1)] = -c(2 * (i - j + 1) * (n + i + j - 1) * s) * PS_I * L
-        out[((i - 1, s), j - 1)] = -c((n + 2 * i + 1) * (n + i + j - 2) * (n + i + j - 1)) * lam_dn
-    else:
-        raise ValueError("which must be 1, 2 or 3")
-    return {k: v for k, v in out.items()
-            if not v.is_zero() and 0 <= k[1] <= k[0][0]}
 
 
 # -- the sector systems ---------------------------------------------------------
@@ -386,58 +292,3 @@ def expected_composition(i, j, parity):
     if 0 <= j <= i and (i + j) % 2 == parity % 2:
         return {"FF": 1, "FT": 0, "TF": 0, "TT": 1}
     return {"FF": 0, "FT": 0, "TF": 1, "TT": 0}
-
-
-# -- consistency with the t-coefficient system ----------------------------------
-
-def build_t_system(n, lam0, nu0, depth):
-    """The untwisted system in the doubled unknowns t_{alpha,alphap}.
-
-    Used to cross-check that the sector reduction preserves total dimension.
-    """
-    lam0 = GaussianRational.coerce(rat(lam0))
-    nu0 = GaussianRational.coerce(rat(nu0))
-    idx = {}
-    even = n % 2 == 0
-    for i in range(depth + 1):
-        for j in range(i + 1):
-            for s in (1, -1):
-                lbl = ((i, s), j) if even else (i, (j, s))
-                idx[lbl] = len(idx)
-    rows = []
-    for i in range(depth):
-        for j in range(i + 1):
-            for s in (1, -1):
-                alpha, alphap = ((i, s), j) if even else (i, (j, s))
-                for dj in (1, 0, -1):
-                    if even:
-                        betaps = [j + dj] if dj else [j]
-                    else:
-                        betaps = [(j + dj, s)] if dj else [(j, -s)]
-                    for betap in betaps:
-                        jb = _split_label(betap)[0]
-                        if jb < 0:
-                            continue
-                        try:
-                            con = general_identity_instance(n, alpha, alphap, betap)
-                        except NotAdjacent:
-                            continue
-                        row = {}
-                        for lbl, coeff in con.items():
-                            kb, lb = _split_label(lbl[0])[0], _split_label(lbl[1])[0]
-                            if not (0 <= lb <= kb):
-                                continue
-                            if kb > depth:
-                                row = None
-                                break
-                            v = evaluate(coeff, lam0, nu0)
-                            if not v.is_zero():
-                                row[idx[lbl]] = v
-                        if row:
-                            rows.append(row)
-    return rows, len(idx)
-
-
-def t_system_dimension(n, lam0, nu0, depth):
-    rows, ncols = build_t_system(n, lam0, nu0, depth)
-    return len(linalg.nullspace(rows, ncols))
