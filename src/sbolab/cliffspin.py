@@ -8,7 +8,7 @@ with basis indexed by bitmasks over {1..m}.
 
 from functools import lru_cache
 
-from .paramfield import GaussianRational, ZERO, ONE, I, _times_i_power
+from .paramfield import GaussianRational, ZERO, ONE, I, _times_i_power, _acc
 from . import linalg
 
 
@@ -32,13 +32,8 @@ class CliffordElt:
     def __init__(self, n, coeffs=None, p=None):
         self.n = n
         self.p = n if p is None else p
-        c = {}
-        if coeffs:
-            for m, v in coeffs.items():
-                v = GaussianRational.coerce(v)
-                if not v.is_zero():
-                    c[m] = v
-        self.coeffs = c
+        self.coeffs = _acc({}, ((m, GaussianRational.coerce(v))
+                                for m, v in (coeffs or {}).items()))
 
     @staticmethod
     def scalar(n, v, p=None):
@@ -64,14 +59,7 @@ class CliffordElt:
 
     def __add__(self, other):
         self._check(other)
-        c = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            s = c.get(m, ZERO) + v
-            if s.is_zero():
-                c.pop(m, None)
-            else:
-                c[m] = s
-        return CliffordElt(self.n, c, self.p)
+        return CliffordElt(self.n, _acc(dict(self.coeffs), other.coeffs.items()), self.p)
 
     def __sub__(self, other):
         return self + other.scale(GaussianRational(-1))
@@ -84,16 +72,11 @@ class CliffordElt:
         if isinstance(other, (int, GaussianRational)):
             return self.scale(other)
         self._check(other)
-        out = {}
-        for s, a in self.coeffs.items():
-            for t, b in other.coeffs.items():
-                sgn, m = _blade_mul(self.n, self.p, s, t)
-                v = out.get(m, ZERO) + a * b * sgn
-                if v.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = v
-        return CliffordElt(self.n, out, self.p)
+        n, p = self.n, self.p
+        return CliffordElt(n, _acc({}, ((m, a * b * sgn)
+                                        for s, a in self.coeffs.items()
+                                        for t, b in other.coeffs.items()
+                                        for sgn, m in [_blade_mul(n, p, s, t)])), p)
 
     __rmul__ = scale
 
@@ -207,13 +190,8 @@ class Spinor:
 
     def __init__(self, m, coeffs=None):
         self.m = m
-        c = {}
-        if coeffs:
-            for mask, v in coeffs.items():
-                v = GaussianRational.coerce(v)
-                if not v.is_zero():
-                    c[mask] = v
-        self.coeffs = c
+        self.coeffs = _acc({}, ((mask, GaussianRational.coerce(v))
+                                for mask, v in (coeffs or {}).items()))
 
     @staticmethod
     def basis(m, mask):
@@ -222,14 +200,7 @@ class Spinor:
     def __add__(self, other):
         if self.m != other.m:
             raise DimensionMismatch("spinor spaces differ")
-        c = dict(self.coeffs)
-        for mask, v in other.coeffs.items():
-            s = c.get(mask, ZERO) + v
-            if s.is_zero():
-                c.pop(mask, None)
-            else:
-                c[mask] = s
-        return Spinor(self.m, c)
+        return _spinor(self.m, _acc(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other):
         return self + other.scale(GaussianRational(-1))
@@ -373,61 +344,30 @@ class SpinMap:
     def __init__(self, src_dim, dst_dim, entries=None):
         self.src_dim = src_dim
         self.dst_dim = dst_dim
-        e = {}
-        if entries:
-            for k, v in entries.items():
-                v = GaussianRational.coerce(v)
-                if not v.is_zero():
-                    e[k] = v
-        self.entries = e
+        self.entries = _acc({}, ((k, GaussianRational.coerce(v))
+                                 for k, v in (entries or {}).items()))
 
     @staticmethod
     def identity(dim):
         return SpinMap(dim, dim, {(i, i): ONE for i in range(dim)})
 
     def apply_spinor(self, s):
-        out = {}
-        for (r, c), v in self.entries.items():
-            x = s.coeffs.get(c)
-            if x is None:
-                continue
-            acc = out.get(r, ZERO) + v * x
-            if acc.is_zero():
-                out.pop(r, None)
-            else:
-                out[r] = acc
-        m = self.dst_dim.bit_length() - 1
-        return Spinor(m, out)
+        x = s.coeffs
+        return _spinor(self.dst_dim.bit_length() - 1,
+                       _acc({}, ((r, v * x[c]) for (r, c), v in self.entries.items()
+                                 if c in x)))
 
     def compose(self, other):
         """self o other."""
         if other.dst_dim != self.src_dim:
             raise DimensionMismatch("composition shapes differ")
-        bycol = {}
-        for (r, c), v in other.entries.items():
-            bycol.setdefault(r, []).append((c, v))
-        out = {}
-        for (r, c), v in self.entries.items():
-            for cc, w in bycol.get(c, ()):
-                key = (r, cc)
-                acc = out.get(key, ZERO) + v * w
-                if acc.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return SpinMap(other.src_dim, self.dst_dim, out)
+        return SpinMap(other.src_dim, self.dst_dim, _matmul(self.entries, other.entries))
 
     def __add__(self, other):
         if (self.src_dim, self.dst_dim) != (other.src_dim, other.dst_dim):
             raise DimensionMismatch("shapes differ")
-        e = dict(self.entries)
-        for k, v in other.entries.items():
-            s = e.get(k, ZERO) + v
-            if s.is_zero():
-                e.pop(k, None)
-            else:
-                e[k] = s
-        return SpinMap(self.src_dim, self.dst_dim, e)
+        return SpinMap(self.src_dim, self.dst_dim,
+                       _acc(dict(self.entries), other.entries.items()))
 
     def __sub__(self, other):
         return self + other.scale(GaussianRational(-1))
@@ -454,6 +394,16 @@ class SpinMap:
     def __repr__(self):
         return "SpinMap(%d->%d, %d entries)" % (self.src_dim, self.dst_dim,
                                                 len(self.entries))
+
+
+def _matmul(a, b):
+    """Product of sparse matrices {(row, col): entry}; the entries may be
+    Gaussian rationals or ParamScalars, mixed in either factor."""
+    rows_b = {}
+    for (r, c), y in b.items():
+        rows_b.setdefault(r, []).append((c, y))
+    return _acc({}, (((r, cc), x * y) for (r, c), x in a.items()
+                     for cc, y in rows_b.get(c, ())))
 
 
 @lru_cache(maxsize=None)
@@ -524,12 +474,8 @@ def spin_projection_P(n):
     # twist carried by the minus embedding
     zg = zeta_matrix(n, "+", n).compose(gamma_matrix(m))
     proj = (SpinMap.identity(dim) - zg).scale(GaussianRational("1/2"))
-    entries = {}
-    for (r, c), v in proj.entries.items():
-        if not (r & top):
-            sgn = GaussianRational(-1 if bin(r).count("1") & 1 else 1)
-            entries[(r, c)] = entries.get((r, c), ZERO) + v * sgn
-    return SpinMap(dim, small, {k: v for k, v in entries.items() if not v.is_zero()})
+    return SpinMap(dim, small, {(r, c): -v if bin(r).count("1") & 1 else v
+                                for (r, c), v in proj.entries.items() if not r & top})
 
 
 def check_proj_independence(n):

@@ -17,9 +17,9 @@ equality of kernels is decidable by structural comparison.
 """
 
 from .paramfield import (GaussianRational, ParamScalar, ParamPoly, rat, PS_ONE,
-                         _ps_times_i_power)
+                         _ps_times_i_power, _acc)
 from .cliffspin import (zeta_matrix, spin_projection_P, spin_dim, _blade_action,
-                        _blade_lmul)
+                        _blade_lmul, _matmul)
 
 
 class BadParams(ValueError):
@@ -105,7 +105,7 @@ def _binom_affine(b, t):
     out = PS_ONE
     for s in range(t):
         out = out * ((b - s).as_scalar())
-    return out * ParamScalar.from_fraction(1, _fact(t))
+    return out * ParamScalar(1, _fact(t))
 
 
 def _bump(t, pos, d):
@@ -121,38 +121,12 @@ _NEG = ParamScalar.coerce(-1)
 def _put(terms, key, val, c=None):
     """Add c * val (c None for 1) to terms[key] entry by entry; an entry whose
     sum is zero is dropped, and so is a key left with no entry."""
-    acc = dict(terms.get(key, ()))
-    for b, x in val.items():
-        if c is not None:
-            x = x * c
-        s = acc.get(b)
-        x = x if s is None else s + x
-        if x.is_zero():
-            acc.pop(b, None)
-        else:
-            acc[b] = x
+    acc = _acc(dict(terms.get(key, ())),
+               val.items() if c is None else ((b, x * c) for b, x in val.items()))
     if acc:
         terms[key] = acc
     else:
         terms.pop(key, None)
-
-
-def _sum(pairs):
-    """{key: sum of x} over (key, x) pairs, zero sums dropped."""
-    out = {}
-    for k, x in pairs:
-        s = out.get(k)
-        out[k] = x if s is None else s + x
-    return {k: x for k, x in out.items() if not x.is_zero()}
-
-
-def _matmul(a, b):
-    """Product of sparse matrices {(row, col): entry}."""
-    rows_b = {}
-    for (r, c), y in b.items():
-        rows_b.setdefault(r, []).append((c, y))
-    return _sum(((r, cc), ParamScalar.coerce(x) * y)
-                for (r, c), x in a.items() for cc, y in rows_b.get(c, ()))
 
 
 def _zeta_lmul(n, gen, v):
@@ -163,18 +137,19 @@ def _zeta_lmul(n, gen, v):
 
 def blade_matrix(n, v):
     """The dense End(S_n) matrix {(row, col): x} of a blade dict v."""
-    return _sum(((row, col), _ps_times_i_power(k, x)) for b, x in v.items()
-                for col, (row, k) in enumerate(_blade_action(n, b)))
+    return _acc({}, (((row, col), _ps_times_i_power(k, x)) for b, x in v.items()
+                     for col, (row, k) in enumerate(_blade_action(n, b))))
 
 
 def _matrix_blades(n, m):
     """The blade dict of a dense End(S_n) matrix m.  The blades are
     trace-orthogonal, so the coefficient of e_S is tr(zeta_n(e_S)^-1 m)/dim;
     zeta_n(e_S) has i^k at (row, col), its inverse i^-k at (col, row)."""
-    inv = ParamScalar.from_fraction(1, spin_dim(n))
-    return _sum((b, _ps_times_i_power(-k % 4, ParamScalar.coerce(m[row, col])) * inv)
-                for b in range(1 << (n - n % 2))
-                for col, (row, k) in enumerate(_blade_action(n, b)) if (row, col) in m)
+    inv = ParamScalar(1, spin_dim(n))
+    return _acc({}, ((b, _ps_times_i_power(-k % 4, ParamScalar.coerce(m[row, col])) * inv)
+                     for b in range(1 << (n - n % 2))
+                     for col, (row, k) in enumerate(_blade_action(n, b))
+                     if (row, col) in m))
 
 
 def _raw_value(n, v):
@@ -360,7 +335,9 @@ def _shift_meta(meta, dl, dv):
 
 
 def mult_xn(K):
-    """Multiply by the last coordinate; delta layers lose one derivative."""
+    """Multiply by the last coordinate; delta layers lose one derivative.
+    The x' monomials and radial exponents stay as they are, so a normal
+    form maps to a normal form."""
     out = {}
     for key, val in K.terms.items():
         kind = key[0]
@@ -376,7 +353,7 @@ def mult_xn(K):
             if an > 0:
                 _put(out, ("P", _bump(key[1], K.n - 1, -1)), val,
                      ParamScalar.coerce(-an))
-    return K.copy_with(out, meta=_shift_meta(K.meta, 1, 0))
+    return K.copy_with(out, normalized=True, meta=_shift_meta(K.meta, 1, 0))
 
 
 def _mult_xi(K, i):
@@ -399,17 +376,19 @@ def mult_zeta(K):
     if K.row_n != n:
         raise BadParams("kernel is not left-multipliable by zeta_n(x)")
     dim = spin_dim(n)
+    # a sum of normal forms is normal
     out = {}
     for i in range(1, n + 1):
         xi = mult_xn(K) if i == n else _mult_xi(K, i)
         for key, val in xi.terms.items():
             _put(out, key, _zeta_lmul(n, i, val))
     return KernelExpr(n, (dim, dim), out,
-                      _shift_meta(K.meta, rat("1/2"), -rat("1/2")))
+                      _shift_meta(K.meta, rat("1/2"), -rat("1/2")), normalized=True)
 
 
 def mult_norm2(K):
-    """Multiply by |x|^2 = |x'|^2 + x_n^2."""
+    """Multiply by |x|^2 = |x'|^2 + x_n^2; normal forms map to normal forms,
+    as in mult_xn."""
     out = {}
     for key, val in K.terms.items():
         kind = key[0]
@@ -429,7 +408,7 @@ def mult_norm2(K):
                 if ai >= 2:
                     _put(out, ("P", _bump(alpha, i, -2)), val,
                          ParamScalar.coerce(ai * (ai - 1)))
-    return K.copy_with(out)
+    return K.copy_with(out, normalized=True)
 
 
 def project(K):
@@ -550,7 +529,7 @@ def _b_family(tag, n, k=None, form="expanded", **_):
         return KernelExpr(n, None, {("B", m, _AFF0, AffineExp(0, -1, -rho_h), mono0): tok},
                           meta)
     terms = {("B", m - 2 * t, AffineExp(0, -2, 1 - n - 2 * t), _AFF0, mono0):
-             tok * _poch_nu(rho_h, t) * ParamScalar.from_fraction(
+             tok * _poch_nu(rho_h, t) * ParamScalar(
                  (-1) ** t * _fact(m), _fact(t) * _fact(m - 2 * t))
              for t in range(k + 1)}
     return KernelExpr(n, None, terms, meta)
@@ -563,7 +542,7 @@ def _c_family(tag, n, l=None, **_):
     for j2 in range(l + 1):
         p = 2 * l - 2 * j2
         dn = p if plus else p + 1
-        c = _poch_nu(-l, l - j2) * ParamScalar.from_fraction(2 ** p, _fact(j2) * _fact(dn))
+        c = _poch_nu(-l, l - j2) * ParamScalar(2 ** p, _fact(j2) * _fact(dn))
         _add_point(terms, n, c, j2, dn)
     meta = {"family": tag, "l": l,
             "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
@@ -584,7 +563,7 @@ def _residue_family(tag, n, i=None, j=None, **_):
         raise BadParams(tag + (" needs i - j in 2N" if plus else " needs i - j odd"))
     offset, flip = _RESIDUE[tag]
     m = n + i + j + offset
-    c = ParamScalar.from_fraction((-1) ** (m // 2 + flip) * _fact(m // 2), _fact(m))
+    c = ParamScalar((-1) ** (m // 2 + flip) * _fact(m // 2), _fact(m))
     r = AffineExp.const(j)
     meta = {"family": tag, "i": i, "j": j}
     if tag[0] == "s":
@@ -627,13 +606,12 @@ def _spinor_c_family(tag, n, l=None, **_):
         # sum_a Delta^j d_n^p D'_a delta (x) zeta(e_a), p = 2l-2j-1 (+1 for sCt-)
         p = 2 * l - 2 * j2 - 1 + q
         if p >= 0:
-            c = _poch_nu(start, l - j2 - 1 + q) * ParamScalar.from_fraction(
-                2 ** p, _fact(j2) * _fact(p))
+            c = _poch_nu(start, l - j2 - 1 + q) * ParamScalar(2 ** p, _fact(j2) * _fact(p))
             for a in range(1, n):
                 _add_point(terms, n, c, j2, p, dprime=a, gen=a)
         # Delta^j d_n^p D_n delta = e_n Delta^j d_n^{p+1} delta
-        c = _poch_nu(start, l - j2 + q) * ParamScalar.from_fraction(
-            2 ** (p + 1), _fact(j2) * _fact(p + 1))
+        c = _poch_nu(start, l - j2 + q) * ParamScalar(2 ** (p + 1),
+                                                      _fact(j2) * _fact(p + 1))
         _add_point(terms, n, c, j2, p + 1, gen=n)
     meta = {"family": tag, "l": l,
             "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}

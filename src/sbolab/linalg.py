@@ -17,7 +17,7 @@ normalized to 1 at the pivot.
 
 from math import gcd
 
-from .paramfield import ZERO, ONE, _gr
+from .paramfield import ZERO, ONE, _gr, _acc
 
 
 def _primitive(row):
@@ -187,18 +187,8 @@ def echelon_nullspace(piv, ncols):
             j = piv_of_col.get(c)
             if j is None or j <= i:
                 continue
-            f = row[c]
-            other = prows[j]
-            for cc, v in other.items():
-                if cc == pivots[j]:
-                    continue
-                w = row.get(cc, ZERO) - f * v
-                if w.is_zero():
-                    row.pop(cc, None)
-                else:
-                    row[cc] = w
-            row.pop(c, None)
-        prows[i] = row
+            f = -row.pop(c)
+            _acc(row, ((cc, f * v) for cc, v in prows[j].items() if cc != c))
     free = [c for c in range(ncols) if c not in piv_of_col]
     basis = []
     for fc in free:

@@ -15,8 +15,8 @@ from operator import add
 from types import MappingProxyType
 
 from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE,
-                         PS_ONE, PS_I, PS_LAM, pochhammer, rat, _times_i_power)
-from .cliffspin import (zeta_gen_apply, fund_branching, spin_dim,
+                         PS_ONE, PS_I, PS_LAM, pochhammer, rat, _times_i_power, _acc)
+from .cliffspin import (CliffordElt, fund_branching, pin_cover_action, spin_dim,
                         DimensionMismatch, _spinor, _zeta_table)
 from . import linalg
 
@@ -99,8 +99,7 @@ def gegenbauer(deg, lam):
         fact[t] = fact[t - 1] * t
     for m in range(deg // 2 + 1):
         p = deg - 2 * m
-        c = pochhammer(lam, deg - m) * ParamScalar.from_fraction(
-            (-1) ** m * 2 ** p, fact[m] * fact[p])
+        c = pochhammer(lam, deg - m) * ParamScalar((-1) ** m * 2 ** p, fact[m] * fact[p])
         coeffs[p] = coeffs[p] + c
     return coeffs
 
@@ -212,19 +211,6 @@ def _sp(nvars, cn, variant, terms):
     p = object.__new__(SpinorPolynomial)
     p.nvars, p.cn, p.variant, p.terms = nvars, cn, variant, terms
     return p
-
-
-def _acc(out, items):
-    """Add the (key, value) terms into the dict out, dropping sums that vanish."""
-    for key, v in items:
-        t = out.get(key)
-        if t is not None:
-            v = t + v
-            if v.is_zero():
-                del out[key]
-                continue
-        out[key] = v
-    return out
 
 
 def _bump(mono, idx, by):
@@ -365,10 +351,13 @@ class SpinorPolynomial:
                    {(mono + pad, mask): v for (mono, mask), v in self.terms.items()})
 
     def map_values(self, spinmap):
-        return SpinorPolynomial(self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1),
-                                self.variant,
-                                {mono: spinmap.apply_spinor(s)
-                                 for mono, s in self.coeffs.items()})
+        """Apply the linear map spinmap to every spinor value."""
+        by_col = {}
+        for (r, c), v in spinmap.entries.items():
+            by_col.setdefault(c, []).append((r, v))
+        return _sp(self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1), self.variant,
+                   _acc({}, (((mono, r), v * x) for (mono, mask), x in self.terms.items()
+                             for r, v in by_col.get(mask, ()))))
 
     def vec(self):
         """Flat dict ((monomial, mask) -> coefficient) for exact linear algebra."""
@@ -606,36 +595,35 @@ def _validate_pair(n, alpha, alphap, beta, betap):
 def lambda_constant(n, alpha, alphap, beta, betap):
     """Closed-form proportionality constant for one adjacent lattice move."""
     i, si, j, sj, _, _, mv, mvp = _validate_pair(n, alpha, alphap, beta, betap)
-    frac = ParamScalar.from_fraction
     s = si if n % 2 == 0 else sj
     key = (mv[0], mvp[0])
     if key == (1, 1):
-        val = frac(n + 2 * j - 1, n + 2 * i + 1)
+        val = ParamScalar(n + 2 * j - 1, n + 2 * i + 1)
     elif key == (0, 1):
-        val = frac(2 * (n + 2 * j - 1) * s,
-                   (n + 2 * i - 1) * (n + 2 * i + 1))
+        val = ParamScalar(2 * (n + 2 * j - 1) * s,
+                          (n + 2 * i - 1) * (n + 2 * i + 1))
         val = val * PS_I if n % 2 == 0 else -val
     elif key == (-1, 1):
-        val = frac(-(n + 2 * j - 1), n + 2 * i - 1)
+        val = ParamScalar(-(n + 2 * j - 1), n + 2 * i - 1)
     elif key == (1, 0):
-        val = frac((i - j + 1) * s, n + 2 * i + 1)
+        val = ParamScalar((i - j + 1) * s, n + 2 * i + 1)
         val = -val * PS_I if n % 2 == 0 else val
     elif key == (0, 0):
-        val = frac((n + 2 * i) * (n + 2 * j - 1),
-                   (n + 2 * i - 1) * (n + 2 * i + 1))
+        val = ParamScalar((n + 2 * i) * (n + 2 * j - 1),
+                          (n + 2 * i - 1) * (n + 2 * i + 1))
     elif key == (-1, 0):
-        val = frac((n + i + j - 1) * s, n + 2 * i - 1)
+        val = ParamScalar((n + i + j - 1) * s, n + 2 * i - 1)
         val = val * PS_I if n % 2 == 0 else -val
     elif key == (1, -1):
-        val = frac(-(i - j + 1) * (i - j + 2),
-                   (n + 2 * i + 1) * (n + 2 * j - 3))
+        val = ParamScalar(-(i - j + 1) * (i - j + 2),
+                          (n + 2 * i + 1) * (n + 2 * j - 3))
     elif key == (0, -1):
-        val = frac(2 * (i - j + 1) * (n + i + j - 1) * s,
-                   (n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3))
+        val = ParamScalar(2 * (i - j + 1) * (n + i + j - 1) * s,
+                          (n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3))
         val = val * PS_I if n % 2 == 0 else -val
     elif key == (-1, -1):
-        val = frac((n + i + j - 2) * (n + i + j - 1),
-                   (n + 2 * i - 1) * (n + 2 * j - 3))
+        val = ParamScalar((n + i + j - 2) * (n + i + j - 1),
+                          (n + 2 * i - 1) * (n + 2 * j - 3))
     else:  # pragma: no cover - excluded by _validate_pair
         raise NotAdjacent("no table entry for %r" % (key,))
     return val
@@ -759,10 +747,10 @@ def apply_group_element(phi, gen_indices):
     """Action of g = e_{i1}...e_{ik} on a spinor polynomial.
 
     (g . phi)(x) = zeta(g) phi(q(g)^{-1} x); the covering image q(g) of a
-    generator product is a signed permutation, so monomials transform by
-    sign and index shuffle.
+    generator product is a signed permutation, so zeta(g) is applied one
+    generator at a time and the monomials are remapped by sign and index
+    shuffle.
     """
-    from .cliffspin import CliffordElt, pin_cover_action
     n = phi.nvars
     g = CliffordElt.scalar(n, ONE)
     for idx in gen_indices:
@@ -778,23 +766,17 @@ def apply_group_element(phi, gen_indices):
         entries = [(t, cols[j][t]) for t in range(n) if not cols[j][t].is_zero()]
         if len(entries) != 1:
             raise NotImplementedError("only signed-permutation images supported")
-        t, v = entries[0]
-        sub[j] = (t, v)
-    out = {}
-    m = phi.m
-    for mono, s in phi.coeffs.items():
-        sgn = ONE
+        sub[j] = entries[0]
+    for idx in reversed(gen_indices):
+        phi = phi.apply_e(idx)
+
+    def remap(mono, mask, v):
         new = [0] * n
         for j, e in enumerate(mono):
-            if e == 0:
-                continue
-            t, v = sub[j]
-            new[t] += e
-            sgn = sgn * (v ** e)
-        for idx in reversed(gen_indices):
-            s = zeta_gen_apply(phi.cn, phi.variant, idx, s)
-        s = s.scale(sgn)
-        key = tuple(new)
-        prev = out.get(key)
-        out[key] = s if prev is None else prev + s
-    return SpinorPolynomial(phi.nvars, phi.cn, phi.variant, out)
+            if e:
+                t, s = sub[j]
+                new[t] += e
+                v = v * s ** e
+        return (tuple(new), mask), v
+    return phi._like(_acc({}, (remap(mono, mask, v)
+                               for (mono, mask), v in phi.terms.items())))

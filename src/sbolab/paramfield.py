@@ -96,7 +96,12 @@ class GaussianRational:
         return _times_i_power(2, self)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
+        if other.__class__ is not GaussianRational:
+            # a polynomial or scalar operand multiplies through its own
+            # __rmul__, so mixed products work in either order
+            if isinstance(other, (ParamPoly, ParamScalar)):
+                return NotImplemented
+            other = GaussianRational(other)
         a, b, c, e = self._a, self._b, other._a, other._b
         if not b and not e:
             return _gr(a * c, 0, self._d * other._d)
@@ -210,6 +215,25 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
+def _acc(out, items):
+    """Add the (key, value) items into the dict out and return it: a zero
+    value is dropped, and so is a sum that vanishes.  Every sparse value of
+    the package adds through here, apart from the innermost polynomial loops
+    (ParamPoly.__init__, _mul_terms, _affine_subs), which measured faster
+    inline."""
+    for key, v in items:
+        t = out.get(key)
+        if t is not None:
+            v = t + v
+            if v.is_zero():
+                del out[key]
+                continue
+        elif v.is_zero():
+            continue
+        out[key] = v
+    return out
+
+
 def _grlex_key(mono):
     return (mono[0] + mono[1], mono[0])
 
@@ -253,16 +277,7 @@ class ParamPoly:
         return not self.terms
 
     def __add__(self, other):
-        o = ParamPoly.coerce(other)
-        t = dict(self.terms)
-        for m, c in o.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                del t[m]
-            else:
-                t[m] = s
-        return _poly(t)
+        return _poly(_acc(dict(self.terms), ParamPoly.coerce(other).terms.items()))
 
     __radd__ = __add__
 
@@ -456,12 +471,7 @@ def _to_ucoeffs(p):
 
 
 def _from_ucoeffs(rows):
-    t = {}
-    for a, row in enumerate(rows):
-        for b, c in enumerate(row):
-            if not c.is_zero():
-                t[(a, b)] = c
-    return ParamPoly(t)
+    return ParamPoly({(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)})
 
 
 def _umul(a, b):
@@ -680,10 +690,6 @@ class ParamScalar:
             return x
         # a polynomial over 1 is canonical as it stands
         return _ps(ParamPoly.coerce(x), _POLY_ONE, ())
-
-    @staticmethod
-    def from_fraction(num, den):
-        return ParamScalar(ParamPoly.coerce(num), ParamPoly.coerce(den))
 
     @staticmethod
     def gamma_factor(a, b, c, power=1):

@@ -256,15 +256,7 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
     # parity each; the sector carries the net flip
     p = (parity + (1 if src_F else 0) + (0 if dst_F else 1)) % 2
     sign = 1 if p == 0 else -1
-    if src_F:
-        row_ok = lambda k: k <= i
-    else:
-        row_ok = lambda k: k > i
-    if dst_F:
-        col_ok = lambda l: l <= j
-    else:
-        col_ok = lambda l: l > j
-    region = lambda k, l: row_ok(k) and col_ok(l)
+    region = lambda k, l: (k <= i) == src_F and (l <= j) == dst_F
     system = build_system(n, lam0, nu0, sign, depth, region)
     if not stabilize:
         cols, piv = _echelon(system.rows, depth, region)

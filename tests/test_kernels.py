@@ -491,6 +491,17 @@ def test_mult_zeta_matches_dense_product():
         assert to_json_dict(mult_zeta(Z)) == to_json_dict(dense_mult_zeta(Z)), name
 
 
+def test_multipliers_build_normal_forms():
+    """mult_xn, mult_norm2 and mult_zeta skip _normalize: their results are
+    normal by construction, so normalizing them again changes nothing."""
+    for name, K in _family_cases(range(3, 7)):
+        outs = [mult_xn(K), mult_norm2(K)]
+        if K.row_n == K.n:
+            outs.append(mult_zeta(K))
+        for out in outs:
+            assert kernelcalc._normalize(K.n, out.terms) == out.terms, name
+
+
 # -- the blades against the dense zeta_n(e_i) products ----------------------------
 
 def dense_blade(n, mask):

@@ -9,7 +9,7 @@ from test_linalg import reference_solve_in_span
 
 
 def frac(a, b=1):
-    return ParamScalar.from_fraction(a, b)
+    return ParamScalar(a, b)
 
 
 def adjacent_quadruples(n, i, j, sa):

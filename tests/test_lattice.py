@@ -254,7 +254,7 @@ class TestGeneralIdentity:
                         mult = ParamScalar.coerce((n + 2 * i - 1) * (n + 2 * i + 1))
                         if which == 3:
                             mult = mult * ParamScalar.coerce(n + 2 * j - 3)
-                        mult = mult * ParamScalar.from_fraction(1, 2)
+                        mult = mult * ParamScalar(1, 2)
                         scaled = {k: v * mult for k, v in gen.items()
                                   if not v.is_zero()}
                         disp = scalar_identity_display(n, i, j, which, s)
@@ -325,9 +325,12 @@ class TestRowsAtThePoint:
 
 class TestSolveDimension:
     def test_unknown_count(self):
+        # unknowns s_{i,j} with j <= i <= depth; their count less the rank
+        # is the dimension solve_dimension reports
         sys_ = build_system(4, 0, 0, 1, 6)
-        idx = {(i, j) for i in range(7) for j in range(i + 1)}
-        assert len(idx) == 7 * 8 // 2
+        cols, piv = _echelon(sys_.rows, sys_.depth, sys_.region)
+        assert len(cols) == 7 * 8 // 2
+        assert len(cols) - len(piv) == solve_dimension(sys_).dim
 
     def test_generic_point(self):
         r = multiplicity(4, 0, 0, depth=10)

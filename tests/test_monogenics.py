@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from sbolab import monogenics
 from sbolab.paramfield import GaussianRational, ONE, ZERO
 from sbolab.cliffspin import (Spinor, spin_dim, zeta_gen_apply, gamma,
-                              fund_branching, zeta_matrix, DimensionMismatch)
+                              fund_branching, zeta_matrix, DimensionMismatch,
+                              CliffordElt, pin_cover_action)
 from sbolab.monogenics import (SpinorPolynomial, dirac, monomials,
                                monogenic_basis, fischer_split,
                                mult_coordinate_split, branch_embed,
@@ -147,6 +148,38 @@ def reference_dirac(phi):
     return out
 
 
+def reference_apply_group_element(phi, gen_indices):
+    """apply_group_element one monomial at a time: each Spinor value is moved
+    through zeta_gen_apply and scaled, the monomial substituted by q(g)^-1."""
+    n = phi.nvars
+    g = CliffordElt.scalar(n, ONE)
+    for idx in gen_indices:
+        g = g * CliffordElt.basis(n, [idx])
+    cols = [pin_cover_action(g, [1 if t == j else 0 for t in range(n)])
+            for j in range(n)]
+    sub = {}
+    for j in range(n):
+        (t, v), = [(t, cols[j][t]) for t in range(n) if not cols[j][t].is_zero()]
+        sub[j] = (t, v)
+    out = {}
+    for mono, s in phi.coeffs.items():
+        sgn = ONE
+        new = [0] * n
+        for j, e in enumerate(mono):
+            if e == 0:
+                continue
+            t, v = sub[j]
+            new[t] += e
+            sgn = sgn * (v ** e)
+        for idx in reversed(gen_indices):
+            s = zeta_gen_apply(phi.cn, phi.variant, idx, s)
+        s = s.scale(sgn)
+        key = tuple(new)
+        prev = out.get(key)
+        out[key] = s if prev is None else prev + s
+    return SpinorPolynomial(phi.nvars, phi.cn, phi.variant, out)
+
+
 def as_reference(phi):
     return ReferenceSpinorPolynomial(phi.nvars, phi.cn, phi.variant, dict(phi.coeffs))
 
@@ -211,6 +244,15 @@ class TestAgainstReference:
         assert agrees(dirac(a), reference_dirac(ra))
         assert (a == b) == (ra == rb)
         assert a == SpinorPolynomial(n, n, variant, ca)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_group_element(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        variant = data.draw(st.sampled_from("+-"), label="variant")
+        phi = SpinorPolynomial(n, n, variant, data.draw(sparse_coeffs(n)))
+        gens = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=3), label="gens")
+        assert apply_group_element(phi, gens) == reference_apply_group_element(phi, gens)
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)

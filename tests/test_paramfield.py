@@ -9,7 +9,8 @@ from sbolab.paramfield import (GaussianRational, ParamPoly, ParamScalar,
                                pochhammer, evaluate,
                                PoleError, GammaResidual, poly_gcd,
                                PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat,
-                               _times_i_power)
+                               _times_i_power, _acc)
+from sbolab.cliffspin import SpinMap, _matmul
 
 
 def rebuilt(s):
@@ -475,3 +476,48 @@ class TestEqualityContract:
         assert GaussianRational("1/2") == Fraction(1, 2)
         assert ParamPoly.const("-3") == -3
         assert ParamScalar.coerce("-1/2") == Fraction(-1, 2)
+
+
+class TestSharedSparsePieces:
+    """The one accumulator and the one sparse product every module uses."""
+
+    def test_acc_drops_zeros_and_returns_out(self):
+        out = {"a": gr(1), "b": gr(2)}
+        got = _acc(out, [("a", gr(-1)), ("c", ZERO), ("d", gr(0, 1)),
+                         ("d", gr(3)), ("b", ZERO)])
+        assert got is out
+        assert out == {"b": gr(2), "d": gr(3, 1)}
+        # a zero value of any scalar type is dropped
+        assert _acc({}, [(0, ParamScalar.coerce(0)), (1, ParamPoly())]) == {}
+        assert _acc({}, []) == {}
+
+    @given(small_gaussians, scalars())
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_products_in_either_order(self, z, x):
+        assert parts_of(z * x) == parts_of(x * z) == parts_of(ParamScalar.coerce(z) * x)
+        p = x.num
+        assert z * p == p * z == ParamPoly.const(z) * p
+
+    @pytest.mark.parametrize("x", [gr(1, 1), ParamPoly.const(2), ParamScalar.coerce(3)])
+    def test_float_operand_raises(self, x):
+        with pytest.raises(TypeError):
+            x * 0.5
+        with pytest.raises(TypeError):
+            0.5 * x
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matmul_is_dense_product(self, data):
+        r, k, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+
+        def matrix(rows, cols):
+            return data.draw(st.dictionaries(
+                st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)),
+                small_gaussians, max_size=rows * cols))
+        a, b = matrix(r, k), matrix(k, c)
+        dense = [[sum((a.get((i, t), ZERO) * b.get((t, j), ZERO) for t in range(k)), ZERO)
+                  for j in range(c)] for i in range(r)]
+        want = {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row)
+                if not v.is_zero()}
+        assert _matmul(a, b) == want
+        assert SpinMap(k, r, a).compose(SpinMap(c, k, b)) == SpinMap(c, r, want)
