@@ -234,7 +234,8 @@ class KernelExpr:
             if k[0] != "P":
                 k = (k[0], k[1], sub(k[2]), sub(k[3]), k[4])
             _put(out, k, {b: coeff(x) for b, x in v.items()})
-        return self.copy_with(out)
+        # substitution keeps both normal-form conditions (see _normalize)
+        return self.copy_with(out, normalized=True)
 
     def subs_lam(self, e, f):
         """Substitute lam := e*nu + f everywhere (constraint-line restriction)."""
@@ -277,7 +278,9 @@ def _divide_r2(poly, nx):
 
 
 def _normalize(n, raw):
-    """Bring raw terms to normal form; see the module docstring."""
+    """Bring raw terms to normal form (see the module docstring): x_1-exponent
+    at most 1 in every non-point x' monomial (what _divide_r2 leaves), radial
+    exponent _AFF0 in every Boundary term.  Terms meeting both come back as given."""
     nx = n - 1
     terms = {}
 
@@ -367,7 +370,8 @@ def _mult_xi(K, i):
             if ai > 0:
                 _put(out, ("P", _bump(key[1], i - 1, -1)), val,
                      ParamScalar.coerce(-ai))
-    return K.copy_with(out)
+    # only a raised x_1 exponent can leave the normal form
+    return K.copy_with(out, normalized=i > 1)
 
 
 def mult_zeta(K):

@@ -10,14 +10,14 @@ linear algebra over Q(sqrt(-1)).
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 from operator import add
 from types import MappingProxyType
 
 from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE,
-                         PS_ONE, PS_I, PS_LAM, pochhammer, rat, _times_i_power, _acc)
-from .cliffspin import (CliffordElt, fund_branching, pin_cover_action, spin_dim,
-                        DimensionMismatch, _spinor, _zeta_table)
+                         PS_ZERO, PS_I, PS_LAM, pochhammer, rat, _times_i_power, _acc)
+from .cliffspin import (fund_branching, spin_dim, DimensionMismatch, _spinor,
+                        _zeta_table)
 from . import linalg
 
 
@@ -55,60 +55,16 @@ class BadDegree(ValueError):
 
 # -- Gegenbauer polynomials ---------------------------------------------------
 
-def _zp_trim(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _zp_add(a, b):
-    out = [ParamScalar.coerce(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = out[i] + c
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _zp_trim(out)
-
-
-def _zp_scale(a, c):
-    c = ParamScalar.coerce(c)
-    return _zp_trim([x * c for x in a])
-
-
-def _zp_mul(a, b):
-    if not a or not b:
-        return []
-    out = [ParamScalar.coerce(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _zp_trim(out)
-
-
-def _zp_diff(a):
-    return _zp_trim([a[i] * ParamScalar.coerce(i) for i in range(1, len(a))])
-
-
 def gegenbauer(deg, lam):
     """C_deg^lam(z) = sum_m (-1)^m (lam)_{deg-m} / (m! (deg-2m)!) (2z)^{deg-2m},
     as its ParamScalar coefficient list (the coefficient of z^t at t)."""
     lam = ParamScalar.coerce(lam)
-    coeffs = [ParamScalar.coerce(0)] * (deg + 1)
-    fact = [1] * (deg + 2)
-    for t in range(1, deg + 2):
-        fact[t] = fact[t - 1] * t
+    coeffs = [PS_ZERO] * (deg + 1)
     for m in range(deg // 2 + 1):
         p = deg - 2 * m
-        c = pochhammer(lam, deg - m) * ParamScalar((-1) ** m * 2 ** p, fact[m] * fact[p])
-        coeffs[p] = coeffs[p] + c
+        coeffs[p] = pochhammer(lam, deg - m) * ParamScalar(
+            (-1) ** m * 2 ** p, factorial(m) * factorial(p))
     return coeffs
-
-
-def _geg_zp(deg, lam_shift):
-    """Coefficient list of C_deg^{lam + shift}(z) in formal lam; [] for deg < 0."""
-    if deg < 0:
-        return []
-    return _zp_trim(gegenbauer(deg, PS_LAM + ParamScalar.coerce(lam_shift)))
 
 
 @lru_cache(maxsize=None)
@@ -125,63 +81,61 @@ def gegenbauer_coeffs_rational(deg, lam):
     return tuple(out)
 
 
-_GEG_IDENTITIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8", "G9", "ODE")
+# z-factors of an identity term, as ((power of z, coefficient), ...)
+_1, _Z, _1MZ2 = ((0, 1),), ((1, 1),), ((0, 1), (2, -1))
+
+# Each identity is a list of terms (coeff(n, lam), z-factor, d/dz order,
+# degree offset, lam shift); it states that the sum over its terms of
+# coeff * factor * (d/dz)^order C_{n+offset}^{lam+shift}(z) vanishes, with
+# C_d = 0 for d < 0.  G2 is the classical three-term recurrence (the one
+# label the source list skips).
+_GEG_IDENTITIES = {
+    "G1": [(lambda n, l: 1, _1, 1, 0, 0),
+           (lambda n, l: -2 * l, _1, 0, -1, 1)],
+    "G2": [(lambda n, l: n + 1, _1, 0, 1, 0),
+           (lambda n, l: -2 * (l + n), _Z, 0, 0, 0),
+           (lambda n, l: 2 * l + (n - 1), _1, 0, -1, 0)],
+    "G3": [(lambda n, l: 2 * l, _Z, 0, 0, 1),
+           (lambda n, l: -(n + 1), _1, 0, 1, 0),
+           (lambda n, l: -2 * l, _1, 0, -1, 1)],
+    "G4": [(lambda n, l: 4 * l * (l + 1), _1MZ2, 0, -2, 2),
+           (lambda n, l: (2 * l + n) * (2 * l + (n + 1)), _1, 0, 0, 0),
+           (lambda n, l: -2 * l * (2 * l + 1), _1, 0, 0, 1)],
+    "G5": [(lambda n, l: 4 * l * (l + 1), _1MZ2, 0, -2, 2),
+           (lambda n, l: -2 * l * (2 * l + 1), _Z, 0, -1, 1),
+           (lambda n, l: n * (2 * l + n), _1, 0, 0, 0)],
+    "G6": [(lambda n, l: 2 * l, _1, 0, 0, 1),
+           (lambda n, l: -(2 * l + n), _1, 0, 0, 0),
+           (lambda n, l: -2 * l, _Z, 0, -1, 1)],
+    "G7": [(lambda n, l: 2 * l, _1MZ2, 0, -1, 1),
+           (lambda n, l: -(2 * l + n), _Z, 0, 0, 0),
+           (lambda n, l: n + 1, _1, 0, 1, 0)],
+    "G8": [(lambda n, l: l - 1, _1, 0, 1, 0),
+           (lambda n, l: -(l + n), _1, 0, 1, -1),
+           (lambda n, l: -(l - 1), _1, 0, -1, 0)],
+    "G9": [(lambda n, l: 4 * l * (l + 1), _1MZ2, 0, -2, 2),
+           (lambda n, l: -2 * l * (2 * l + 1), _1, 0, -2, 1),
+           (lambda n, l: n * (n - 1), _1, 0, 0, 0)],
+    "ODE": [(lambda n, l: 1, _1MZ2, 2, 0, 0),
+            (lambda n, l: -(2 * l + 1), _Z, 1, 0, 0),
+            (lambda n, l: n * (2 * l + n), _1, 0, 0, 0)],
+}
 
 
 def _geg_identity_diff(name, n):
-    """LHS - RHS of the named Gegenbauer identity at degree n, formal lam."""
-    z = [ParamScalar.coerce(0), PS_ONE]
-    one = [PS_ONE]
-    one_minus_z2 = _zp_add(one, _zp_scale(_zp_mul(z, z), -1))
-    lam = PS_LAM
-    C = lambda d, s: _geg_zp(d, s)
-    if name == "G1":
-        return _zp_add(_zp_diff(C(n, 0)), _zp_scale(C(n - 1, 1), -2 * lam))
-    if name == "G2":
-        # classical three-term recurrence (the one label the source list skips)
-        return _zp_add(_zp_add(_zp_scale(C(n + 1, 0), n + 1),
-                               _zp_scale(_zp_mul(z, C(n, 0)), -2 * (lam + ParamScalar.coerce(n)))),
-                       _zp_scale(C(n - 1, 0), 2 * lam + ParamScalar.coerce(n - 1)))
-    if name == "G3":
-        return _zp_add(_zp_add(_zp_scale(_zp_mul(z, C(n, 1)), 2 * lam),
-                               _zp_scale(C(n + 1, 0), -(n + 1))),
-                       _zp_scale(C(n - 1, 1), -2 * lam))
-    if name == "G4":
-        return _zp_add(_zp_add(
-            _zp_scale(_zp_mul(one_minus_z2, C(n - 2, 2)), 4 * lam * (lam + PS_ONE)),
-            _zp_scale(C(n, 0), (2 * lam + ParamScalar.coerce(n)) * (2 * lam + ParamScalar.coerce(n + 1)))),
-            _zp_scale(C(n, 1), -2 * lam * (2 * lam + PS_ONE)))
-    if name == "G5":
-        return _zp_add(_zp_add(
-            _zp_scale(_zp_mul(one_minus_z2, C(n - 2, 2)), 4 * lam * (lam + PS_ONE)),
-            _zp_scale(_zp_mul(z, C(n - 1, 1)), -2 * lam * (2 * lam + PS_ONE))),
-            _zp_scale(C(n, 0), ParamScalar.coerce(n) * (2 * lam + ParamScalar.coerce(n))))
-    if name == "G6":
-        return _zp_add(_zp_add(_zp_scale(C(n, 1), 2 * lam),
-                               _zp_scale(C(n, 0), -(2 * lam + ParamScalar.coerce(n)))),
-                       _zp_scale(_zp_mul(z, C(n - 1, 1)), -2 * lam))
-    if name == "G7":
-        return _zp_add(_zp_add(
-            _zp_scale(_zp_mul(one_minus_z2, C(n - 1, 1)), 2 * lam),
-            _zp_scale(_zp_mul(z, C(n, 0)), -(2 * lam + ParamScalar.coerce(n)))),
-            _zp_scale(C(n + 1, 0), n + 1))
-    if name == "G8":
-        lm1 = lam - PS_ONE
-        return _zp_add(_zp_add(_zp_scale(C(n + 1, 0), lm1),
-                               _zp_scale(C(n + 1, -1), -(lam + ParamScalar.coerce(n)))),
-                       _zp_scale(C(n - 1, 0), -lm1))
-    if name == "G9":
-        return _zp_add(_zp_add(
-            _zp_scale(_zp_mul(one_minus_z2, C(n - 2, 2)), 4 * lam * (lam + PS_ONE)),
-            _zp_scale(C(n - 2, 1), -2 * lam * (2 * lam + PS_ONE))),
-            _zp_scale(C(n, 0), n * (n - 1)))
-    if name == "ODE":
-        u = C(n, 0)
-        return _zp_add(_zp_add(
-            _zp_mul(one_minus_z2, _zp_diff(_zp_diff(u))),
-            _zp_scale(_zp_mul(z, _zp_diff(u)), -(2 * lam + PS_ONE))),
-            _zp_scale(u, ParamScalar.coerce(n) * (ParamScalar.coerce(n) + 2 * lam)))
-    raise KeyError(name)
+    """Left side of the named Gegenbauer identity at degree n, formal lam, as
+    {power of z: ParamScalar}; empty exactly when the identity holds there."""
+    out = {}
+    for coeff, factor, order, offset, shift in _GEG_IDENTITIES[name]:
+        deg = n + offset
+        if deg < order:
+            continue
+        c = ParamScalar.coerce(coeff(n, PS_LAM))
+        terms = [(t - order, c * a * perm(t, order))
+                 for t, a in enumerate(gegenbauer(deg, PS_LAM + shift))
+                 if t >= order and not a.is_zero()]
+        _acc(out, ((t + p, a * f) for p, f in factor for t, a in terms))
+    return out
 
 
 def verify_gegenbauer_identities(max_deg):
@@ -358,10 +312,6 @@ class SpinorPolynomial:
         return _sp(self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1), self.variant,
                    _acc({}, (((mono, r), v * x) for (mono, mask), x in self.terms.items()
                              for r, v in by_col.get(mask, ()))))
-
-    def vec(self):
-        """Flat dict ((monomial, mask) -> coefficient) for exact linear algebra."""
-        return dict(self.terms)
 
     def __eq__(self, other):
         return (isinstance(other, SpinorPolynomial)
@@ -592,41 +542,36 @@ def _validate_pair(n, alpha, alphap, beta, betap):
     return i, si, j, sj, ib, jb, mv, mvp
 
 
+# (move of alpha, move of alphap) -> (numerator, denominator) of the constant.
+# An entry with exactly one zero move is further multiplied by the label sign
+# s and by sqrt(-1) for n even, -1 for n odd.
+_LAMBDA_TABLE = {
+    (1, 1): lambda n, i, j: (n + 2 * j - 1, n + 2 * i + 1),
+    (0, 1): lambda n, i, j: (2 * (n + 2 * j - 1), (n + 2 * i - 1) * (n + 2 * i + 1)),
+    (-1, 1): lambda n, i, j: (-(n + 2 * j - 1), n + 2 * i - 1),
+    (1, 0): lambda n, i, j: (-(i - j + 1), n + 2 * i + 1),
+    (0, 0): lambda n, i, j: ((n + 2 * i) * (n + 2 * j - 1),
+                             (n + 2 * i - 1) * (n + 2 * i + 1)),
+    (-1, 0): lambda n, i, j: (n + i + j - 1, n + 2 * i - 1),
+    (1, -1): lambda n, i, j: (-(i - j + 1) * (i - j + 2),
+                              (n + 2 * i + 1) * (n + 2 * j - 3)),
+    (0, -1): lambda n, i, j: (2 * (i - j + 1) * (n + i + j - 1),
+                              (n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3)),
+    (-1, -1): lambda n, i, j: ((n + i + j - 2) * (n + i + j - 1),
+                               (n + 2 * i - 1) * (n + 2 * j - 3)),
+}
+
+
 def lambda_constant(n, alpha, alphap, beta, betap):
     """Closed-form proportionality constant for one adjacent lattice move."""
     i, si, j, sj, _, _, mv, mvp = _validate_pair(n, alpha, alphap, beta, betap)
-    s = si if n % 2 == 0 else sj
     key = (mv[0], mvp[0])
-    if key == (1, 1):
-        val = ParamScalar(n + 2 * j - 1, n + 2 * i + 1)
-    elif key == (0, 1):
-        val = ParamScalar(2 * (n + 2 * j - 1) * s,
-                          (n + 2 * i - 1) * (n + 2 * i + 1))
-        val = val * PS_I if n % 2 == 0 else -val
-    elif key == (-1, 1):
-        val = ParamScalar(-(n + 2 * j - 1), n + 2 * i - 1)
-    elif key == (1, 0):
-        val = ParamScalar((i - j + 1) * s, n + 2 * i + 1)
-        val = -val * PS_I if n % 2 == 0 else val
-    elif key == (0, 0):
-        val = ParamScalar((n + 2 * i) * (n + 2 * j - 1),
-                          (n + 2 * i - 1) * (n + 2 * i + 1))
-    elif key == (-1, 0):
-        val = ParamScalar((n + i + j - 1) * s, n + 2 * i - 1)
-        val = val * PS_I if n % 2 == 0 else -val
-    elif key == (1, -1):
-        val = ParamScalar(-(i - j + 1) * (i - j + 2),
-                          (n + 2 * i + 1) * (n + 2 * j - 3))
-    elif key == (0, -1):
-        val = ParamScalar(2 * (i - j + 1) * (n + i + j - 1) * s,
-                          (n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3))
-        val = val * PS_I if n % 2 == 0 else -val
-    elif key == (-1, -1):
-        val = ParamScalar((n + i + j - 2) * (n + i + j - 1),
-                          (n + 2 * i - 1) * (n + 2 * j - 3))
-    else:  # pragma: no cover - excluded by _validate_pair
-        raise NotAdjacent("no table entry for %r" % (key,))
-    return val
+    num, den = _LAMBDA_TABLE[key](n, i, j)
+    if key.count(0) != 1:
+        return ParamScalar(num, den)
+    even = n % 2 == 0
+    val = ParamScalar(num * (si if even else sj), den)
+    return val * PS_I if even else -val
 
 
 def _omega_components(phi, k, kind, moves):
@@ -707,9 +652,9 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
                     if ck != lhs_kind_b:
                         raise MultiplicityViolation(
                             "component kinds disagree: %s vs %s" % (ck, lhs_kind_b))
-                    for key, v in cpoly.vec().items():
+                    for key, v in cpoly.terms.items():
                         col_vecs[mvq][(sample_idx, key)] = v
-            for key, v in lhs_rep.vec().items():
+            for key, v in lhs_rep.terms.items():
                 target[(sample_idx, key)] = v
             sample_idx += 1
 
@@ -746,37 +691,16 @@ def lambda_constant_bruteforce(n, alpha, alphap, beta, betap, max_basis=None):
 def apply_group_element(phi, gen_indices):
     """Action of g = e_{i1}...e_{ik} on a spinor polynomial.
 
-    (g . phi)(x) = zeta(g) phi(q(g)^{-1} x); the covering image q(g) of a
-    generator product is a signed permutation, so zeta(g) is applied one
-    generator at a time and the monomials are remapped by sign and index
-    shuffle.
+    (g . phi)(x) = zeta(g) phi(q(g)^{-1} x).  With e_i^2 = -1 the covering
+    image q(e_i): y -> -e_i y e_i^{-1} = e_i y e_i fixes e_j (j != i) and
+    negates e_i, so it is the reflection x_i -> -x_i.  q(g) thus negates the
+    coordinates named an odd number of times, and a term changes sign when
+    its exponents on those coordinates sum to an odd number.
     """
-    n = phi.nvars
-    g = CliffordElt.scalar(n, ONE)
-    for idx in gen_indices:
-        g = g * CliffordElt.basis(n, [idx])
-    # columns of q(g); its inverse is the transpose (orthogonal for Q)
-    cols = []
-    for j in range(n):
-        e_j = [1 if t == j else 0 for t in range(n)]
-        cols.append(pin_cover_action(g, e_j))
-    # q(g)^{-1} x has j-th coordinate sum_t q(g)_{t j} x_t; require signed perm
-    sub = {}
-    for j in range(n):
-        entries = [(t, cols[j][t]) for t in range(n) if not cols[j][t].is_zero()]
-        if len(entries) != 1:
-            raise NotImplementedError("only signed-permutation images supported")
-        sub[j] = entries[0]
+    flip = 0
     for idx in reversed(gen_indices):
         phi = phi.apply_e(idx)
-
-    def remap(mono, mask, v):
-        new = [0] * n
-        for j, e in enumerate(mono):
-            if e:
-                t, s = sub[j]
-                new[t] += e
-                v = v * s ** e
-        return (tuple(new), mask), v
-    return phi._like(_acc({}, (remap(mono, mask, v)
-                               for (mono, mask), v in phi.terms.items())))
+        flip ^= 1 << (idx - 1)
+    return phi._like({(mono, mask): -v if sum(e for t, e in enumerate(mono)
+                                              if flip >> t & 1) & 1 else v
+                      for (mono, mask), v in phi.terms.items()})

@@ -131,6 +131,13 @@ class TestPinCover:
             q = lambda w: sum((c * c for c in w), ZERO)
             assert q(z) == q(y)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_generator_is_coordinate_reflection(self, n):
+        y = [gr(t + 2, t - 1) for t in range(n)]
+        for i in range(1, n + 1):
+            want = [-c if t == i - 1 else c for t, c in enumerate(y)]
+            assert pin_cover_action(CliffordElt.basis(n, [i]), y) == want
+
     def test_not_unit_vector(self):
         with pytest.raises(NotInPin):
             pin_element([[1, 1, 0]])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
@@ -73,3 +74,27 @@ class TestIdentities:
     def test_requires_min_degree(self):
         with pytest.raises(ValueError):
             verify_gegenbauer_identities(1)
+
+
+class TestIdentityTable:
+    @pytest.mark.parametrize("name", sorted(_GEG_IDENTITIES))
+    def test_rows_hold_in_sympy(self, name):
+        # each row read independently of _geg_identity_diff: symbolic lam and z
+        lam, z = sympy.symbols("lam z")
+        for n in range(7):
+            total = 0
+            for coeff, factor, order, offset, shift in _GEG_IDENTITIES[name]:
+                if n + offset < 0:
+                    continue
+                poly = sympy.gegenbauer(n + offset, lam + shift, z)
+                total += (coeff(n, lam) * sum(f * z ** p for p, f in factor)
+                          * sympy.diff(poly, z, order))
+            assert sympy.expand(total) == 0, (name, n)
+
+    @pytest.mark.parametrize("name", sorted(_GEG_IDENTITIES))
+    def test_every_term_is_needed(self, name):
+        # a row whose term never reaches degree >= 0 would pass vacuously
+        terms = _GEG_IDENTITIES[name]
+        for k in range(len(terms)):
+            with mock.patch.dict(_GEG_IDENTITIES, {name: terms[:k] + terms[k + 1:]}):
+                assert any(_geg_identity_diff(name, n) for n in range(11)), (name, k)

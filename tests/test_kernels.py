@@ -492,10 +492,15 @@ def test_mult_zeta_matches_dense_product():
 
 
 def test_multipliers_build_normal_forms():
-    """mult_xn, mult_norm2 and mult_zeta skip _normalize: their results are
-    normal by construction, so normalizing them again changes nothing."""
+    """mult_xn, mult_norm2, mult_zeta, _mult_xi for i >= 2 and the parameter
+    substitutions skip _normalize: their results are normal by construction,
+    so normalizing them again changes nothing."""
     for name, K in _family_cases(range(3, 7)):
         outs = [mult_xn(K), mult_norm2(K)]
+        outs += [kernelcalc._mult_xi(K, i) for i in range(2, K.n)]
+        outs += [K.shift_params(-1, 0), K.shift_params(rat("-1/2"), rat("1/2"))]
+        if "constraint" in K.meta:  # a "sum" line or a "diff" line
+            outs.append(kernelcalc._on_line(K, K.meta["constraint"]))
         if K.row_n == K.n:
             outs.append(mult_zeta(K))
         for out in outs:

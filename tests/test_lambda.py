@@ -56,6 +56,61 @@ class TestClosedForm:
             lambda_constant(3, (1, 1), 0, (2, 1), 1)  # wrong label shape
 
 
+def reference_lambda_constant(n, alpha, alphap, beta, betap):
+    """lambda_constant as one branch per move pair, each with its own phase."""
+    i, si, j, sj, _, _, mv, mvp = mg._validate_pair(n, alpha, alphap, beta, betap)
+    s = si if n % 2 == 0 else sj
+    key = (mv[0], mvp[0])
+    if key == (1, 1):
+        val = ParamScalar(n + 2 * j - 1, n + 2 * i + 1)
+    elif key == (0, 1):
+        val = ParamScalar(2 * (n + 2 * j - 1) * s,
+                          (n + 2 * i - 1) * (n + 2 * i + 1))
+        val = val * PS_I if n % 2 == 0 else -val
+    elif key == (-1, 1):
+        val = ParamScalar(-(n + 2 * j - 1), n + 2 * i - 1)
+    elif key == (1, 0):
+        val = ParamScalar((i - j + 1) * s, n + 2 * i + 1)
+        val = -val * PS_I if n % 2 == 0 else val
+    elif key == (0, 0):
+        val = ParamScalar((n + 2 * i) * (n + 2 * j - 1),
+                          (n + 2 * i - 1) * (n + 2 * i + 1))
+    elif key == (-1, 0):
+        val = ParamScalar((n + i + j - 1) * s, n + 2 * i - 1)
+        val = val * PS_I if n % 2 == 0 else -val
+    elif key == (1, -1):
+        val = ParamScalar(-(i - j + 1) * (i - j + 2),
+                          (n + 2 * i + 1) * (n + 2 * j - 3))
+    elif key == (0, -1):
+        val = ParamScalar(2 * (i - j + 1) * (n + i + j - 1) * s,
+                          (n + 2 * i - 1) * (n + 2 * i + 1) * (n + 2 * j - 3))
+        val = val * PS_I if n % 2 == 0 else -val
+    else:
+        assert key == (-1, -1), key
+        val = ParamScalar((n + i + j - 2) * (n + i + j - 1),
+                          (n + 2 * i - 1) * (n + 2 * j - 3))
+    return val
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_table_matches_reference(n):
+    moves = set()
+    for i in range(7):
+        for j in range(i + 1):
+            for sa in (1, -1):
+                for quad in adjacent_quadruples(n, i, j, sa):
+                    try:
+                        want = reference_lambda_constant(n, *quad)
+                    except NotAdjacent:
+                        with pytest.raises(NotAdjacent):
+                            lambda_constant(n, *quad)
+                        continue
+                    assert lambda_constant(n, *quad) == want, quad
+                    moves.add((mg._adjacent_move(quad[0], quad[2])[0],
+                               mg._adjacent_move(quad[1], quad[3])[0]))
+    assert moves == set(mg._LAMBDA_TABLE)
+
+
 class TestBruteForceAgreement:
     @pytest.mark.parametrize("n,imax", [(3, 2), (4, 2)])
     def test_full_spanning_set(self, n, imax):
@@ -165,9 +220,9 @@ def reference_bruteforce_block(n, alpha, alphap, beta, max_basis):
                     if ck != lhs_kind_b:
                         raise MultiplicityViolation(
                             "component kinds disagree: %s vs %s" % (ck, lhs_kind_b))
-                    for key, v in cpoly.vec().items():
+                    for key, v in cpoly.terms.items():
                         col_vecs[mvq][(sample_idx, key)] = v
-            for key, v in lhs_rep.vec().items():
+            for key, v in lhs_rep.terms.items():
                 target[(sample_idx, key)] = v
             sample_idx += 1
 

@@ -187,7 +187,7 @@ def as_reference(phi):
 def agrees(got, want):
     """The flat result equals the reference one: terms, view, repr and shape."""
     assert isinstance(got, SpinorPolynomial)
-    assert got.vec() == want.vec()
+    assert got.terms == want.vec()
     assert dict(got.coeffs) == want.coeffs
     assert repr(got) == repr(want)
     assert (got.nvars, got.cn, got.variant) == (want.nvars, want.cn, want.variant)
@@ -285,6 +285,16 @@ class TestAgainstReference:
             want = mult_coordinate_split(as_reference(phi), k)
         for g, w in zip(got, want):
             assert agrees(g, w)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_apply_group_element_index_range(n):
+    phi = SpinorPolynomial(n, n, "+", {(1,) + (0,) * (n - 1): Spinor.basis(n // 2, 0)})
+    for bad in (0, n + 1):
+        with pytest.raises(DimensionMismatch):
+            apply_group_element(phi, [bad])
+        with pytest.raises(DimensionMismatch):
+            apply_group_element(phi, [1, bad])
 
 
 class TestVariant:
