@@ -1,6 +1,7 @@
 """Exact sparse Gaussian elimination over the Gaussian rationals.
 
-Rows are dicts column->GaussianRational; no floating point anywhere.
+Rows are dicts column->GaussianRational, or column->(re, im) in Z[i]; no
+floating point anywhere.
 Elimination is fraction-free and done once, in `echelon`, on primitive
 rows of Gaussian integers stored as (re, im) pairs of ints: a row is
 reduced by r <- p*r - f*pivot and divided by its content.  The pivot of a
@@ -15,7 +16,7 @@ caller that needs the pivot rows or a nullspace brings them back to Q(i),
 normalized to 1 at the pivot.
 """
 
-from math import gcd
+from math import gcd, lcm
 
 from .paramfield import ZERO, ONE, _gr, _acc
 
@@ -201,49 +202,44 @@ def echelon_nullspace(piv, ncols):
     return basis
 
 
-def solve_in_span(columns, target):
-    """Solve sum_j c_j * columns[j] == target exactly.
+def solve_in_span(rows, m):
+    """Solve sum_j c_j * column_j == target exactly, given as Z[i] rows.
 
-    columns and target are dicts key->GaussianRational over an arbitrary key
-    space.  Returns the coefficient list, or None if the system is
-    inconsistent.  Raises ValueError if the solution is not unique.
+    rows is an iterable of Z[i] rows {col: (re, im)}, one equation each:
+    col j < m holds the coefficient of c_j and col m the target's entry,
+    and a row may carry any nonzero integer factor.  Returns the list of
+    the c_j as GaussianRational, or None if the system is inconsistent.
+    Raises ValueError if the solution is not unique.
 
-    The echelon grows one row (key) at a time only until every coefficient
-    column has a pivot; the solution is then checked on the remaining rows
-    by substitution.  A system that never reaches full rank is decided by
-    its full echelon.
+    The echelon grows one row at a time only until every unknown has a
+    pivot; the remaining rows are then checked exactly in integers against
+    the solution over a common denominator.  A system that never reaches
+    full rank is decided by its full echelon.
     """
-    m = len(columns)
-    # one row per key, in order of first appearance; the target is column m
-    keys = iter(dict.fromkeys(k for col in (*columns, target) for k in col))
-    end = object()
+    rows = iter(rows)
     piv = {}
     while len(piv) < m:
-        k = next(keys, end)
-        if k is end:
+        row = next(rows, None)
+        if row is None:
             raise ValueError("solution not unique: rank %d < %d" % (len(piv), m))
-        row = {j: v for j, v in enumerate([col.get(k) for col in columns]
-                                          + [target.get(k)])
-               if v is not None and not v.is_zero()}
         if row:
-            piv = echelon([gaussian_ints(row)], m + 1, piv)
+            piv = echelon([_primitive(row)], m + 1, piv)
             if m in piv:
                 return None  # inconsistent
-    # back substitution: the pivots are the columns 0..m-1
-    sol = [ZERO] * m
-    for c in range(m - 1, -1, -1):
-        prow = _to_rationals(piv[c], c)
-        acc = prow.get(m, ZERO)
-        for cc, v in prow.items():
-            if cc != m and cc != c:
-                acc = acc - v * sol[cc]
-        sol[c] = acc
-    for k in keys:
-        acc = -target.get(k, ZERO)
-        for col, c in zip(columns, sol):
-            v = col.get(k)
-            if v is not None:
-                acc = acc + v * c
-        if not acc.is_zero():
+    # the pivots are the columns 0..m-1, so the nullspace is spanned by
+    # (-c_0, ..., -c_{m-1}, 1)
+    (vec,) = echelon_nullspace(piv, m + 1)
+    sol = [-vec.get(c, ZERO) for c in range(m)]
+    # the solution as Gaussian integers over one denominator d, and -d for
+    # the target column
+    d = lcm(*(v._d for v in sol))
+    nums = [(v._a * (d // v._d), v._b * (d // v._d)) for v in sol] + [(-d, 0)]
+    for row in rows:
+        re = im = 0
+        for c, (x, y) in row.items():
+            a, b = nums[c]
+            re += x * a - y * b
+            im += x * b + y * a
+        if re or im:
             return None  # inconsistent
     return sol

@@ -6,16 +6,20 @@ monogenic polynomial, the degree-raising embeddings M_j(R^n) -> M_i(R^{n+1}),
 and the proportionality constants relating coordinate multiplication on a
 sphere to those embeddings -- both as a closed-form table and by brute-force
 linear algebra over Q(sqrt(-1)).
+
+A spinor polynomial holds its values as Gaussian-integer pairs over one
+denominator, so its operations and the brute-force solve work on plain ints.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, perm
+from itertools import chain
+from math import factorial, gcd, lcm, perm
 from operator import add
 from types import MappingProxyType
 
 from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE,
-                         PS_ZERO, PS_I, PS_LAM, pochhammer, rat, _times_i_power, _acc)
+                         PS_ZERO, PS_I, PS_LAM, pochhammer, rat, _gr, _acc)
 from .cliffspin import (fund_branching, spin_dim, DimensionMismatch, _spinor,
                         _zeta_table)
 from . import linalg
@@ -122,9 +126,10 @@ _GEG_IDENTITIES = {
 }
 
 
-def _geg_identity_diff(name, n):
+def _geg_identity_diff(name, n, geg=gegenbauer):
     """Left side of the named Gegenbauer identity at degree n, formal lam, as
-    {power of z: ParamScalar}; empty exactly when the identity holds there."""
+    {power of z: ParamScalar}; empty exactly when the identity holds there.
+    geg(deg, lam) builds the Gegenbauer polynomials."""
     out = {}
     for coeff, factor, order, offset, shift in _GEG_IDENTITIES[name]:
         deg = n + offset
@@ -132,7 +137,7 @@ def _geg_identity_diff(name, n):
             continue
         c = ParamScalar.coerce(coeff(n, PS_LAM))
         terms = [(t - order, c * a * perm(t, order))
-                 for t, a in enumerate(gegenbauer(deg, PS_LAM + shift))
+                 for t, a in enumerate(geg(deg, PS_LAM + shift))
                  if t >= order and not a.is_zero()]
         _acc(out, ((t + p, a * f) for p, f in factor for t, a in terms))
     return out
@@ -147,10 +152,12 @@ def verify_gegenbauer_identities(max_deg):
     if max_deg < 2:
         raise BadDegree("max_deg must be >= 2, got %r" % (max_deg,))
     report = {}
+    # each Gegenbauer polynomial built once, in a cache of this call only
+    geg = lru_cache(maxsize=None)(gegenbauer)
     for name in _GEG_IDENTITIES:
         per = {}
         for n in range(max_deg + 1):
-            d = _geg_identity_diff(name, n)
+            d = _geg_identity_diff(name, n, geg)
             if d:
                 raise IdentityFailure("%s fails at degree %d: %r" % (name, n, d))
             per[n] = True
@@ -160,11 +167,45 @@ def verify_gegenbauer_identities(max_deg):
 
 # -- spinor-valued polynomials ------------------------------------------------
 
-def _sp(nvars, cn, variant, terms):
-    """SpinorPolynomial on a (monomial, mask) -> nonzero value dict, taken as it is."""
+def _sp(nvars, cn, variant, terms, den=1):
+    """SpinorPolynomial on a (monomial, mask) -> nonzero (re, im) dict over
+    den, taken as it is."""
     p = object.__new__(SpinorPolynomial)
-    p.nvars, p.cn, p.variant, p.terms = nvars, cn, variant, terms
+    p.nvars, p.cn, p.variant, p.terms, p.den = nvars, cn, variant, terms, den
     return p
+
+
+def _over_den(vals):
+    """(terms, den) of a dict of nonzero GaussianRational values: the parts
+    over the lcm of the denominators, where the content is 1."""
+    den = lcm(*(v._d for v in vals.values()))
+    return {key: (v._a * (den // v._d), v._b * (den // v._d))
+            for key, v in vals.items()}, den
+
+
+def _reduced(p):
+    """p, just built, with the common content of its parts and den divided
+    out."""
+    g = gcd(p.den, *chain.from_iterable(p.terms.values()))
+    if g != 1:
+        p.terms = {key: (a // g, b // g) for key, (a, b) in p.terms.items()}
+        p.den //= g
+    return p
+
+
+def _zacc(out, items):
+    """Add the nonzero (key, (re, im)) items into out, dropping a sum that
+    vanishes; returns out.  The Z[i] counterpart of paramfield._acc."""
+    for key, (a, b) in items:
+        t = out.get(key)
+        if t is not None:
+            a += t[0]
+            b += t[1]
+            if not (a or b):
+                del out[key]
+                continue
+        out[key] = (a, b)
+    return out
 
 
 def _bump(mono, idx, by):
@@ -172,16 +213,18 @@ def _bump(mono, idx, by):
 
 
 class SpinorPolynomial:
-    """Polynomial map R^nvars -> S with exact Spinor coefficients.
+    """Polynomial map R^nvars -> S with exact Gaussian-rational values.
 
     cn fixes the ambient Clifford algebra Cl(cn;C) acting on the values
     (cn >= nvars, so embedded polynomials can carry a larger spin module).
-    The value is one flat dict `terms`: (monomial, mask) -> nonzero
-    GaussianRational, so zeta(e_k), d/dx_k and multiplication by x^a are
-    remaps of its keys.  Values are immutable.
+    The value is one flat dict `terms`: (monomial, mask) -> nonzero Gaussian
+    integer (re, im), over one positive denominator `den` shared by every
+    term, with the parts and den coprime; so zeta(e_k), d/dx_k and
+    multiplication by x^a are remaps of its keys on plain ints, and equal
+    polynomials have equal parts.  Values are immutable.
     """
 
-    __slots__ = ("nvars", "cn", "variant", "terms")
+    __slots__ = ("nvars", "cn", "variant", "terms", "den")
 
     def __init__(self, nvars, cn=None, variant="+", coeffs=None):
         self.nvars = nvars
@@ -190,8 +233,8 @@ class SpinorPolynomial:
         coeffs = coeffs or {}
         if any(s.m != self.m for s in coeffs.values()):
             raise DimensionMismatch("spinor coefficient of wrong size")
-        self.terms = {(mono, mask): v for mono, s in coeffs.items()
-                      for mask, v in s.coeffs.items()}
+        self.terms, self.den = _over_den({(mono, mask): v for mono, s in coeffs.items()
+                                          for mask, v in s.coeffs.items()})
 
     @property
     def m(self):
@@ -199,92 +242,130 @@ class SpinorPolynomial:
 
     @property
     def coeffs(self):
-        """Read-only {monomial: Spinor} view of the terms."""
+        """Read-only {monomial: Spinor} view of the terms, over Q(i)."""
         out = {}
-        for (mono, mask), v in self.terms.items():
-            out.setdefault(mono, {})[mask] = v
+        for (mono, mask), (a, b) in self.terms.items():
+            out.setdefault(mono, {})[mask] = _gr(a, b, self.den)
         m = self.m
         return MappingProxyType({mono: _spinor(m, c) for mono, c in out.items()})
 
-    def _like(self, terms):
-        return _sp(self.nvars, self.cn, self.variant, terms)
+    def _like(self, terms, den=None):
+        return _sp(self.nvars, self.cn, self.variant, terms,
+                   self.den if den is None else den)
 
     def _zero_like(self):
-        return self._like({})
+        return _sp(self.nvars, self.cn, self.variant, {})
 
     def is_zero(self):
         return not self.terms
 
-    def _merge(self, other, k):
-        """self + i**k * other."""
+    def _merge(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
         if (self.nvars, self.cn, self.variant) != (other.nvars, other.cn, other.variant):
             raise DimensionMismatch("incompatible spinor polynomials")
-        return self._like(_acc(dict(self.terms), ((key, _times_i_power(k, v))
-                                                  for key, v in other.terms.items())))
+        den = lcm(self.den, other.den)
+        f, h = den // self.den, sign * (den // other.den)
+        out = dict(self.terms) if f == 1 else \
+            {key: (a * f, b * f) for key, (a, b) in self.terms.items()}
+        _zacc(out, ((key, (a * h, b * h)) for key, (a, b) in other.terms.items()))
+        return _reduced(self._like(out, den))
 
     def __add__(self, other):
-        return self._merge(other, 0)
+        return self._merge(other, 1)
 
     def __sub__(self, other):
-        return self._merge(other, 2)
+        return self._merge(other, -1)
 
     def scale(self, v):
         v = GaussianRational.coerce(v)
         if v.is_zero():
             return self._zero_like()
-        if v == ONE:
-            return self
-        return self._like({key: c * v for key, c in self.terms.items()})
+        c, e, d = v._a, v._b, v._d
+        if e:
+            terms = {key: (a * c - b * e, a * e + b * c)
+                     for key, (a, b) in self.terms.items()}
+        elif c == 1:  # 1/d shares the terms
+            if d == 1:
+                return self
+            terms = self.terms
+        else:
+            terms = {key: (a * c, b * c) for key, (a, b) in self.terms.items()}
+        if d == 1 and c * c + e * e == 1:  # a unit keeps the content
+            return self._like(terms)
+        return _reduced(self._like(terms, self.den * d))
 
     def mul_monomial(self, exps, v=ONE):
         return self._like({(tuple(map(add, mono, exps)), mask): c
-                           for (mono, mask), c in self.scale(v).terms.items()})
+                           for (mono, mask), c in self.terms.items()}).scale(v)
 
     def diff(self, k):
         """d/dx_k, 1-based k."""
         idx = k - 1
-        return self._like({(_bump(mono, idx, -1), mask):
-                           c * mono[idx] if mono[idx] > 1 else c
-                           for (mono, mask), c in self.terms.items() if mono[idx]})
+        return _reduced(self._like({(_bump(mono, idx, -1), mask):
+                                    (a * mono[idx], b * mono[idx]) if mono[idx] > 1 else (a, b)
+                                    for (mono, mask), (a, b) in self.terms.items()
+                                    if mono[idx]}))
 
     def apply_e(self, i):
-        """Apply zeta(e_i) of the ambient algebra to every coefficient."""
+        """Apply zeta(e_i) of the ambient algebra to every coefficient: each
+        value is multiplied by i^k, a swap and negation of its parts."""
         table = _zeta_table(self.cn, self.variant, i)
         out = {}
-        for (mono, mask), v in self.terms.items():
+        for (mono, mask), (a, b) in self.terms.items():
             image, k = table[mask]
-            out[(mono, image)] = _times_i_power(k, v)
+            if k & 1:
+                a, b = -b, a
+            if k & 2:
+                a, b = -a, -b
+            out[(mono, image)] = (a, b)
         return self._like(out)
 
     def _zeta_sum(self, step):
         """sum_k zeta(e_k) x_k phi (step 1) or sum_k zeta(e_k) d(phi)/dx_k
-        (step -1) over the polynomial variables, in one accumulator."""
+        (step -1) over the polynomial variables, in one accumulator.  zeta(x)
+        keeps the content, as zeta(x)^2 = -|x|^2 does (Gauss's lemma)."""
         out = {}
         for idx in range(self.nvars):
             table = _zeta_table(self.cn, self.variant, idx + 1)
-            items = self.terms.items()
-            if step < 0:  # d/dx_k: drop the terms free of x_k, scale by the exponent
-                items = [((mono, mask), v * mono[idx] if mono[idx] > 1 else v)
-                         for (mono, mask), v in items if mono[idx]]
-            _acc(out, (((_bump(mono, idx, step), table[mask][0]),
-                        _times_i_power(table[mask][1], v))
-                       for (mono, mask), v in items))
-        return self._like(out)
+            # _zacc inline: this loop is the hottest of the brute force
+            for (mono, mask), (a, b) in self.terms.items():
+                e = mono[idx]
+                if step < 0:  # d/dx_k: skip the terms free of x_k, scale by e
+                    if not e:
+                        continue
+                    if e > 1:
+                        a, b = a * e, b * e
+                image, k = table[mask]
+                if k & 1:
+                    a, b = -b, a
+                if k & 2:
+                    a, b = -a, -b
+                key = (_bump(mono, idx, step), image)
+                t = out.get(key)
+                if t is not None:
+                    a += t[0]
+                    b += t[1]
+                    if not (a or b):
+                        del out[key]
+                        continue
+                out[key] = (a, b)
+        return _reduced(self._like(out)) if step < 0 else self._like(out)
 
     def zeta_x(self):
         """Multiply by zeta(x) = sum_k x_k e_k over the polynomial variables."""
         return self._zeta_sum(1)
 
     def norm2_mul(self):
+        """Multiply by |x|^2, which keeps the content (Gauss's lemma)."""
         out = {}
         for idx in range(self.nvars):
-            _acc(out, (((_bump(mono, idx, 2), mask), v)
-                       for (mono, mask), v in self.terms.items()))
+            _zacc(out, (((_bump(mono, idx, 2), mask), v)
+                        for (mono, mask), v in self.terms.items()))
         return self._like(out)
 
     def gamma_twist(self):
-        return self._like({(mono, mask): (-v if bin(mask).count("1") & 1 else v)
-                           for (mono, mask), v in self.terms.items()})
+        return self._like({(mono, mask): ((-a, -b) if bin(mask).count("1") & 1 else (a, b))
+                           for (mono, mask), (a, b) in self.terms.items()})
 
     def degree(self):
         return max((sum(mono) for mono, _ in self.terms), default=-1)
@@ -302,21 +383,26 @@ class SpinorPolynomial:
             raise DimensionMismatch("spinor coefficient of wrong size")
         pad = (0,) * pad
         return _sp(nvars, cn, self.variant,
-                   {(mono + pad, mask): v for (mono, mask), v in self.terms.items()})
+                   {(mono + pad, mask): v for (mono, mask), v in self.terms.items()},
+                   self.den)
 
     def map_values(self, spinmap):
-        """Apply the linear map spinmap to every spinor value."""
+        """Apply the linear map spinmap to every spinor value: its entries
+        over their lcm denominator D multiply the parts, over den * D."""
+        entries, dmap = _over_den(spinmap.entries)
         by_col = {}
-        for (r, c), v in spinmap.entries.items():
-            by_col.setdefault(c, []).append((r, v))
-        return _sp(self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1), self.variant,
-                   _acc({}, (((mono, r), v * x) for (mono, mask), x in self.terms.items()
-                             for r, v in by_col.get(mask, ()))))
+        for (r, c), (x, y) in entries.items():
+            by_col.setdefault(c, []).append((r, x, y))
+        out = _zacc({}, (((mono, r), (a * x - b * y, a * y + b * x))
+                         for (mono, mask), (a, b) in self.terms.items()
+                         for r, x, y in by_col.get(mask, ())))
+        return _reduced(_sp(self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1),
+                            self.variant, out, self.den * dmap))
 
     def __eq__(self, other):
         return (isinstance(other, SpinorPolynomial)
-                and (self.nvars, self.cn, self.variant)
-                == (other.nvars, other.cn, other.variant)
+                and (self.nvars, self.cn, self.variant, self.den)
+                == (other.nvars, other.cn, other.variant, other.den)
                 and self.terms == other.terms)
 
     def __repr__(self):
@@ -347,10 +433,12 @@ def monogenic_basis(n, i):
     cols = [(mono, mask) for mono in monomials(n, i) for mask in range(spin_dim(n))]
     rows = {}
     for j, key in enumerate(cols):
-        for dkey, v in dirac(_sp(n, n, "+", {key: ONE})).terms.items():
+        # the Dirac image of one term has integer parts over den 1
+        for dkey, v in dirac(_sp(n, n, "+", {key: (1, 0)})).terms.items():
             rows.setdefault(dkey, {})[j] = v
-    return tuple(_sp(n, n, "+", {cols[j]: v for j, v in vec.items()})
-                 for vec in linalg.nullspace(list(rows.values()), len(cols)))
+    piv = linalg.echelon(map(linalg._primitive, rows.values()), len(cols))
+    return tuple(_sp(n, n, "+", *_over_den({cols[j]: v for j, v in vec.items()}))
+                 for vec in linalg.echelon_nullspace(piv, len(cols)))
 
 
 def _fischer_a(n, i, j):
@@ -435,7 +523,7 @@ def _embed_values(phi):
     n = phi.nvars
     if n % 2:
         phi = phi.map_values(fund_branching(n)[0])
-    return _sp(n, n + 1, "+", phi.terms)
+    return _sp(n, n + 1, "+", phi.terms, phi.den)
 
 
 def _norm2_power_mul(phi, t):
@@ -522,6 +610,8 @@ def _adjacent_move(a, b):
 
 
 def _validate_pair(n, alpha, alphap, beta, betap):
+    """Check one adjacent lattice move; (i, si, j, sj, index step of alpha
+    -> beta, index step of alphap -> betap)."""
     if n < 2:
         raise DimensionMismatch("lattice constants need n >= 2, got n=%r" % (n,))
     even = n % 2 == 0
@@ -539,7 +629,7 @@ def _validate_pair(n, alpha, alphap, beta, betap):
     mvp = _adjacent_move(alphap, betap)
     if mv is None or mvp is None:
         raise NotAdjacent("labels are not adjacent")
-    return i, si, j, sj, ib, jb, mv, mvp
+    return i, si, j, sj, mv[0], mvp[0]
 
 
 # (move of alpha, move of alphap) -> (numerator, denominator) of the constant.
@@ -564,8 +654,8 @@ _LAMBDA_TABLE = {
 
 def lambda_constant(n, alpha, alphap, beta, betap):
     """Closed-form proportionality constant for one adjacent lattice move."""
-    i, si, j, sj, _, _, mv, mvp = _validate_pair(n, alpha, alphap, beta, betap)
-    key = (mv[0], mvp[0])
+    i, si, j, sj, mv, mvp = _validate_pair(n, alpha, alphap, beta, betap)
+    key = (mv, mvp)
     num, den = _LAMBDA_TABLE[key](n, i, j)
     if key.count(0) != 1:
         return ParamScalar(num, den)
@@ -621,10 +711,8 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
             return ("mixed", branch_embed(n, jp, ipb, rep))
         return ("mixed", branch_embed(n, jp, ipb, rep).gamma_twist())
 
-    target = {}
     cand_moves = [mvq for mvq in (1, 0, -1) if 0 <= j + mvq <= ib_target]
-    col_vecs = {mvq: {} for mvq in cand_moves}
-    sample_idx = 0
+    samples = []  # per (phi, k): [(None, left side), (move, nonzero candidate)...]
     for phi in basis:
         if even:
             # alpha = (i,+): Psi = I(phi); (i,-): Psi = I(gamma phi), xz kind
@@ -644,6 +732,7 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
             lhs_kind_b, lhs_rep = _omega_components(Psi, k, lhs_kind,
                                                     (lhs_move,))[lhs_move]
             src_comps = _omega_components(phi, k, omega_kind, cand_moves)
+            sample = [(None, lhs_rep)]
             for mvq in cand_moves:
                 comp_kind, rep = src_comps[mvq]
                 cand = embed_candidate(j + mvq, ib_target, comp_kind, rep)
@@ -652,17 +741,29 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
                     if ck != lhs_kind_b:
                         raise MultiplicityViolation(
                             "component kinds disagree: %s vs %s" % (ck, lhs_kind_b))
-                    for key, v in cpoly.terms.items():
-                        col_vecs[mvq][(sample_idx, key)] = v
-            for key, v in lhs_rep.terms.items():
-                target[(sample_idx, key)] = v
-            sample_idx += 1
+                    if not cpoly.is_zero():
+                        sample.append((mvq, cpoly))
+            samples.append(sample)
 
-    live = [mvq for mvq in cand_moves if col_vecs[mvq]]
+    live = [mvq for mvq in cand_moves if any(t == mvq for s in samples for t, _ in s)]
     if not live:
         raise ZeroMap("comparison map vanishes on the spanning set")
+    col = {mvq: t for t, mvq in enumerate(live + [None])}  # the left side last
+
+    def rows():
+        """One Z[i] row per term of a sample, its polynomials brought to the
+        lcm of their denominators."""
+        for sample in samples:
+            den = lcm(*(p.den for _, p in sample))
+            by_key = {}
+            for mvq, p in sample:
+                f = den // p.den
+                for key, (a, b) in p.terms.items():
+                    by_key.setdefault(key, {})[col[mvq]] = (a * f, b * f)
+            yield from by_key.values()
+
     try:
-        sol = linalg.solve_in_span([col_vecs[mvq] for mvq in live], target)
+        sol = linalg.solve_in_span(rows(), len(live))
     except ValueError as exc:
         raise ZeroMap(str(exc))
     if sol is None:
@@ -681,11 +782,11 @@ def lambda_constant_bruteforce(n, alpha, alphap, beta, betap, max_basis=None):
     proportional and ZeroMap when the comparison map vanishes on the whole
     spanning set.
     """
-    _, _, j, _, _, _, mv, mvp = _validate_pair(n, alpha, alphap, beta, betap)
+    mvp = _validate_pair(n, alpha, alphap, beta, betap)[-1]
     block = _bruteforce_block(n, alpha, alphap, beta, max_basis)
-    if mvp[0] not in block:
+    if mvp not in block:
         raise ZeroMap("comparison map vanishes on the spanning set")
-    return ParamScalar.coerce(block[mvp[0]])
+    return ParamScalar.coerce(block[mvp])
 
 
 def apply_group_element(phi, gen_indices):
@@ -701,6 +802,6 @@ def apply_group_element(phi, gen_indices):
     for idx in reversed(gen_indices):
         phi = phi.apply_e(idx)
         flip ^= 1 << (idx - 1)
-    return phi._like({(mono, mask): -v if sum(e for t, e in enumerate(mono)
-                                              if flip >> t & 1) & 1 else v
-                      for (mono, mask), v in phi.terms.items()})
+    return phi._like({(mono, mask): (-a, -b) if sum(e for t, e in enumerate(mono)
+                                                    if flip >> t & 1) & 1 else (a, b)
+                      for (mono, mask), (a, b) in phi.terms.items()})

@@ -58,9 +58,9 @@ class TestClosedForm:
 
 def reference_lambda_constant(n, alpha, alphap, beta, betap):
     """lambda_constant as one branch per move pair, each with its own phase."""
-    i, si, j, sj, _, _, mv, mvp = mg._validate_pair(n, alpha, alphap, beta, betap)
+    i, si, j, sj, mv, mvp = mg._validate_pair(n, alpha, alphap, beta, betap)
     s = si if n % 2 == 0 else sj
-    key = (mv[0], mvp[0])
+    key = (mv, mvp)
     if key == (1, 1):
         val = ParamScalar(n + 2 * j - 1, n + 2 * i + 1)
     elif key == (0, 1):
@@ -220,10 +220,12 @@ def reference_bruteforce_block(n, alpha, alphap, beta, max_basis):
                     if ck != lhs_kind_b:
                         raise MultiplicityViolation(
                             "component kinds disagree: %s vs %s" % (ck, lhs_kind_b))
-                    for key, v in cpoly.terms.items():
-                        col_vecs[mvq][(sample_idx, key)] = v
-            for key, v in lhs_rep.terms.items():
-                target[(sample_idx, key)] = v
+                    for mono, s in cpoly.coeffs.items():
+                        for mask, v in s.coeffs.items():
+                            col_vecs[mvq][(sample_idx, (mono, mask))] = v
+            for mono, s in lhs_rep.coeffs.items():
+                for mask, v in s.coeffs.items():
+                    target[(sample_idx, (mono, mask))] = v
             sample_idx += 1
 
     live = [mvq for mvq in cand_moves if col_vecs[mvq]]

@@ -1,6 +1,7 @@
 """The fraction-free elimination against the plain Q(i) elimination."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,6 +169,29 @@ def reference_solve_in_span(columns, target):
     return sol
 
 
+def span_rows(columns, target, sample_of=None, factor=None):
+    """The Z[i] rows linalg.solve_in_span takes for sum_j c_j * columns[j]
+    == target: one row per key, in order of first appearance, with the
+    target in column len(columns).  The keys fall into samples by
+    sample_of (one sample if None), and each sample's rows are brought to
+    the lcm of the sample's denominators, times factor[sample] if given."""
+    keys = dict.fromkeys(k for col in (*columns, target) for k in col)
+    rows = {k: {j: v for j, v in enumerate([col.get(k) for col in columns]
+                                            + [target.get(k)])
+                if v is not None and not v.is_zero()} for k in keys}
+    sample = {k: sample_of(k) if sample_of else 0 for k in keys}
+    den = {}
+    for k, row in rows.items():
+        den[sample[k]] = lcm(den.get(sample[k], 1), *(v._d for v in row.values()))
+    out = []
+    for k, row in rows.items():
+        s = sample[k]
+        f = factor[s] if factor else 1
+        out.append({j: (v._a * f * den[s] // v._d, v._b * f * den[s] // v._d)
+                    for j, v in row.items()})
+    return out
+
+
 def _dot(row, vec):
     acc = ZERO
     for c, v in row.items():
@@ -243,16 +267,17 @@ def test_solve_in_span_roundtrip(system, coeffs):
     keys = sorted({k for col in columns for k in col})
     as_rows = [{j: col[k] for j, col in enumerate(columns) if k in col}
                for k in keys]
+    rows = span_rows(columns, target)
     if linalg.rank(as_rows, len(columns)) < len(columns):
         with pytest.raises(ValueError):
-            linalg.solve_in_span(columns, target)
+            linalg.solve_in_span(rows, len(columns))
     else:
-        assert linalg.solve_in_span(columns, target) == coeffs
+        assert linalg.solve_in_span(rows, len(columns)) == coeffs
 
 
 def test_solve_in_span_inconsistent():
-    one = GaussianRational(1)
-    assert linalg.solve_in_span([{"a": one}], {"b": one}) is None
+    # c * 1 == 0 at the first key, 0 == 1 at the second
+    assert linalg.solve_in_span([{0: (1, 0)}, {1: (1, 0)}], 1) is None
 
 
 @st.composite
@@ -287,9 +312,9 @@ def span_systems(draw):
     return columns, {k: v for k, v in target.items() if not v.is_zero()}
 
 
-def _solve_outcome(solve, columns, target):
+def _solve_outcome(solve, *args):
     try:
-        return solve(columns, target)
+        return solve(*args)
     except ValueError:
         return ValueError
 
@@ -298,7 +323,24 @@ def _solve_outcome(solve, columns, target):
 @settings(max_examples=100, deadline=None)
 def test_solve_in_span_matches_full_elimination(system):
     columns, target = system
-    assert _solve_outcome(linalg.solve_in_span, columns, target) == \
+    assert _solve_outcome(linalg.solve_in_span, span_rows(columns, target),
+                          len(columns)) == \
+        _solve_outcome(reference_solve_in_span, columns, target)
+
+
+@given(span_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_in_span_rows_over_sample_denominators(system, data):
+    # rows in any order, each sample over its own denominator and factor,
+    # as the lambda brute force builds them
+    columns, target = system
+    sample = data.draw(st.fixed_dictionaries(
+        {k: st.integers(0, 2) for k in "abcdefgh"}), label="sample")
+    factor = data.draw(st.lists(st.integers(-6, 6).filter(bool), min_size=3,
+                                max_size=3), label="factor")
+    rows = data.draw(st.permutations(span_rows(columns, target, sample.get,
+                                               factor)), label="rows")
+    assert _solve_outcome(linalg.solve_in_span, rows, len(columns)) == \
         _solve_outcome(reference_solve_in_span, columns, target)
 
 
@@ -313,7 +355,7 @@ def test_solve_in_span_matches_full_elimination(system):
 ])
 def test_solve_in_span_checks_rows_after_full_rank(columns, target):
     assert reference_solve_in_span(columns, target) is None
-    assert linalg.solve_in_span(columns, target) is None
+    assert linalg.solve_in_span(span_rows(columns, target), len(columns)) is None
 
 
 @pytest.mark.parametrize("n,lam0,nu0,sign", [

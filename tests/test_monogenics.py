@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from unittest import mock
 
 import pytest
@@ -184,10 +184,25 @@ def as_reference(phi):
     return ReferenceSpinorPolynomial(phi.nvars, phi.cn, phi.variant, dict(phi.coeffs))
 
 
+def flat_values(phi):
+    """The Q(i) view of phi as one flat (monomial, mask) -> value dict."""
+    return {(mono, mask): v for mono, s in phi.coeffs.items()
+            for mask, v in s.coeffs.items()}
+
+
+def is_canonical(phi):
+    """Nonzero Z[i] parts over one positive denominator, all coprime."""
+    parts = [x for pair in phi.terms.values() for x in pair]
+    return (phi.den > 0 and gcd(phi.den, *parts) == 1
+            and all(a or b for a, b in phi.terms.values()))
+
+
 def agrees(got, want):
-    """The flat result equals the reference one: terms, view, repr and shape."""
+    """The flat result equals the reference one: values, view, repr and
+    shape, in the canonical form."""
     assert isinstance(got, SpinorPolynomial)
-    assert got.terms == want.vec()
+    assert is_canonical(got)
+    assert flat_values(got) == want.vec()
     assert dict(got.coeffs) == want.coeffs
     assert repr(got) == repr(want)
     assert (got.nvars, got.cn, got.variant) == (want.nvars, want.cn, want.variant)
@@ -285,6 +300,40 @@ class TestAgainstReference:
             want = mult_coordinate_split(as_reference(phi), k)
         for g, w in zip(got, want):
             assert agrees(g, w)
+
+
+class TestCanonicalForm:
+    """Equal values have equal parts, whatever the route and the
+    denominators met on the way."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_routes_with_different_denominators(self, data):
+        n = data.draw(st.integers(2, 6), label="n")
+        variant = data.draw(st.sampled_from("+-"), label="variant")
+        p = SpinorPolynomial(n, n, variant, data.draw(sparse_coeffs(n)))
+        q = SpinorPolynomial(n, n, variant, data.draw(sparse_coeffs(n)))
+        v = data.draw(gaussians.filter(lambda z: not z.is_zero()), label="v")
+        routes = [p.scale(gr(Fraction(1, 3))).scale(gr(3)), (p + q) - q,
+                  q + (p - q), p.scale(v).scale(v.inverse()),
+                  p.scale(gr(Fraction(1, 2))) + p.scale(gr(Fraction(1, 2)))]
+        for r in routes:
+            assert is_canonical(r) and r == p
+        assert p + p == p.scale(gr(2))
+        assert p - p == p._zero_like() and (p - p).den == 1
+
+    def test_content_removed_where_it_changes(self):
+        s = Spinor.basis(1, 1)
+        third = SpinorPolynomial(3, 3, "+", {(1, 0, 0): s.scale(gr(Fraction(1, 3)))})
+        two_thirds = third.scale(gr(2))
+        assert (third.den, two_thirds.den) == (3, 3)
+        whole = third + two_thirds
+        assert whole == SpinorPolynomial(3, 3, "+", {(1, 0, 0): s})
+        assert whole.den == 1 and whole.terms == {((1, 0, 0), 1): (1, 0)}
+        # x_1^2 s / 2 differentiates to x_1 s
+        half = SpinorPolynomial(3, 3, "+", {(2, 0, 0): s.scale(gr(Fraction(1, 2)))})
+        assert half.diff(1) == SpinorPolynomial(3, 3, "+", {(1, 0, 0): s})
+        assert half.diff(1).den == 1
 
 
 @pytest.mark.parametrize("n", range(2, 7))
