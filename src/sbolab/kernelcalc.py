@@ -16,6 +16,8 @@ data, and pull |x'|^2-divisible prefactors into the radial exponents, so
 equality of kernels is decidable by structural comparison.
 """
 
+from math import factorial
+
 from .paramfield import (GaussianRational, ParamScalar, ParamPoly, rat, PS_ONE,
                          _ps_times_i_power, _acc)
 from .cliffspin import (zeta_matrix, spin_projection_P, spin_dim, _blade_action,
@@ -93,19 +95,12 @@ class AffineExp:
 _AFF0 = AffineExp()
 
 
-def _fact(k):
-    f = 1
-    for t in range(2, k + 1):
-        f *= t
-    return f
-
-
 def _binom_affine(b, t):
     """binomial(b, t) for an affine exponent b: b(b-1)...(b-t+1)/t!."""
     out = PS_ONE
     for s in range(t):
         out = out * ((b - s).as_scalar())
-    return out * ParamScalar(1, _fact(t))
+    return out * ParamScalar(1, factorial(t))
 
 
 def _bump(t, pos, d):
@@ -293,7 +288,7 @@ def _normalize(n, raw):
         # (|x'|^2 + x_n^2)^r delta^(m): only the x_n-jet up to order m pairs
         for t in range(m // 2 + 1):
             # x_n^{2t} delta^(m) = m!/(m-2t)! delta^(m-2t)
-            c = _binom_affine(r, t) * ParamScalar.coerce(_fact(m) // _fact(m - 2 * t))
+            c = _binom_affine(r, t) * ParamScalar.coerce(factorial(m) // factorial(m - 2 * t))
             newxp = xp + AffineExp(2 * r.a, 2 * r.b, 2 * (r.c - t))
             _put(terms, ("B", m - 2 * t, newxp, _AFF0, mono), val, c)
 
@@ -469,13 +464,13 @@ def _laplacian_monomials(n, j):
     def rec(pos, remaining, alpha, weight):
         if pos == nx - 1:
             a = alpha + [remaining]
-            w = weight // _fact(remaining)
+            w = weight // factorial(remaining)
             out.append((tuple(a) + (0,), w))
             return
         for t in range(remaining + 1):
-            rec(pos + 1, remaining - t, alpha + [t], weight // _fact(t))
+            rec(pos + 1, remaining - t, alpha + [t], weight // factorial(t))
 
-    rec(0, j, [], _fact(j))
+    rec(0, j, [], factorial(j))
     return [(tuple(2 * a for a in alpha[:-1]) + (0,), w) for alpha, w in out]
 
 
@@ -534,7 +529,7 @@ def _b_family(tag, n, k=None, form="expanded", **_):
                           meta)
     terms = {("B", m - 2 * t, AffineExp(0, -2, 1 - n - 2 * t), _AFF0, mono0):
              tok * _poch_nu(rho_h, t) * ParamScalar(
-                 (-1) ** t * _fact(m), _fact(t) * _fact(m - 2 * t))
+                 (-1) ** t * factorial(m), factorial(t) * factorial(m - 2 * t))
              for t in range(k + 1)}
     return KernelExpr(n, None, terms, meta)
 
@@ -546,7 +541,7 @@ def _c_family(tag, n, l=None, **_):
     for j2 in range(l + 1):
         p = 2 * l - 2 * j2
         dn = p if plus else p + 1
-        c = _poch_nu(-l, l - j2) * ParamScalar(2 ** p, _fact(j2) * _fact(dn))
+        c = _poch_nu(-l, l - j2) * ParamScalar(2 ** p, factorial(j2) * factorial(dn))
         _add_point(terms, n, c, j2, dn)
     meta = {"family": tag, "l": l,
             "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
@@ -567,7 +562,7 @@ def _residue_family(tag, n, i=None, j=None, **_):
         raise BadParams(tag + (" needs i - j in 2N" if plus else " needs i - j odd"))
     offset, flip = _RESIDUE[tag]
     m = n + i + j + offset
-    c = ParamScalar((-1) ** (m // 2 + flip) * _fact(m // 2), _fact(m))
+    c = ParamScalar((-1) ** (m // 2 + flip) * factorial(m // 2), factorial(m))
     r = AffineExp.const(j)
     meta = {"family": tag, "i": i, "j": j}
     if tag[0] == "s":
@@ -610,12 +605,12 @@ def _spinor_c_family(tag, n, l=None, **_):
         # sum_a Delta^j d_n^p D'_a delta (x) zeta(e_a), p = 2l-2j-1 (+1 for sCt-)
         p = 2 * l - 2 * j2 - 1 + q
         if p >= 0:
-            c = _poch_nu(start, l - j2 - 1 + q) * ParamScalar(2 ** p, _fact(j2) * _fact(p))
+            c = _poch_nu(start, l - j2 - 1 + q) * ParamScalar(2 ** p, factorial(j2) * factorial(p))
             for a in range(1, n):
                 _add_point(terms, n, c, j2, p, dprime=a, gen=a)
         # Delta^j d_n^p D_n delta = e_n Delta^j d_n^{p+1} delta
         c = _poch_nu(start, l - j2 + q) * ParamScalar(2 ** (p + 1),
-                                                      _fact(j2) * _fact(p + 1))
+                                                      factorial(j2) * factorial(p + 1))
         _add_point(terms, n, c, j2, p + 1, gen=n)
     meta = {"family": tag, "l": l,
             "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}

@@ -8,14 +8,14 @@ sphere to those embeddings -- both as a closed-form table and by brute-force
 linear algebra over Q(sqrt(-1)).
 
 A spinor polynomial holds its values as Gaussian-integer pairs over one
-denominator, so its operations and the brute-force solve work on plain ints.
+denominator, keyed by one int packing the monomial and the spinor mask, so
+its operations and the brute-force solve work on plain ints.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import factorial, gcd, lcm, perm
-from operator import add
+from math import factorial, gcd, lcm, perm, prod
 from types import MappingProxyType
 
 from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE,
@@ -166,10 +166,42 @@ def verify_gegenbauer_identities(max_deg):
 
 
 # -- spinor-valued polynomials ------------------------------------------------
+# A term's key is one int: the spinor mask in the low m = cn // 2 bits, then
+# the exponent of x_k in the _W bits from m + _W * (k - 1), so new variables
+# take the high fields.  While the total degree is at most MAX_DEGREE no
+# field carries, and it is (key >> m) % _FIELD, as 2**_W = 1 mod _FIELD.
+
+_W = 8
+_FIELD = (1 << _W) - 1
+MAX_DEGREE = _FIELD - 1
+
+
+def _check_degree(deg):
+    if deg > MAX_DEGREE:
+        raise BadDegree("total degree %d exceeds %d" % (deg, MAX_DEGREE))
+
+
+def _pack(mono, nvars):
+    """The exponent fields of a monomial in nvars variables, below the mask."""
+    if len(mono) != nvars:
+        raise DimensionMismatch("monomial of wrong length")
+    if min(mono, default=0) < 0 or sum(mono) > MAX_DEGREE:
+        raise BadDegree("exponents %r not in 0..%d in total" % (mono, MAX_DEGREE))
+    return sum(e << _W * t for t, e in enumerate(mono))
+
+
+@lru_cache(maxsize=None)
+def _norm2_power(nvars, t, m):
+    """|x|^(2t) as (key shift for masks of m bits, coefficient) pairs."""
+    f = factorial(t)
+    return tuple((_pack([2 * e for e in beta], nvars) << m,
+                  f // prod(map(factorial, beta)))
+                 for beta in monomials(nvars, t))
+
 
 def _sp(nvars, cn, variant, terms, den=1):
-    """SpinorPolynomial on a (monomial, mask) -> nonzero (re, im) dict over
-    den, taken as it is."""
+    """SpinorPolynomial on a packed key -> nonzero (re, im) dict over den,
+    taken as it is."""
     p = object.__new__(SpinorPolynomial)
     p.nvars, p.cn, p.variant, p.terms, p.den = nvars, cn, variant, terms, den
     return p
@@ -193,23 +225,23 @@ def _reduced(p):
     return p
 
 
-def _zacc(out, items):
-    """Add the nonzero (key, (re, im)) items into out, dropping a sum that
-    vanishes; returns out.  The Z[i] counterpart of paramfield._acc."""
-    for key, (a, b) in items:
-        t = out.get(key)
-        if t is not None:
-            a += t[0]
-            b += t[1]
-            if not (a or b):
-                del out[key]
-                continue
-        out[key] = (a, b)
+def _zacc(out, terms, shifts):
+    """Add mult * x^shift * terms into out for each (key shift, int mult) of
+    shifts, dropping a sum that vanishes; returns out.  The Z[i] counterpart
+    of paramfield._acc."""
+    for shift, mult in shifts:
+        for key, (a, b) in terms.items():
+            key += shift
+            a, b = a * mult, b * mult
+            t = out.get(key)
+            if t is not None:
+                a += t[0]
+                b += t[1]
+                if not (a or b):
+                    del out[key]
+                    continue
+            out[key] = (a, b)
     return out
-
-
-def _bump(mono, idx, by):
-    return mono[:idx] + (mono[idx] + by,) + mono[idx + 1:]
 
 
 class SpinorPolynomial:
@@ -217,11 +249,11 @@ class SpinorPolynomial:
 
     cn fixes the ambient Clifford algebra Cl(cn;C) acting on the values
     (cn >= nvars, so embedded polynomials can carry a larger spin module).
-    The value is one flat dict `terms`: (monomial, mask) -> nonzero Gaussian
+    The value is one flat dict `terms`: packed key (above) -> nonzero Gaussian
     integer (re, im), over one positive denominator `den` shared by every
-    term, with the parts and den coprime; so zeta(e_k), d/dx_k and
-    multiplication by x^a are remaps of its keys on plain ints, and equal
-    polynomials have equal parts.  Values are immutable.
+    term, with the parts and den coprime; so zeta(e_k), d/dx_k and x^a are
+    int operations on keys, and equal polynomials have equal parts.  A total
+    degree above MAX_DEGREE raises BadDegree.  Values are immutable.
     """
 
     __slots__ = ("nvars", "cn", "variant", "terms", "den")
@@ -233,7 +265,8 @@ class SpinorPolynomial:
         coeffs = coeffs or {}
         if any(s.m != self.m for s in coeffs.values()):
             raise DimensionMismatch("spinor coefficient of wrong size")
-        self.terms, self.den = _over_den({(mono, mask): v for mono, s in coeffs.items()
+        self.terms, self.den = _over_den({_pack(mono, nvars) << self.m | mask: v
+                                          for mono, s in coeffs.items()
                                           for mask, v in s.coeffs.items()})
 
     @property
@@ -243,10 +276,11 @@ class SpinorPolynomial:
     @property
     def coeffs(self):
         """Read-only {monomial: Spinor} view of the terms, over Q(i)."""
-        out = {}
-        for (mono, mask), (a, b) in self.terms.items():
-            out.setdefault(mono, {})[mask] = _gr(a, b, self.den)
-        m = self.m
+        m, out = self.m, {}
+        low = (1 << m) - 1
+        for key, (a, b) in self.terms.items():
+            mono = tuple(key >> m + _W * t & _FIELD for t in range(self.nvars))
+            out.setdefault(mono, {})[key & low] = _gr(a, b, self.den)
         return MappingProxyType({mono: _spinor(m, c) for mono, c in out.items()})
 
     def _like(self, terms, den=None):
@@ -267,8 +301,7 @@ class SpinorPolynomial:
         f, h = den // self.den, sign * (den // other.den)
         out = dict(self.terms) if f == 1 else \
             {key: (a * f, b * f) for key, (a, b) in self.terms.items()}
-        _zacc(out, ((key, (a * h, b * h)) for key, (a, b) in other.terms.items()))
-        return _reduced(self._like(out, den))
+        return _reduced(self._like(_zacc(out, other.terms, ((0, h),)), den))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -295,52 +328,64 @@ class SpinorPolynomial:
         return _reduced(self._like(terms, self.den * d))
 
     def mul_monomial(self, exps, v=ONE):
-        return self._like({(tuple(map(add, mono, exps)), mask): c
-                           for (mono, mask), c in self.terms.items()}).scale(v)
+        shift = _pack(exps, self.nvars) << self.m
+        _check_degree(self.degree() + sum(exps))
+        return self._like({key + shift: c for key, c in self.terms.items()}).scale(v)
 
     def diff(self, k):
         """d/dx_k, 1-based k."""
-        idx = k - 1
-        return _reduced(self._like({(_bump(mono, idx, -1), mask):
-                                    (a * mono[idx], b * mono[idx]) if mono[idx] > 1 else (a, b)
-                                    for (mono, mask), (a, b) in self.terms.items()
-                                    if mono[idx]}))
+        if not 1 <= k <= self.nvars:
+            raise DimensionMismatch("variable index out of range")
+        at = self.m + _W * (k - 1)
+        out = {}
+        for key, (a, b) in self.terms.items():
+            e = key >> at & _FIELD
+            if e:
+                out[key - (1 << at)] = (a * e, b * e) if e > 1 else (a, b)
+        return _reduced(self._like(out))
 
     def apply_e(self, i):
         """Apply zeta(e_i) of the ambient algebra to every coefficient: each
         value is multiplied by i^k, a swap and negation of its parts."""
         table = _zeta_table(self.cn, self.variant, i)
+        low = (1 << self.m) - 1
         out = {}
-        for (mono, mask), (a, b) in self.terms.items():
+        for key, (a, b) in self.terms.items():
+            mask = key & low
             image, k = table[mask]
             if k & 1:
                 a, b = -b, a
             if k & 2:
                 a, b = -a, -b
-            out[(mono, image)] = (a, b)
+            out[key - mask + image] = (a, b)
         return self._like(out)
 
     def _zeta_sum(self, step):
         """sum_k zeta(e_k) x_k phi (step 1) or sum_k zeta(e_k) d(phi)/dx_k
         (step -1) over the polynomial variables, in one accumulator.  zeta(x)
         keeps the content, as zeta(x)^2 = -|x|^2 does (Gauss's lemma)."""
+        m = self.m
+        low = (1 << m) - 1
         out = {}
         for idx in range(self.nvars):
             table = _zeta_table(self.cn, self.variant, idx + 1)
+            at = m + _W * idx
+            move = step << at
             # _zacc inline: this loop is the hottest of the brute force
-            for (mono, mask), (a, b) in self.terms.items():
-                e = mono[idx]
+            for key, (a, b) in self.terms.items():
                 if step < 0:  # d/dx_k: skip the terms free of x_k, scale by e
+                    e = key >> at & _FIELD
                     if not e:
                         continue
                     if e > 1:
                         a, b = a * e, b * e
+                mask = key & low
                 image, k = table[mask]
                 if k & 1:
                     a, b = -b, a
                 if k & 2:
                     a, b = -a, -b
-                key = (_bump(mono, idx, step), image)
+                key += move - mask + image
                 t = out.get(key)
                 if t is not None:
                     a += t[0]
@@ -353,51 +398,48 @@ class SpinorPolynomial:
 
     def zeta_x(self):
         """Multiply by zeta(x) = sum_k x_k e_k over the polynomial variables."""
+        _check_degree(self.degree() + 1)
         return self._zeta_sum(1)
 
     def norm2_mul(self):
         """Multiply by |x|^2, which keeps the content (Gauss's lemma)."""
-        out = {}
-        for idx in range(self.nvars):
-            _zacc(out, (((_bump(mono, idx, 2), mask), v)
-                        for (mono, mask), v in self.terms.items()))
-        return self._like(out)
+        _check_degree(self.degree() + 2)
+        return self._like(_zacc({}, self.terms, _norm2_power(self.nvars, 1, self.m)))
 
     def gamma_twist(self):
-        return self._like({(mono, mask): ((-a, -b) if bin(mask).count("1") & 1 else (a, b))
-                           for (mono, mask), (a, b) in self.terms.items()})
+        low = (1 << self.m) - 1
+        return self._like({key: ((-a, -b) if (key & low).bit_count() & 1 else (a, b))
+                           for key, (a, b) in self.terms.items()})
 
     def degree(self):
-        return max((sum(mono) for mono, _ in self.terms), default=-1)
+        m = self.m
+        return max(((key >> m) % _FIELD for key in self.terms), default=-1)
 
     def is_homogeneous(self):
-        return len({sum(mono) for mono, _ in self.terms}) <= 1
+        m = self.m
+        return len({(key >> m) % _FIELD for key in self.terms}) <= 1
 
     def extend_vars(self, nvars, cn=None):
-        """View in a larger variable set (new variables appended, exponent 0)."""
-        pad = nvars - self.nvars
-        if pad < 0:
+        """View in a larger variable set (new variables appended, exponent
+        0): the keys stay, so the terms are shared."""
+        if nvars < self.nvars:
             raise DimensionMismatch("cannot shrink variables")
         cn = self.cn if cn is None else cn
         if cn // 2 != self.m:
             raise DimensionMismatch("spinor coefficient of wrong size")
-        pad = (0,) * pad
-        return _sp(nvars, cn, self.variant,
-                   {(mono + pad, mask): v for (mono, mask), v in self.terms.items()},
-                   self.den)
+        return _sp(nvars, cn, self.variant, self.terms, self.den)
 
     def map_values(self, spinmap):
         """Apply the linear map spinmap to every spinor value: its entries
         over their lcm denominator D multiply the parts, over den * D."""
         entries, dmap = _over_den(spinmap.entries)
-        by_col = {}
+        m, m2 = self.m, spinmap.dst_dim.bit_length() - 1
+        low, out = (1 << m) - 1, {}
         for (r, c), (x, y) in entries.items():
-            by_col.setdefault(c, []).append((r, x, y))
-        out = _zacc({}, (((mono, r), (a * x - b * y, a * y + b * x))
-                         for (mono, mask), (a, b) in self.terms.items()
-                         for r, x, y in by_col.get(mask, ())))
-        return _reduced(_sp(self.nvars, 2 * (spinmap.dst_dim.bit_length() - 1),
-                            self.variant, out, self.den * dmap))
+            _zacc(out, {key >> m << m2 | r: (a * x - b * y, a * y + b * x)
+                               for key, (a, b) in self.terms.items() if key & low == c},
+                         ((0, 1),))
+        return _reduced(_sp(self.nvars, 2 * m2, self.variant, out, self.den * dmap))
 
     def __eq__(self, other):
         return (isinstance(other, SpinorPolynomial)
@@ -407,7 +449,7 @@ class SpinorPolynomial:
 
     def __repr__(self):
         return "SpinorPolynomial(nvars=%d, cn=%d, %d terms)" % (
-            self.nvars, self.cn, len({mono for mono, _ in self.terms}))
+            self.nvars, self.cn, len({key >> self.m for key in self.terms}))
 
 
 def dirac(phi):
@@ -430,7 +472,8 @@ def monogenic_basis(n, i):
     """Exact basis of M_i(R^n; S_n) = ker(Dirac) on degree-i polynomials."""
     if n < 1:
         raise DimensionMismatch("need n >= 1")
-    cols = [(mono, mask) for mono in monomials(n, i) for mask in range(spin_dim(n))]
+    cols = [_pack(mono, n) << n // 2 | mask for mono in monomials(n, i)
+            for mask in range(spin_dim(n))]
     rows = {}
     for j, key in enumerate(cols):
         # the Dirac image of one term has integer parts over den 1
@@ -499,20 +542,27 @@ def mult_coordinate_split(phi, k, moves=(1, 0, -1)):
     n = phi.nvars
     i = max(phi.degree(), 0)
     dphi = phi.diff(k)
-    inv_ni = GaussianRational(Fraction(1, n + 2 * i))
+    ni, f = n + 2 * i, phi.den // dphi.den  # dphi.den divides phi.den
     plus = zero = minus = None
     if want & {1, 0}:
         ek_phi = phi.apply_e(k)
+    # plus and zero each in one accumulator, over one denominator
     if 1 in want:
-        xk = tuple(1 if t == k - 1 else 0 for t in range(n))
-        plus = phi.mul_monomial(xk) + (ek_phi.zeta_x() - dphi.norm2_mul()).scale(inv_ni)
+        # (ni x_k phi + zeta(x) e_k phi - |x|^2 dphi) / ni, into the fresh
+        # terms of zeta(x) e_k phi
+        out = _zacc(ek_phi.zeta_x().terms, phi.terms, ((1 << phi.m + _W * (k - 1), ni),))
+        _zacc(out, dphi.terms, ((s, -f * c) for s, c in _norm2_power(n, 1, phi.m)))
+        plus = _reduced(phi._like(out, phi.den * ni))
     # dphi == 0 also covers n + 2i - 2 == 0 (n = 2, i = 0)
-    if 0 in want:
-        zero = ek_phi if dphi.is_zero() else \
-            ek_phi - dphi.zeta_x().scale(GaussianRational(Fraction(2, n + 2 * i - 2)))
-        zero = zero.scale(inv_ni)
+    if 0 in want and dphi.is_zero():
+        zero = ek_phi.scale(_gr(1, 0, ni))
+    elif 0 in want:
+        # ((ni - 2) e_k phi - 2 zeta(x) dphi) / (ni (ni - 2))
+        out = _zacc({}, ek_phi.terms, ((0, ni - 2),))
+        _zacc(out, dphi.zeta_x().terms, ((0, -2 * f),))
+        zero = _reduced(phi._like(out, phi.den * ni * (ni - 2)))
     if -1 in want:
-        minus = dphi if dphi.is_zero() else dphi.scale(GaussianRational(Fraction(1, n + 2 * i - 2)))
+        minus = dphi if dphi.is_zero() else dphi.scale(_gr(1, 0, n + 2 * i - 2))
     return plus, zero, minus
 
 
@@ -526,52 +576,53 @@ def _embed_values(phi):
     return _sp(n, n + 1, "+", phi.terms, phi.den)
 
 
-def _norm2_power_mul(phi, t):
-    out = phi
-    for _ in range(t):
-        out = out.norm2_mul()
-    return out
+@lru_cache(maxsize=None)
+def _embed_sums(n, j, i):
+    """The two Gegenbauer sums of branch_embed, homogeneous in x_1..x_{n+1}:
+    the first multiplies the embedded input, the second zeta(x') e_{n+1}
+    times it.  Each is (den, ((key shift, numerator), ...)) for masks of
+    (n + 1) // 2 bits, the |x|-powers expanded by _norm2_power."""
+    m, d, sums = (n + 1) // 2, i - j, []
+    for deg, lam, factor in ((d, Fraction(n - 1, 2) + j, n + i + j - 1),
+                             (d - 1, Fraction(n + 1, 2) + j, n + 2 * j - 1)):
+        acc = {}
+        for p, c in enumerate(gegenbauer_coeffs_rational(deg, lam)):  # () for deg -1
+            if (deg - p) % 2 and not c.is_zero():
+                raise ParityError("Gegenbauer parity broke polynomiality")
+            for shift, mult in _norm2_power(n + 1, (deg - p) // 2, m):
+                shift += p << m + _W * n  # times x_{n+1}^p
+                acc[shift] = acc.get(shift, 0) + c.re * factor * mult
+        den = lcm(*(v.denominator for v in acc.values()))
+        sums.append((den, tuple((shift, v.numerator * (den // v.denominator))
+                                for shift, v in acc.items() if v)))
+    return sums
 
 
 def branch_embed(n, j, i, phi, check=False):
     """Degree-raising Pin(n)-embedding of M_j(R^n;S_n) into M_i(R^{n+1};S_{n+1}).
 
     Assembles |x|-powers against Gegenbauer parity so the result is an honest
-    polynomial; with check=True the output is verified to be monogenic.
+    polynomial; with check=True the output is verified to be monogenic.  Every
+    term goes over one common denominator into one accumulator.
     """
     if not (0 <= j <= i):
         raise NotAdjacent("need 0 <= j <= i")
     if phi.nvars != n:
         raise DimensionMismatch("phi has wrong number of variables")
+    _check_degree(i)
     if not dirac(phi).is_zero():
         raise NotMonogenic("branch_embed input must be monogenic")
-    emb = _embed_values(phi).extend_vars(n + 1)
-    d = i - j
-    out = SpinorPolynomial(n + 1, n + 1, "+")
-    lam1 = Fraction(n - 1, 2) + j
-    c1 = gegenbauer_coeffs_rational(d, lam1)
-    for p, c in enumerate(c1):
-        if c.is_zero():
-            continue
-        t2 = d - p
-        if t2 % 2:
-            raise ParityError("Gegenbauer parity broke polynomiality")
-        term = emb.mul_monomial((0,) * n + (p,), c * GaussianRational(n + i + j - 1))
-        out = out + _norm2_power_mul(term, t2 // 2)
-    if d >= 1:
-        lam2 = Fraction(n + 1, 2) + j
-        c2 = gegenbauer_coeffs_rational(d - 1, lam2)
-        # zeta(x') e_{n+1} emb, with zeta(x') = zeta(x) - x_{n+1} e_{n+1}
-        core = emb.apply_e(n + 1)
-        xz = core.zeta_x() - core.apply_e(n + 1).mul_monomial((0,) * n + (1,))
-        for p, c in enumerate(c2):
-            if c.is_zero():
-                continue
-            t2 = d - 1 - p
-            if t2 % 2:
-                raise ParityError("Gegenbauer parity broke polynomiality")
-            term = xz.mul_monomial((0,) * n + (p,), c * GaussianRational(n + 2 * j - 1))
-            out = out + _norm2_power_mul(term, t2 // 2)
+    emb = _embed_values(phi)
+    # zeta(x') e_{n+1} emb: zeta_x sums over the n variables of emb
+    parts = zip((emb, emb.apply_e(n + 1).zeta_x()) if i > j else (emb,),
+                _embed_sums(n, j, i))
+    parts = [(poly.terms, poly.den * sden, shifts) for poly, (sden, shifts) in parts]
+    den = lcm(*(pden for _, pden, _ in parts))
+    out = {}
+    for terms, pden, shifts in parts:
+        f = den // pden
+        _zacc(out, terms, ((shift, mult * f) for shift, mult in shifts))
+    out = _reduced(_sp(n + 1, n + 1, "+", out, den))
     if check and not dirac(out).is_zero():
         raise NotMonogenic("branch_embed produced a non-monogenic polynomial")
     return out
@@ -707,27 +758,20 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
             if sib_target == 1:
                 return ("plain", branch_embed(n, jp, ipb, rep))
             return ("xz", branch_embed(n, jp, ipb, rep.gamma_twist()))
-        if kind == "plain":
-            return ("mixed", branch_embed(n, jp, ipb, rep))
-        return ("mixed", branch_embed(n, jp, ipb, rep).gamma_twist())
+        emb = branch_embed(n, jp, ipb, rep)
+        return ("mixed", emb if kind == "plain" else emb.gamma_twist())
 
     cand_moves = [mvq for mvq in (1, 0, -1) if 0 <= j + mvq <= ib_target]
     samples = []  # per (phi, k): [(None, left side), (move, nonzero candidate)...]
     for phi in basis:
         if even:
             # alpha = (i,+): Psi = I(phi); (i,-): Psi = I(gamma phi), xz kind
-            if si == 1:
-                Psi, lhs_kind = branch_embed(n, j, i, phi), "plain"
-            else:
-                Psi, lhs_kind = branch_embed(n, j, i, phi.gamma_twist()), "xz"
-            omega_kind = "mixed"
+            Psi = branch_embed(n, j, i, phi if si == 1 else phi.gamma_twist())
+            lhs_kind, omega_kind = "plain" if si == 1 else "xz", "mixed"
         else:
-            if sj == 1:
-                Psi, lhs_kind = branch_embed(n, j, i, phi), "mixed"
-                omega_kind = "plain"
-            else:
-                Psi, lhs_kind = branch_embed(n, j, i, phi).gamma_twist(), "mixed"
-                omega_kind = "xz"
+            Psi = branch_embed(n, j, i, phi)
+            Psi = Psi if sj == 1 else Psi.gamma_twist()
+            lhs_kind, omega_kind = "mixed", "plain" if sj == 1 else "xz"
         for k in range(1, n + 1):
             lhs_kind_b, lhs_rep = _omega_components(Psi, k, lhs_kind,
                                                     (lhs_move,))[lhs_move]
@@ -798,10 +842,9 @@ def apply_group_element(phi, gen_indices):
     coordinates named an odd number of times, and a term changes sign when
     its exponents on those coordinates sum to an odd number.
     """
-    flip = 0
+    flip = 0  # the lowest bit of each negated coordinate's field
     for idx in reversed(gen_indices):
         phi = phi.apply_e(idx)
-        flip ^= 1 << (idx - 1)
-    return phi._like({(mono, mask): (-a, -b) if sum(e for t, e in enumerate(mono)
-                                                    if flip >> t & 1) & 1 else (a, b)
-                      for (mono, mask), (a, b) in phi.terms.items()})
+        flip ^= 1 << phi.m + _W * (idx - 1)
+    return phi._like({key: (-a, -b) if (key & flip).bit_count() & 1 else (a, b)
+                      for key, (a, b) in phi.terms.items()})

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from sbolab import monogenics
 from sbolab.paramfield import GaussianRational, ONE, ZERO
+from sbolab.monogenics import (MAX_DEGREE, BadDegree, NotAdjacent,
+                               gegenbauer_coeffs_rational)
 from sbolab.cliffspin import (Spinor, spin_dim, zeta_gen_apply, gamma,
                               fund_branching, zeta_matrix, DimensionMismatch,
                               CliffordElt, pin_cover_action)
@@ -145,6 +147,50 @@ def reference_dirac(phi):
     out = phi._zero_like()
     for k in range(1, phi.nvars + 1):
         out = out + phi.diff(k).apply_e(k)
+    return out
+
+
+def reference_mult_coordinate_split(phi, k):
+    """mult_coordinate_split from whole-polynomial operations (the route the
+    single accumulators replaced), run on the reference class."""
+    n = phi.nvars
+    i = max(phi.degree(), 0)
+    dphi = phi.diff(k)
+    inv_ni = gr(Fraction(1, n + 2 * i))
+    ek_phi = phi.apply_e(k)
+    xk = tuple(1 if t == k - 1 else 0 for t in range(n))
+    plus = phi.mul_monomial(xk) + (ek_phi.zeta_x() - dphi.norm2_mul()).scale(inv_ni)
+    if dphi.is_zero():
+        return plus, ek_phi.scale(inv_ni), dphi
+    zero = ek_phi - dphi.zeta_x().scale(gr(Fraction(2, n + 2 * i - 2)))
+    return plus, zero.scale(inv_ni), dphi.scale(gr(Fraction(1, n + 2 * i - 2)))
+
+
+def reference_branch_embed(n, j, i, phi):
+    """branch_embed as a sum of whole polynomials: each Gegenbauer term is
+    x_{n+1}^p times the embedded input, multiplied by |x|^2 one factor at a
+    time and merged into the running sum (the route the single accumulator
+    replaced)."""
+    if not dirac(phi).is_zero():
+        raise NotMonogenic("branch_embed input must be monogenic")
+    emb = _embed_values(phi).extend_vars(n + 1)
+    d = i - j
+    out = SpinorPolynomial(n + 1, n + 1, "+")
+    terms = [(emb, d, Fraction(n - 1, 2) + j, n + i + j - 1)]
+    if d >= 1:
+        # zeta(x') e_{n+1} emb, with zeta(x') = zeta(x) - x_{n+1} e_{n+1}
+        core = emb.apply_e(n + 1)
+        xz = core.zeta_x() - core.apply_e(n + 1).mul_monomial((0,) * n + (1,))
+        terms.append((xz, d - 1, Fraction(n + 1, 2) + j, n + 2 * j - 1))
+    for poly, deg, lam, factor in terms:
+        for p, c in enumerate(gegenbauer_coeffs_rational(deg, lam)):
+            if c.is_zero():
+                continue
+            assert (deg - p) % 2 == 0
+            term = poly.mul_monomial((0,) * n + (p,), c * gr(factor))
+            for _ in range((deg - p) // 2):
+                term = term.norm2_mul()
+            out = out + term
     return out
 
 
@@ -296,8 +342,7 @@ class TestAgainstReference:
                 data.draw(gaussians))
         k = data.draw(st.integers(1, n), label="k")
         got = mult_coordinate_split(phi, k)
-        with mock.patch.object(monogenics, "dirac", reference_dirac):
-            want = mult_coordinate_split(as_reference(phi), k)
+        want = reference_mult_coordinate_split(as_reference(phi), k)
         for g, w in zip(got, want):
             assert agrees(g, w)
 
@@ -329,7 +374,7 @@ class TestCanonicalForm:
         assert (third.den, two_thirds.den) == (3, 3)
         whole = third + two_thirds
         assert whole == SpinorPolynomial(3, 3, "+", {(1, 0, 0): s})
-        assert whole.den == 1 and whole.terms == {((1, 0, 0), 1): (1, 0)}
+        assert whole.den == 1 and flat_values(whole) == {((1, 0, 0), 1): ONE}
         # x_1^2 s / 2 differentiates to x_1 s
         half = SpinorPolynomial(3, 3, "+", {(2, 0, 0): s.scale(gr(Fraction(1, 2)))})
         assert half.diff(1) == SpinorPolynomial(3, 3, "+", {(1, 0, 0): s})
@@ -532,6 +577,109 @@ class TestCoordinateSplit:
             mult_coordinate_split(bad, 1)
         with pytest.raises(NotMonogenic):
             branch_embed(n, 1, 2, bad)
+
+
+class TestPackedKeys:
+    """A term's key packs its monomial into fixed-width fields above the
+    spinor mask; no field may carry into its neighbour."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pack_round_trip(self, data):
+        nvars = data.draw(st.integers(1, 12), label="nvars")
+        mono = data.draw(st.lists(st.integers(0, MAX_DEGREE), min_size=nvars,
+                                  max_size=nvars), label="mono")
+        # a random split of a total degree up to the limit over the variables
+        total = data.draw(st.integers(0, MAX_DEGREE), label="total")
+        weight = sum(mono) or 1
+        mono = tuple(e * total // weight for e in mono)
+        mask = data.draw(st.integers(0, spin_dim(nvars) - 1), label="mask")
+        s = Spinor.basis(nvars // 2, mask)
+        phi = SpinorPolynomial(nvars, nvars, "+", {mono: s})
+        assert flat_values(phi) == {(mono, mask): ONE}
+        assert phi.degree() == sum(mono) and phi.is_homogeneous()
+        assert phi.extend_vars(nvars + 1).coeffs == {mono + (0,): s}
+
+    @pytest.mark.parametrize("nvars", [1, 2, 7, 12])
+    def test_single_exponent_at_the_limit(self, nvars):
+        s = Spinor.basis(nvars // 2, spin_dim(nvars) - 1)
+        for t in range(nvars):
+            mono = tuple(MAX_DEGREE if u == t else 0 for u in range(nvars))
+            phi = SpinorPolynomial(nvars, nvars, "+", {mono: s})
+            assert dict(phi.coeffs) == {mono: s}
+            assert phi.degree() == MAX_DEGREE
+            lower = tuple(e - 1 if u == t else e for u, e in enumerate(mono))
+            assert phi.diff(t + 1) == SpinorPolynomial(
+                nvars, nvars, "+", {lower: s.scale(gr(MAX_DEGREE))})
+
+    def test_degree_raising_past_the_limit(self):
+        n, s = 3, Spinor.basis(1, 1)
+        x1 = (1, 0, 0)
+        top = SpinorPolynomial(n, n, "+", {(MAX_DEGREE - 1, 0, 0): s})
+        assert top.mul_monomial(x1).degree() == MAX_DEGREE
+        assert top.zeta_x().degree() == MAX_DEGREE
+        with pytest.raises(BadDegree):
+            top.norm2_mul()
+        at = top.mul_monomial(x1)
+        for raise_degree in (lambda: at.mul_monomial(x1), at.zeta_x, at.norm2_mul,
+                             lambda: at.mul_monomial((0, 0, 1)),
+                             lambda: SpinorPolynomial(n, n, "+", {(MAX_DEGREE, 1, 0): s}),
+                             lambda: SpinorPolynomial(n, n, "+", {(-1, 0, 0): s})):
+            with pytest.raises(BadDegree):
+                raise_degree()
+        with pytest.raises(DimensionMismatch):
+            SpinorPolynomial(n, n, "+", {(1, 0): s})
+        with pytest.raises(DimensionMismatch):
+            top.mul_monomial((1, 0))
+        for bad in (0, n + 1):
+            with pytest.raises(DimensionMismatch):
+                top.diff(bad)
+
+    def test_branch_embed_past_the_limit(self):
+        phi = monogenic_basis(2, 0)[0]
+        with pytest.raises(BadDegree):
+            branch_embed(2, 0, MAX_DEGREE + 1, phi)
+
+
+def embed_inputs(n, j):
+    """Basis elements of M_j(R^n), spread over the basis, and a combination
+    of several with a denominator and an imaginary part."""
+    basis = monogenic_basis(n, j)
+    picked = list(basis[::max(1, len(basis) // 5)])
+    combo = basis[0]
+    for t, phi in enumerate(basis[1:6]):
+        combo = combo + phi.scale(gr(Fraction(t + 1, 3), Fraction(1, t + 2)))
+    return picked + [combo]
+
+
+class TestBranchEmbedAgainstOracle:
+    """The one-accumulator embedding equals the sum of whole polynomials,
+    denominator included."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_same_polynomial(self, n):
+        for j in range(4):
+            for phi in embed_inputs(n, j):
+                twist = phi.gamma_twist()
+                for i in range(j, j + 4):
+                    got = branch_embed(n, j, i, phi)
+                    want = reference_branch_embed(n, j, i, phi)
+                    assert got == want and got.den == want.den, (n, j, i)
+                    if dirac(twist).is_zero():
+                        got = branch_embed(n, j, i, twist)
+                        want = reference_branch_embed(n, j, i, twist)
+                        assert got == want and got.den == want.den, (n, j, i)
+                    else:
+                        for embed in (branch_embed, reference_branch_embed):
+                            with pytest.raises(NotMonogenic):
+                                embed(n, j, i, twist)
+
+    def test_domain(self):
+        phi = monogenic_basis(3, 1)[0]
+        with pytest.raises(NotAdjacent):
+            branch_embed(3, 2, 1, phi)
+        with pytest.raises(DimensionMismatch):
+            branch_embed(4, 1, 2, phi)
 
 
 class TestBranchEmbed:

@@ -3,11 +3,11 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sbolab.paramfield import (GaussianRational, ParamPoly, ParamScalar,
                                pochhammer, evaluate,
-                               PoleError, GammaResidual, poly_gcd,
+                               PoleError, GammaResidual, poly_gcd, poly_divexact,
                                PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat,
                                _times_i_power, _acc)
 from sbolab.cliffspin import SpinMap, _matmul
@@ -299,12 +299,17 @@ class TestRationalFunctions:
             assert a / a == PS_ONE
 
     @given(polys, polys)
+    @example(ParamPoly(), ParamPoly.affine(-1, 1, 0))  # q cancels the shift
     @settings(max_examples=40, deadline=None)
     def test_gcd_divides(self, p, q):
         p = p + ParamPoly.affine(1, 1, 1)
         q = q + ParamPoly.affine(1, -1, 0)
+        # the drawn q can cancel the shift, and 0 is no denominator
+        assume(not q.is_zero())
         g = poly_gcd(p * q, q)
-        # q is a common divisor, so gcd is a multiple of ... at least q divides pq
+        # g divides both, and q is a common divisor, so g is q up to a unit
+        poly_divexact(p * q, g)
+        assert poly_divexact(q, g).total_degree() == 0
         s = ParamScalar(p * q, q)
         assert s == ParamScalar(p)
 
