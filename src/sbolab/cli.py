@@ -156,6 +156,11 @@ def _verify_usage_error(args):
             return "max_deg must be >= 2, got %d" % args.max_deg
     elif args.n < 2:
         return "n must be >= 2, got %d" % args.n
+    for name in ("imax", "kmax", "lmax"):
+        if getattr(args, name) < 0:
+            return "%s must be >= 0, got %d" % (name, getattr(args, name))
+    if args.max_basis is not None and args.max_basis < 1:
+        return "max_basis must be >= 1, got %d" % args.max_basis
     return None
 
 

@@ -248,6 +248,8 @@ def _zeta_table(n, variant, i):
     e_n = i * gamma.  Variant '-' is the alpha-twist, -zeta(e_i)."""
     if i < 1 or i > n:
         raise DimensionMismatch("generator index out of range")
+    if variant not in ("+", "-"):
+        raise ValueError("spin module variant must be '+' or '-', got %r" % (variant,))
     table = []
     for mask in range(1 << (n // 2)):
         if n % 2 and i == n:

@@ -6,11 +6,11 @@ A kernel expression is a normalized sum of three kinds of terms:
   Boundary c(lam,nu) * x'^mono * |x'|^xp delta^(m)(x_n)
   Point    c(lam,nu) * d^alpha delta(x)
 
-Exponents are affine in (lam, nu).  A coefficient is a sparse dict, with no
-zero entry, of exact rational functions with formal Gamma tokens: {blade:
-scalar} on the blades of Cl(n) (x) C = End(S_n) (`cliffspin._blade_lmul`;
-blade 0 for a scalar kernel), or {(row, col): scalar} for a projected kernel,
-whose rows lie in S_{n-1}.  Normal forms expand radial factors against delta
+Exponents are affine in (lam, nu) (`paramfield.AffineExp`).  A coefficient
+is a sparse dict, with no zero entry, of exact rational functions with formal
+Gamma tokens: {blade: scalar} on the blades of Cl(n) (x) C = End(S_n)
+(`cliffspin._blade_lmul`; blade 0 for a scalar kernel), or {(row, col):
+scalar} for a projected kernel, whose rows lie in S_{n-1}.  Normal forms expand radial factors against delta
 layers by the finite jet pairing, absorb x_n powers into the sign/exponent
 data, and pull |x'|^2-divisible prefactors into the radial exponents, so
 equality of kernels is decidable by structural comparison.
@@ -18,8 +18,8 @@ equality of kernels is decidable by structural comparison.
 
 from math import factorial
 
-from .paramfield import (GaussianRational, ParamScalar, ParamPoly, rat, PS_ONE,
-                         _ps_times_i_power, _acc)
+from .paramfield import (AffineExp, GaussianRational, ParamScalar, rat, pochhammer,
+                         PS_ONE, _ps_times_i_power, _acc)
 from .cliffspin import (zeta_matrix, spin_projection_P, spin_dim, _blade_action,
                         _blade_lmul, _matmul)
 
@@ -36,71 +36,7 @@ class SymmetryFailure(AssertionError):
     pass
 
 
-class AffineExp:
-    """a*lam + b*nu + c with exact rational coefficients."""
-
-    __slots__ = ("a", "b", "c", "_hash")
-
-    def __init__(self, a=0, b=0, c=0):
-        a, b, c = rat(a), rat(b), rat(c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        # exponents are dict keys: hash the three Fractions once, not per lookup
-        object.__setattr__(self, "_hash", hash((a, b, c)))
-
-    def __setattr__(self, *a):
-        raise AttributeError("AffineExp is immutable")
-
-    @staticmethod
-    def const(c):
-        return AffineExp(0, 0, c)
-
-    def __add__(self, other):
-        if not isinstance(other, AffineExp):
-            other = AffineExp.const(other)
-        return AffineExp(self.a + other.a, self.b + other.b, self.c + other.c)
-
-    def __sub__(self, other):
-        if not isinstance(other, AffineExp):
-            other = AffineExp.const(other)
-        return AffineExp(self.a - other.a, self.b - other.b, self.c - other.c)
-
-    def __eq__(self, other):
-        return (isinstance(other, AffineExp)
-                and (self.a, self.b, self.c) == (other.a, other.b, other.c))
-
-    def __hash__(self):
-        return self._hash
-
-    def is_const(self):
-        return self.a == 0 and self.b == 0
-
-    def subs_lam(self, e, f):
-        return AffineExp(0, self.b + self.a * rat(e), self.c + self.a * rat(f))
-
-    def shift(self, dl, dv):
-        return AffineExp(self.a, self.b, self.c + self.a * rat(dl) + self.b * rat(dv))
-
-    def as_scalar(self):
-        return ParamScalar(ParamPoly.affine(self.a, self.b, self.c))
-
-    def sort_key(self):
-        return (str(self.a), str(self.b), str(self.c))
-
-    def __repr__(self):
-        return "(%s*lam+%s*nu+%s)" % (self.a, self.b, self.c)
-
-
 _AFF0 = AffineExp()
-
-
-def _binom_affine(b, t):
-    """binomial(b, t) for an affine exponent b: b(b-1)...(b-t+1)/t!."""
-    out = PS_ONE
-    for s in range(t):
-        out = out * ((b - s).as_scalar())
-    return out * ParamScalar(1, factorial(t))
 
 
 def _bump(t, pos, d):
@@ -288,7 +224,9 @@ def _normalize(n, raw):
         # (|x'|^2 + x_n^2)^r delta^(m): only the x_n-jet up to order m pairs
         for t in range(m // 2 + 1):
             # x_n^{2t} delta^(m) = m!/(m-2t)! delta^(m-2t)
-            c = _binom_affine(r, t) * ParamScalar.coerce(factorial(m) // factorial(m - 2 * t))
+            # binomial(r, t) = (r - t + 1)_t / t!
+            c = pochhammer((r - (t - 1)).as_scalar(), t) * ParamScalar(
+                factorial(m) // factorial(m - 2 * t), factorial(t))
             newxp = xp + AffineExp(2 * r.a, 2 * r.b, 2 * (r.c - t))
             _put(terms, ("B", m - 2 * t, newxp, _AFF0, mono), val, c)
 
@@ -444,18 +382,6 @@ def support(K):
 
 # -- the explicit kernel families ----------------------------------------------
 
-def _gamma_inv(a, b, c):
-    return ParamScalar.gamma_factor(a, b, c, -1)
-
-
-def _poch_nu(start, k):
-    """(nu + start)_k as a ParamScalar for rational start."""
-    out = PS_ONE
-    for t in range(k):
-        out = out * ParamScalar(ParamPoly.affine(0, 1, rat(start) + t))
-    return out
-
-
 def _laplacian_monomials(n, j):
     """(multi-index, multinomial weight) pairs for (sum_{a<n} d_a^2)^j."""
     nx = n - 1
@@ -508,7 +434,8 @@ def _smooth_family(tag, n, **_):
     c = PS_ONE
     if tag.startswith("At"):
         c4 = "1/4" if plus else "3/4"
-        c = _gamma_inv("1/2", "1/2", c4) * _gamma_inv("1/2", "-1/2", c4)
+        c = (ParamScalar.gamma_factor("1/2", "1/2", c4, -1)
+             * ParamScalar.gamma_factor("1/2", "-1/2", c4, -1))
     # sgn(x_n)^par |x_n|^{lam+nu-1/2} (|x'|^2 + x_n^2)^{-nu-(n-1)/2}
     key = ("S", 0 if plus else 1, AffineExp(1, 1, "-1/2"),
            AffineExp(0, -1, -rat(n - 1) / 2), (0,) * (n - 1))
@@ -518,7 +445,7 @@ def _smooth_family(tag, n, **_):
 def _b_family(tag, n, k=None, form="expanded", **_):
     _need_index("B", "k", k)
     plus = tag == "Bt+"
-    tok = _gamma_inv("1/2", "-1/2", "1/4" if plus else "3/4")
+    tok = ParamScalar.gamma_factor("1/2", "-1/2", "1/4" if plus else "3/4", -1)
     m = 2 * k if plus else 2 * k + 1
     meta = {"family": tag, "k": k,
             "constraint": ("sum", -rat("1/2") - 2 * k if plus else -rat("3/2") - 2 * k)}
@@ -527,8 +454,9 @@ def _b_family(tag, n, k=None, form="expanded", **_):
     if form == "radial":
         return KernelExpr(n, None, {("B", m, _AFF0, AffineExp(0, -1, -rho_h), mono0): tok},
                           meta)
+    nu_rho = AffineExp(0, 1, rho_h).as_scalar()
     terms = {("B", m - 2 * t, AffineExp(0, -2, 1 - n - 2 * t), _AFF0, mono0):
-             tok * _poch_nu(rho_h, t) * ParamScalar(
+             tok * pochhammer(nu_rho, t) * ParamScalar(
                  (-1) ** t * factorial(m), factorial(t) * factorial(m - 2 * t))
              for t in range(k + 1)}
     return KernelExpr(n, None, terms, meta)
@@ -537,11 +465,12 @@ def _b_family(tag, n, k=None, form="expanded", **_):
 def _c_family(tag, n, l=None, **_):
     _need_index("C", "l", l)
     plus = tag == "Ct+"
+    nu_l = AffineExp(0, 1, -l).as_scalar()
     terms = {}
     for j2 in range(l + 1):
         p = 2 * l - 2 * j2
         dn = p if plus else p + 1
-        c = _poch_nu(-l, l - j2) * ParamScalar(2 ** p, factorial(j2) * factorial(dn))
+        c = pochhammer(nu_l, l - j2) * ParamScalar(2 ** p, factorial(j2) * factorial(dn))
         _add_point(terms, n, c, j2, dn)
     meta = {"family": tag, "l": l,
             "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
@@ -577,7 +506,7 @@ def _spinor_a_family(tag, n, **_):
     else:
         base = make_family("At+", n).shift_params(-half, half)
         out = mult_zeta(base).scale(
-            ParamScalar(ParamPoly.affine("1/2", "-1/2", "-1/4")).inverse())
+            AffineExp("1/2", "-1/2", "-1/4").as_scalar().inverse())
     out.meta.clear()
     out.meta.update({"family": tag})
     return out
@@ -586,7 +515,7 @@ def _spinor_a_family(tag, n, **_):
 def _spinor_b_family(tag, n, k=None, **_):
     _need_index("B", "k", k)
     plus = tag == "sBt+"
-    tok = _gamma_inv("1/2", "-1/2", "1/4" if plus else "3/4")
+    tok = ParamScalar.gamma_factor("1/2", "-1/2", "1/4" if plus else "3/4", -1)
     m = 2 * k + 1 if plus else 2 * k
     meta = {"family": tag, "k": k,
             "constraint": ("sum", -rat("3/2") - 2 * k if plus else -rat("1/2") - 2 * k)}
@@ -598,19 +527,20 @@ def _spinor_b_family(tag, n, k=None, **_):
 def _spinor_c_family(tag, n, l=None, **_):
     _need_index("C", "l", l)
     plus = tag == "sCt+"
-    start = rat("1/2") - l if plus else -l - rat("1/2")
+    nu_start = AffineExp(0, 1, rat("1/2") - l if plus else -l - rat("1/2")).as_scalar()
     q = 0 if plus else 1
     terms = {}
     for j2 in range(l + 1):
         # sum_a Delta^j d_n^p D'_a delta (x) zeta(e_a), p = 2l-2j-1 (+1 for sCt-)
         p = 2 * l - 2 * j2 - 1 + q
         if p >= 0:
-            c = _poch_nu(start, l - j2 - 1 + q) * ParamScalar(2 ** p, factorial(j2) * factorial(p))
+            c = pochhammer(nu_start, l - j2 - 1 + q) * ParamScalar(
+                2 ** p, factorial(j2) * factorial(p))
             for a in range(1, n):
                 _add_point(terms, n, c, j2, p, dprime=a, gen=a)
         # Delta^j d_n^p D_n delta = e_n Delta^j d_n^{p+1} delta
-        c = _poch_nu(start, l - j2 + q) * ParamScalar(2 ** (p + 1),
-                                                      factorial(j2) * factorial(p + 1))
+        c = pochhammer(nu_start, l - j2 + q) * ParamScalar(
+            2 ** (p + 1), factorial(j2) * factorial(p + 1))
         _add_point(terms, n, c, j2, p + 1, gen=n)
     meta = {"family": tag, "l": l,
             "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
@@ -663,10 +593,6 @@ def _zero_kernel(n):
     return KernelExpr(n, None, {}, {}, normalized=True)
 
 
-def _aff_scalar(a, b, c):
-    return ParamScalar(ParamPoly.affine(a, b, c))
-
-
 _H = rat("1/2")
 
 # tag -> (index, line, lhs, rhs).  The index names the parameters the
@@ -681,18 +607,19 @@ _IDENTITIES = {
         "k", ("sum", -3 * _H),
         lambda n, k: mult_xn(make_family("Bt+", n, k=k + 1).shift_params(-1, 0)),
         lambda n, k: make_family("Bt-", n, k=k).scale(
-            _aff_scalar(0, 2 * (k + 1), 2 * (k + 1) * (k + 1)))),
+            AffineExp(0, 2 * (k + 1), 2 * (k + 1) * (k + 1)).as_scalar())),
     # x_n Ct+(l+1)|_{lam-1} = -4(nu-l-1) Ct-(l) on lam-nu = -3/2-2l
     "c_translation": (
         "l", ("diff", -3 * _H),
         lambda n, l: mult_xn(make_family("Ct+", n, l=l + 1).shift_params(-1, 0)),
-        lambda n, l: make_family("Ct-", n, l=l).scale(_aff_scalar(0, -4, 4 * (l + 1)))),
+        lambda n, l: make_family("Ct-", n, l=l).scale(
+            AffineExp(0, -4, 4 * (l + 1)).as_scalar())),
     # x_n Ct+(l) = -2(lam+nu+1/2) Ct-(l-1)|_{lam+1} on lam-nu = -1/2-2l
     "juhl_up": (
         "l", ("diff", -_H),
         lambda n, l: mult_xn(make_family("Ct+", n, l=l)),
         lambda n, l: make_family("Ct-", n, l=l - 1).shift_params(1, 0).scale(
-            _aff_scalar(-2, -2, -1)) if l else _zero_kernel(n)),
+            AffineExp(-2, -2, -1).as_scalar()) if l else _zero_kernel(n)),
     # x_n Ct-(l) = -Ct+(l)|_{lam+1} on lam-nu = -3/2-2l
     "juhl_down": (
         "l", ("diff", -3 * _H),
@@ -707,7 +634,8 @@ _IDENTITIES = {
     "spinor_b_minus": (
         "k", ("sum", -_H),
         lambda n, k: mult_zeta(make_family("Bt+", n, k=k).shift_params(-_H, _H)),
-        lambda n, k: make_family("sBt-", n, k=k).scale(_aff_scalar(_H, -_H, -_H / 2))),
+        lambda n, k: make_family("sBt-", n, k=k).scale(
+            AffineExp(_H, -_H, -_H / 2).as_scalar())),
     # zeta(x) Bt-(k)|_{lam-1/2, nu+1/2} = sBt+(k), lam+nu = -3/2-2k
     "spinor_b_plus": (
         "k", ("sum", -3 * _H),
@@ -734,7 +662,7 @@ _IDENTITIES = {
         None, None,
         lambda n: mult_zeta(make_family("sAt+", n)),
         lambda n: as_matrix(make_family("At-", n).shift_params(_H, -_H)).scale(
-            _aff_scalar(-_H, _H, -_H / 2))),
+            AffineExp(-_H, _H, -_H / 2).as_scalar())),
     # x_n Att+(i+1, j) = -(k+1) Att-(i, j), 2k = n+i+j-2  (n odd, i-j odd)
     "residue_step": (
         "ij_odd", None,
@@ -801,6 +729,8 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
     """
     if tag in _VANISHING:
         _check_dim(n)
+        if (k is not None and k < 0) or (l is not None and l < 0):
+            raise BadParams("%s needs k, l >= 0" % tag)
         return _vanishing_report(tag, n, k, l)
     lhs, rhs = _identity_sides(tag, n, k, l, i, j)
     diff = lhs - rhs
@@ -952,7 +882,7 @@ def _scalar_json(s):
         return {"%d,%d" % mono: [str(c.re), str(c.im)]
                 for mono, c in sorted(p.terms.items())}
     return {"num": poly(s.num), "den": poly(s.den),
-            "gammas": [[str(a), str(b), str(c), e] for (a, b, c), e in s.gammas]}
+            "gammas": [_aff_json(arg) + [e] for arg, e in s.gammas]}
 
 
 def _value_json(K, v):

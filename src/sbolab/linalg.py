@@ -16,9 +16,9 @@ caller that needs the pivot rows or a nullspace brings them back to Q(i),
 normalized to 1 at the pivot.
 """
 
-from math import gcd, lcm
+from math import gcd
 
-from .paramfield import ZERO, ONE, _gr, _acc
+from .paramfield import ZERO, ONE, _gr, _acc, _over_den
 
 
 def _primitive(row):
@@ -65,16 +65,7 @@ def _gprimitive(row):
 
 def gaussian_ints(row):
     """Scale a Q(i) row by the lcm of its denominators; primitive Z[i] row."""
-    den = 1
-    for v in row.values():
-        d = v._d
-        if den % d:
-            den = den * d // gcd(den, d)
-    out = {}
-    for c, v in row.items():
-        k = den // v._d
-        out[c] = (v._a * k, v._b * k)
-    return _primitive(out)
+    return _primitive(_over_den(row)[0])
 
 
 def _to_rationals(row, col):
@@ -232,8 +223,8 @@ def solve_in_span(rows, m):
     sol = [-vec.get(c, ZERO) for c in range(m)]
     # the solution as Gaussian integers over one denominator d, and -d for
     # the target column
-    d = lcm(*(v._d for v in sol))
-    nums = [(v._a * (d // v._d), v._b * (d // v._d)) for v in sol] + [(-d, 0)]
+    nums, d = _over_den(dict(enumerate(sol)))
+    nums[m] = (-d, 0)
     for row in rows:
         re = im = 0
         for c, (x, y) in row.items():

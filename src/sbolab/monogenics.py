@@ -19,7 +19,8 @@ from math import factorial, gcd, lcm, perm, prod
 from types import MappingProxyType
 
 from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE,
-                         PS_ZERO, PS_I, PS_LAM, pochhammer, rat, _gr, _acc)
+                         PS_ZERO, PS_I, PS_LAM, pochhammer, rat, _gr, _acc,
+                         _over_den)
 from .cliffspin import (fund_branching, spin_dim, DimensionMismatch, _spinor,
                         _zeta_table)
 from . import linalg
@@ -207,14 +208,6 @@ def _sp(nvars, cn, variant, terms, den=1):
     return p
 
 
-def _over_den(vals):
-    """(terms, den) of a dict of nonzero GaussianRational values: the parts
-    over the lcm of the denominators, where the content is 1."""
-    den = lcm(*(v._d for v in vals.values()))
-    return {key: (v._a * (den // v._d), v._b * (den // v._d))
-            for key, v in vals.items()}, den
-
-
 def _reduced(p):
     """p, just built, with the common content of its parts and den divided
     out."""
@@ -261,6 +254,9 @@ class SpinorPolynomial:
     def __init__(self, nvars, cn=None, variant="+", coeffs=None):
         self.nvars = nvars
         self.cn = nvars if cn is None else cn
+        if variant not in ("+", "-"):
+            raise ValueError("spin module variant must be '+' or '-', got %r"
+                             % (variant,))
         self.variant = variant
         coeffs = coeffs or {}
         if any(s.m != self.m for s in coeffs.values()):
@@ -598,12 +594,12 @@ def _embed_sums(n, j, i):
     return sums
 
 
-def branch_embed(n, j, i, phi, check=False):
+def branch_embed(n, j, i, phi):
     """Degree-raising Pin(n)-embedding of M_j(R^n;S_n) into M_i(R^{n+1};S_{n+1}).
 
     Assembles |x|-powers against Gegenbauer parity so the result is an honest
-    polynomial; with check=True the output is verified to be monogenic.  Every
-    term goes over one common denominator into one accumulator.
+    polynomial.  Every term goes over one common denominator into one
+    accumulator.
     """
     if not (0 <= j <= i):
         raise NotAdjacent("need 0 <= j <= i")
@@ -622,10 +618,7 @@ def branch_embed(n, j, i, phi, check=False):
     for terms, pden, shifts in parts:
         f = den // pden
         _zacc(out, terms, ((shift, mult * f) for shift, mult in shifts))
-    out = _reduced(_sp(n + 1, n + 1, "+", out, den))
-    if check and not dirac(out).is_zero():
-        raise NotMonogenic("branch_embed produced a non-monogenic polynomial")
-    return out
+    return _reduced(_sp(n + 1, n + 1, "+", out, den))
 
 
 # -- proportionality constants on the K-type lattice --------------------------
@@ -826,6 +819,8 @@ def lambda_constant_bruteforce(n, alpha, alphap, beta, betap, max_basis=None):
     proportional and ZeroMap when the comparison map vanishes on the whole
     spanning set.
     """
+    if max_basis is not None and max_basis < 1:
+        raise ValueError("max_basis must be >= 1 or None, got %r" % (max_basis,))
     mvp = _validate_pair(n, alpha, alphap, beta, betap)[-1]
     block = _bruteforce_block(n, alpha, alphap, beta, max_basis)
     if mvp not in block:

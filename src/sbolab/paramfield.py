@@ -2,14 +2,16 @@
 
 Everything downstream is built over the field Q(sqrt(-1)) of Gaussian
 rationals, polynomials and rational functions in the two formal induction
-parameters lam and nu, and formal Gamma-factor tokens.  Gamma tokens are
-never evaluated numerically: arguments that differ by an integer are merged
-through the functional equation Gamma(z+1) = z*Gamma(z), which turns the
-shift into an exact Pochhammer factor.
+parameters lam and nu, and formal Gamma-factor tokens.  A Gamma argument
+is an affine form a*lam + b*nu + c (AffineExp, which also holds the kernel
+exponents of kernelcalc).  Gamma tokens are never evaluated numerically:
+arguments that differ by an integer are merged through the functional
+equation Gamma(z+1) = z*Gamma(z), which turns the shift into an exact
+Pochhammer factor.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, lcm
 
 # The rational type of the scalar parts; the benchmark (bench/worker.py)
 # reports it as the arithmetic backend.
@@ -213,6 +215,16 @@ def _times_i_power(k, z):
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
+
+
+def _over_den(vals):
+    """(parts, den) of a dict of GaussianRational values: den is the lcm of
+    the denominators and parts maps each key to den * value as a Gaussian
+    integer (re, im); the parts and den have content 1.  The one conversion
+    from Q(i) to Z[i] of the package."""
+    den = lcm(*(v._d for v in vals.values()))
+    return {key: (v._a * (den // v._d), v._b * (den // v._d))
+            for key, v in vals.items()}, den
 
 
 def _acc(out, items):
@@ -590,17 +602,82 @@ def poly_divexact(p, d):
 
 # -- ParamScalar --------------------------------------------------------------
 
-def _canon_gamma_arg(a, b, c):
-    """Split an affine Gamma argument into canonical class rep + integer shift."""
-    m = _floor(c)
-    return (a, b, c - m), m
+class AffineExp:
+    """a*lam + b*nu + c with exact rational coefficients: a kernel exponent or
+    the argument of a Gamma token.  It compares, orders and hashes as the
+    tuple (a, b, c)."""
+
+    __slots__ = ("a", "b", "c", "_hash")
+
+    def __init__(self, a=0, b=0, c=0):
+        a, b, c = rat(a), rat(b), rat(c)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        # exponents and Gamma arguments are dict keys: hash the three
+        # Fractions once, not per lookup
+        object.__setattr__(self, "_hash", hash((a, b, c)))
+
+    def __setattr__(self, *a):
+        raise AttributeError("AffineExp is immutable")
+
+    @staticmethod
+    def const(c):
+        return AffineExp(0, 0, c)
+
+    def __add__(self, other):
+        if not isinstance(other, AffineExp):
+            other = AffineExp.const(other)
+        return AffineExp(self.a + other.a, self.b + other.b, self.c + other.c)
+
+    def __sub__(self, other):
+        if not isinstance(other, AffineExp):
+            other = AffineExp.const(other)
+        return AffineExp(self.a - other.a, self.b - other.b, self.c - other.c)
+
+    def __eq__(self, other):
+        return (isinstance(other, AffineExp)
+                and (self.a, self.b, self.c) == (other.a, other.b, other.c))
+
+    def __lt__(self, other):
+        return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+
+    def __hash__(self):
+        return self._hash
+
+    def is_const(self):
+        return self.a == 0 and self.b == 0
+
+    def split(self):
+        """(rep, m): the class representative rep, whose constant term lies
+        in [0, 1), and the integer m with self = rep + m."""
+        m = _floor(self.c)
+        return (AffineExp(self.a, self.b, self.c - m) if m else self), m
+
+    def subs_lam(self, e, f):
+        """Substitute lam := e*nu + f."""
+        return AffineExp(0, self.b + self.a * rat(e), self.c + self.a * rat(f))
+
+    def shift(self, dl, dv):
+        """Substitute lam := lam + dl, nu := nu + dv."""
+        return AffineExp(self.a, self.b, self.c + self.a * rat(dl) + self.b * rat(dv))
+
+    def as_scalar(self):
+        return ParamScalar(ParamPoly.affine(self.a, self.b, self.c))
+
+    def sort_key(self):
+        return (str(self.a), str(self.b), str(self.c))
+
+    def __repr__(self):
+        return "(%s*lam+%s*nu+%s)" % (self.a, self.b, self.c)
 
 
 class ParamScalar:
     """Rational function in (lam, nu) over Q(i) times a product of Gamma tokens.
 
-    gammas is a sorted tuple of ((a, b, c), exponent) with a*lam + b*nu + c the
-    canonical class representative (constant term in [0, 1)).
+    gammas is a sorted tuple of (AffineExp, exponent) pairs, each argument
+    the class representative of AffineExp.split.  A raw (a, b, c) triple
+    given to the constructor is taken as AffineExp(a, b, c).
     """
 
     __slots__ = ("num", "den", "gammas")
@@ -624,26 +701,24 @@ class ParamScalar:
         for arg, e in gammas:
             if e == 0:
                 continue
-            a, b, c = rat(arg[0]), rat(arg[1]), rat(arg[2])
-            if a == 0 and b == 0:
-                if c.denominator == 1:
-                    # Gamma at an integer: reduce to a factorial or a pole
-                    m = int(c)
-                    if m <= 0:
-                        raise PoleError("Gamma token at non-positive integer %d" % m)
-                    f = ONE
-                    for t in range(1, m):
-                        f = f * GaussianRational(t)
-                    if e > 0:
-                        num = num * ParamPoly.const(f ** e)
-                    else:
-                        den = den * ParamPoly.const(f ** (-e))
-                    continue
-            key, m = _canon_gamma_arg(a, b, c)
+            if arg.__class__ is not AffineExp:
+                arg = AffineExp(*arg)
+            if arg.is_const() and arg.c.denominator == 1:
+                # Gamma at an integer: reduce to a factorial or a pole
+                m = int(arg.c)
+                if m <= 0:
+                    raise PoleError("Gamma token at non-positive integer %d" % m)
+                f = GaussianRational(factorial(m - 1)) ** abs(e)
+                if e > 0:
+                    num = num * ParamPoly.const(f)
+                else:
+                    den = den * ParamPoly.const(f)
+                continue
+            key, m = arg.split()
             if m:
                 # Gamma(z0 + m) = (z0)_m Gamma(z0) for m > 0, and
                 # Gamma(z0 + m) = Gamma(z0) / ((z0 + m) ... (z0 - 1)) for m < 0
-                z0 = ParamPoly.affine(*key)
+                z0 = ParamPoly.affine(key.a, key.b, key.c)
                 fac = _POLY_ONE
                 for t in range(min(m, 0), max(m, 0)):
                     fac = fac * (z0 + t)
@@ -694,8 +769,7 @@ class ParamScalar:
     @staticmethod
     def gamma_factor(a, b, c, power=1):
         """Gamma(a*lam + b*nu + c) ** power as a ParamScalar."""
-        return ParamScalar(ParamPoly.const(1), None,
-                           (((rat(a), rat(b), rat(c)), power),))
+        return ParamScalar(_POLY_ONE, None, ((AffineExp(a, b, c), power),))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -769,22 +843,21 @@ class ParamScalar:
         return hash((self.num, self.den, self.gammas))
 
     def subs_lam(self, e, f):
-        # Gamma args are affine: lam := e*nu + f maps (a,b,c) -> (0, b+a*e, c+a*f)
-        g = tuple((((rat(0), b + a * rat(e), c + a * rat(f))), p)
-                  for (a, b, c), p in self.gammas)
+        """Substitute lam := e*nu + f."""
+        g = tuple((arg.subs_lam(e, f), p) for arg, p in self.gammas)
         return ParamScalar(self.num.subs_lam(e, f), self.den.subs_lam(e, f), g)
 
     def shift(self, dlam, dnu):
-        g = tuple(((a, b, c + a * rat(dlam) + b * rat(dnu)), p)
-                  for (a, b, c), p in self.gammas)
+        """Substitute lam := lam + dlam, nu := nu + dnu."""
+        g = tuple((arg.shift(dlam, dnu), p) for arg, p in self.gammas)
         return ParamScalar(self.num.shift(dlam, dnu), self.den.shift(dlam, dnu), g)
 
     def __repr__(self):
         s = "(%s)" % self.num
         if self.den != ParamPoly.const(1):
             s += "/(%s)" % self.den
-        for (a, b, c), e in self.gammas:
-            s += "*Gamma(%s*lam+%s*nu+%s)^%d" % (a, b, c, e)
+        for arg, e in self.gammas:
+            s += "*Gamma%r^%d" % (arg, e)
         return s
 
 

@@ -11,7 +11,7 @@ vanishing patterns that select quotients and subrepresentations.
 from fractions import Fraction
 from math import gcd
 
-from .paramfield import GaussianRational, rat, _gr
+from .paramfield import GaussianRational, rat, _gr, _over_den
 from .cliffspin import DimensionMismatch
 from . import linalg
 
@@ -89,10 +89,9 @@ class SolutionSpace:
 
 def _scaled_point(lam0, nu0):
     """D = 2 lcm(den lam0, den nu0) and D*lam0, D*nu0 as Z[i] pairs."""
-    dl, dn = lam0._d, nu0._d
-    d = 2 * dl * dn // gcd(dl, dn)
-    return d, (lam0._a * (d // dl), lam0._b * (d // dl)), \
-        (nu0._a * (d // dn), nu0._b * (d // dn))
+    parts, den = _over_den({"lam": lam0, "nu": nu0})
+    (lr, li), (nr, ni) = parts.values()
+    return 2 * den, (2 * lr, 2 * li), (2 * nr, 2 * ni)
 
 
 def _level_rows(n, point, sigma, i, region):

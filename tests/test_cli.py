@@ -125,6 +125,13 @@ class TestUsageErrors:
          "--depth", "8"],
         ["table", "lattice", "--n", "4", "--imax", "0", "--jmax=-1",
          "--depth", "8"],
+        ["verify", "lambda", "--n", "4", "--imax=-1"],
+        ["verify", "branching", "--n", "3", "--imax=-2"],
+        ["verify", "kernels", "--n", "4", "--kmax=-1", "--lmax=-1"],
+        ["verify", "kernels", "--n", "4", "--kmax", "0", "--lmax=-1"],
+        ["verify", "projection", "--n", "4", "--kmax=-1"],
+        ["verify", "lambda", "--n", "4", "--imax", "0", "--max-basis=-1"],
+        ["verify", "lambda", "--n", "4", "--imax", "0", "--max-basis", "0"],
     ])
     def test_lattice_domain_errors(self, argv, capsys):
         # domain errors of every subcommand, not only the lattice ones

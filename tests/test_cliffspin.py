@@ -202,6 +202,14 @@ class TestZetaTable:
         with pytest.raises(DimensionMismatch, match="generator index out of range"):
             zeta_gen_apply(4, "+", i, Spinor.basis(2, 0))
 
+    @pytest.mark.parametrize("variant", ["x", "minus", "+-", None])
+    def test_unknown_variant(self, variant):
+        # any variant but "-" used to act as "+"
+        with pytest.raises(ValueError, match="variant"):
+            zeta_gen_apply(3, variant, 1, Spinor.basis(1, 0))
+        with pytest.raises(ValueError, match="variant"):
+            zeta_matrix(3, variant, 1)
+
 
 class TestCanonicalResults:
     """zeta_gen_apply, gamma and scale by a nonzero value skip coercion."""

@@ -29,7 +29,7 @@ class TestFamilies:
         assert list(K.terms) == [("B", 0, AffineExp(0, -2, 1 - 4), AffineExp(), (0, 0, 0))]
         (value,) = K.terms.values()
         assert list(value) == [0]  # a scalar kernel holds blade 0
-        assert value[0].gammas == (((rat("1/2"), rat("-1/2"), rat("1/4")), -1),)
+        assert value[0].gammas == ((AffineExp("1/2", "-1/2", "1/4"), -1),)
 
     def test_c_plus_l0_is_delta(self):
         K = make_family("Ct+", 3, l=0)
@@ -242,6 +242,14 @@ class TestIdentityCatalogue:
     def test_vanishing_classification(self):
         assert check_identity("xn_kernel", 4, k=2, l=2)["ok"]
         assert check_identity("zeta_kernel", 4, k=2, l=2)["ok"]
+
+    @pytest.mark.parametrize("tag", ["xn_kernel", "zeta_kernel"])
+    @pytest.mark.parametrize("kw", [{"k": -1}, {"l": -1}, {"k": -1, "l": -1},
+                                    {"k": 0, "l": -2}])
+    def test_vanishing_needs_nonnegative_indices(self, tag, kw):
+        # a negative index used to check no family and report "ok"
+        with pytest.raises(BadParams):
+            check_identity(tag, 4, **kw)
 
     @pytest.mark.parametrize("tag,kw", CONTROL_CASES)
     def test_doubled_rhs_fails(self, tag, kw):

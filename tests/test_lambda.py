@@ -137,6 +137,14 @@ class TestBruteForceAgreement:
                     bf = lambda_constant_bruteforce(n, *quad, max_basis=mb)
                     assert bf == table, quad
 
+    @pytest.mark.parametrize("mb", [0, -1, -5])
+    def test_max_basis_below_one(self, mb):
+        # -1 used to drop the last basis element, 0 to leave no basis
+        with pytest.raises(ValueError, match="max_basis"):
+            lambda_constant_bruteforce(4, (1, 1), 1, (1, -1), 1, max_basis=mb)
+        assert lambda_constant_bruteforce(4, (1, 1), 1, (1, -1), 1, max_basis=1) == \
+            lambda_constant(4, (1, 1), 1, (1, -1), 1)
+
     def test_proportionality_is_certified(self):
         # the solve sees every sampled basis element and direction at once;
         # a wrong table value can never sneak through as "proportional"

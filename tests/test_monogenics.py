@@ -405,6 +405,14 @@ class TestVariant:
         assert SpinorPolynomial(3, 3, "+", c) != SpinorPolynomial(3, 3, "-", c)
         assert SpinorPolynomial(3, 3, "-", c) == SpinorPolynomial(3, 3, "-", c)
 
+    @pytest.mark.parametrize("variant", ["minus", "plus", "x", None, 1])
+    def test_unknown_variant_rejected(self, variant):
+        # any variant but "-" used to act as "+"
+        with pytest.raises(ValueError, match="variant"):
+            SpinorPolynomial(3, variant=variant, coeffs={(1, 0, 0): Spinor.basis(1, 0)})
+        with pytest.raises(ValueError, match="variant"):
+            SpinorPolynomial(3, variant=variant)
+
 
 def const_poly(n, s):
     return SpinorPolynomial(n, n, "+", {(0,) * n: s})
@@ -712,7 +720,8 @@ class TestBranchEmbed:
         for j in range(0, 3):
             for i in range(j, 4):
                 for phi in monogenic_basis(n, j)[:3]:
-                    emb = branch_embed(n, j, i, phi, check=True)
+                    emb = branch_embed(n, j, i, phi)
+                    assert dirac(emb).is_zero()
                     assert emb.degree() in (-1, i)
 
     @pytest.mark.parametrize("n", [2, 3, 4])

@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
-from sbolab.paramfield import (GaussianRational, ParamPoly, ParamScalar,
+from sbolab.paramfield import (AffineExp, GaussianRational, ParamPoly, ParamScalar,
                                pochhammer, evaluate,
                                PoleError, GammaResidual, poly_gcd, poly_divexact,
                                PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat,
@@ -462,6 +462,70 @@ class TestFastPaths:
             assert canonical(r), method
 
 
+def reference_gamma_subs_lam(s, e, f):
+    """lam := e*nu + f, with each Gamma argument (a, b, c) sent to the raw
+    triple (0, b + a*e, c + a*f): the formula ParamScalar used to repeat."""
+    g = tuple(((0, x.b + x.a * e, x.c + x.a * f), p) for x, p in s.gammas)
+    return ParamScalar(s.num.subs_lam(e, f), s.den.subs_lam(e, f), g)
+
+
+def reference_gamma_shift(s, dl, dv):
+    """(lam, nu) := (lam + dl, nu + dv), with each Gamma argument (a, b, c)
+    sent to the raw triple (a, b, c + a*dl + b*dv)."""
+    g = tuple(((x.a, x.b, x.c + x.a * dl + x.b * dv), p) for x, p in s.gammas)
+    return ParamScalar(s.num.shift(dl, dv), s.den.shift(dl, dv), g)
+
+
+affine_forms = st.builds(AffineExp, rationals, rationals, rationals)
+
+
+class TestAffineExp:
+    """One affine form for kernel exponents and Gamma arguments; it behaves
+    as the (a, b, c) triple it replaced."""
+
+    @given(scalars(), small_rationals, small_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_substitutions_match_triple_formulas(self, x, e, f):
+        for method, reference in (("subs_lam", reference_gamma_subs_lam),
+                                  ("shift", reference_gamma_shift)):
+            try:
+                want = reference(x, e, f)
+            except (ZeroDivisionError, PoleError) as exc:
+                with pytest.raises(type(exc)):
+                    getattr(x, method)(e, f)
+                continue
+            assert parts_of(getattr(x, method)(e, f)) == parts_of(want), method
+
+    @given(affine_forms)
+    def test_split(self, x):
+        rep, m = x.split()
+        assert type(m) is int
+        assert 0 <= rep.c < 1 and (rep.a, rep.b) == (x.a, x.b)
+        assert rep + m == x
+        assert rep.split() == (rep, 0)
+
+    @given(affine_forms, affine_forms)
+    def test_orders_and_hashes_as_its_triple(self, x, y):
+        tx, ty = (x.a, x.b, x.c), (y.a, y.b, y.c)
+        assert hash(x) == hash(tx)
+        assert (x == y) == (tx == ty) and (x < y) == (tx < ty)
+
+    def test_gamma_tokens(self):
+        s = (ParamScalar.gamma_factor("1/2", 0, "7/3")
+             * ParamScalar.gamma_factor(0, 1, "-1/2", -1)
+             * ParamScalar.gamma_factor("1/2", "-1/2", 1))
+        args = [x for x, _ in s.gammas]
+        assert all(type(x) is AffineExp for x in args)
+        assert [(x.a, x.b, x.c) for x in args] == sorted(
+            [(0, 1, rat("1/2")), (rat("1/2"), rat("-1/2"), 0), (rat("1/2"), 0, rat("1/3"))])
+        # a raw triple is coerced where it enters
+        raw = ParamScalar(1, None, ((("1/2", 0, "7/3"), 2),))
+        assert parts_of(raw) == parts_of(
+            ParamScalar(1, None, ((AffineExp("1/2", 0, "7/3"), 2),)))
+        g = ParamScalar.gamma_factor("1/2", 0, "7/3")
+        assert parts_of(raw) == parts_of(g * g)
+
+
 class TestEqualityContract:
     """A scalar equals only values it coerces from without parsing, so
     equality agrees with hashing; a str still constructs one."""
@@ -469,7 +533,6 @@ class TestEqualityContract:
     @pytest.mark.parametrize("x", [GaussianRational(1), ParamPoly.const(1),
                                    ParamScalar.coerce(1)])
     def test_foreign_operands_are_unequal(self, x):
-        from sbolab.kernelcalc import AffineExp
         for other in ("1", None, AffineExp(0, 0, 1), object()):
             assert x.__eq__(other) is NotImplemented
             assert not x == other
