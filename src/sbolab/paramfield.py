@@ -308,6 +308,8 @@ class ParamPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("ParamPoly has no inverse: negative power %d" % k)
         out = ParamPoly.const(1)
         base = self
         while k:
@@ -434,170 +436,89 @@ _POLY_ONE = ParamPoly.const(1)
 
 # -- polynomial gcd over Q(i), used to keep rational functions reduced -------
 
-def _upoly_trim(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
+def _monic(p):
+    """p scaled to a grlex-monic polynomial (p nonzero)."""
+    _, lead = p.leading()
+    return p if lead == ONE else _scaled(p, lead.inverse())
 
 
-def _upoly_divmod(a, b):
-    """Exact division with remainder of univariate coefficient lists."""
-    a = list(a)
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv = b[-1].inverse()
-    while len(a) >= len(b) and a:
-        if a[-1].is_zero():
-            a.pop()
-            continue
-        k = len(a) - len(b)
-        c = a[-1] * inv
-        q[k] = c
-        for i, bc in enumerate(b):
-            a[i + k] = a[i + k] - c * bc
-        _upoly_trim(a)
-    return q, a
+def _lead_coeff(p, v):
+    """(degree, leading coefficient) of a nonzero p in the variable v
+    (0: lam, 1: nu); the coefficient is a polynomial in the other one."""
+    d = max(m[v] for m in p.terms)
+    return d, _poly({(0, m[1]) if v == 0 else (m[0], 0): c
+                     for m, c in p.terms.items() if m[v] == d})
 
 
-def _upoly_gcd(a, b):
-    a = _upoly_trim(list(a))
-    b = _upoly_trim(list(b))
-    while b:
-        _, r = _upoly_divmod(a, b)
-        a, b = b, _upoly_trim(r)
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def _to_ucoeffs(p):
-    """ParamPoly -> list over lam-degree of univariate-in-nu coefficient lists."""
-    dl = max((a for a, _ in p.terms), default=0)
-    out = [[] for _ in range(dl + 1)]
+def _lam_content(p):
+    """The monic gcd in Q(i)[nu] of the lam-coefficients of a nonzero p."""
+    rows = {}
     for (a, b), c in p.terms.items():
-        row = out[a]
-        while len(row) <= b:
-            row.append(ZERO)
-        row[b] = c
-    return [_upoly_trim(r) for r in out]
+        rows.setdefault(a, {})[(0, b)] = c
+    g = None
+    for t in rows.values():
+        g = _poly(t) if g is None else _gcd(g, _poly(t), 1)
+        if g.total_degree() == 0:
+            return _POLY_ONE
+    return _monic(g)
 
 
-def _from_ucoeffs(rows):
-    return ParamPoly({(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)})
+def _split(p, v):
+    """(content, primitive part) of a nonzero p in the variable v, both
+    monic.  A polynomial in nu alone has content 1 over the field Q(i)."""
+    c = _lam_content(p) if v == 0 else _POLY_ONE
+    return c, _monic(p if c is _POLY_ONE else poly_divexact(p, c))
 
 
-def _umul(a, b):
-    if not a or not b:
-        return []
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _upoly_trim(out)
-
-
-def _content(rows):
-    g = []
-    for r in rows:
-        if r:
-            g = _upoly_gcd(g, r)
-    return g or [ONE]
-
-
-def _rows_divexact(rows, d):
-    out = []
-    for r in rows:
-        if not r:
-            out.append([])
-            continue
-        q, rem = _upoly_divmod(r, d)
-        if rem:
-            raise ArithmeticError("inexact content division")
-        out.append(_upoly_trim(q))
-    return out
+def _gcd(p, q, v):
+    """The monic gcd of nonzero p, q that hold no variable before v: a
+    primitive pseudo-remainder sequence in v (Brown and Traub, J. ACM 18(4),
+    1971), whose contents in v come by recursion into nu."""
+    if p.total_degree() == 0 or q.total_degree() == 0:
+        return _POLY_ONE
+    (cp, a), (cq, b) = _split(p, v), _split(q, v)
+    c = _gcd(cp, cq, 1) if v == 0 else _POLY_ONE
+    while True:
+        db, lb = _lead_coeff(b, v)
+        # the pseudo-remainder of a by b; it is a itself when a has the
+        # lower degree, so the first pass may only swap the two
+        while not a.is_zero():
+            da, la = _lead_coeff(a, v)
+            if da < db:
+                break
+            x = _poly({(da - db, 0) if v == 0 else (0, da - db): ONE})
+            a = a * lb - b * (la * x)
+        if a.is_zero():
+            return b * c
+        a, b = b, _split(a, v)[1]
 
 
 def poly_gcd(p, q):
-    """gcd in Q(i)[lam, nu], normalized to grlex-monic; gcd(0,0) = 0."""
-    if p.is_zero():
-        g = q
-    elif q.is_zero():
-        g = p
-    else:
-        a = _to_ucoeffs(p)
-        b = _to_ucoeffs(q)
-        ca, cb = _content(a), _content(b)
-        a = _rows_divexact(a, ca)
-        b = _rows_divexact(b, cb)
-        while True:
-            b = [_upoly_trim(r) for r in b]
-            while b and not b[-1]:
-                b.pop()
-            if not b:
-                break
-            if len(a) < len(b):
-                a, b = b, a
-                continue
-            # pseudo-remainder of a by b in (Q(i)[nu])[lam]
-            lead = b[-1]
-            r = [list(row) for row in a]
-            while len(r) >= len(b) and any(r[-1] if r else []):
-                k = len(r) - len(b)
-                top = r[-1]
-                r = [_umul(row, lead) for row in r]
-                for i, brow in enumerate(b):
-                    sub = _umul(brow, top)
-                    row = r[i + k]
-                    for d, c in enumerate(sub):
-                        while len(row) <= d:
-                            row.append(ZERO)
-                        row[d] = row[d] - c
-                    r[i + k] = _upoly_trim(row)
-                while r and not r[-1]:
-                    r.pop()
-            a, b = b, r
-            if b:
-                cb2 = _content(b)
-                b = _rows_divexact(b, cb2)
-        g = _from_ucoeffs(a) * _from_ucoeffs([_upoly_gcd(ca, cb)])
-    if g.is_zero():
-        return g
-    _, lead = g.leading()
-    return g * ParamPoly.const(lead.inverse())
+    """gcd in Q(i)[lam, nu], normalized to grlex-monic; gcd(0,0) = 0.  The
+    main variable is lam if either input holds it, else nu."""
+    if p.is_zero() or q.is_zero():
+        g = q if p.is_zero() else p
+        return g if g.is_zero() else _monic(g)
+    has_lam = any(a for a, _ in p.terms) or any(a for a, _ in q.terms)
+    return _gcd(p, q, 0 if has_lam else 1)
 
 
 def poly_divexact(p, d):
-    """Exact division in Q(i)[lam, nu]; raises if not divisible."""
-    if p.is_zero():
-        return p
-    rows_p = _to_ucoeffs(p)
-    rows_d = _to_ucoeffs(d)
-    out = [[] for _ in range(len(rows_p) - len(rows_d) + 1)]
-    lead = rows_d[-1]
-    while True:
-        rows_p = [_upoly_trim(r) for r in rows_p]
-        while rows_p and not rows_p[-1]:
-            rows_p.pop()
-        if not rows_p:
-            break
-        if len(rows_p) < len(rows_d):
+    """Exact division in Q(i)[lam, nu] by grlex leading terms; raises
+    ArithmeticError if d does not divide p."""
+    if d.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    (da, db), lead = d.leading()
+    inv = lead.inverse()
+    rem, quo = dict(p.terms), {}
+    while rem:
+        a, b = max(rem, key=_grlex_key)
+        if a < da or b < db:
             raise ArithmeticError("inexact polynomial division")
-        k = len(rows_p) - len(rows_d)
-        q, rem = _upoly_divmod(rows_p[-1], lead)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        out[k] = q
-        for i, drow in enumerate(rows_d):
-            sub = _umul(drow, q)
-            row = rows_p[i + k]
-            for dg, c in enumerate(sub):
-                while len(row) <= dg:
-                    row.append(ZERO)
-                row[dg] = row[dg] - c
-            rows_p[i + k] = row
-    return _from_ucoeffs(out)
+        m, c = (a - da, b - db), rem[(a, b)] * inv
+        quo[m] = c
+        _acc(rem, (((x + m[0], y + m[1]), -c * w) for (x, y), w in d.terms.items()))
+    return _poly(quo)
 
 
 # -- ParamScalar --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -364,6 +365,228 @@ class TestGcdAgainstSympy:
         assert _to_sympy(got, lam, nu).monic() == want.monic()
 
 
+# -- poly_gcd and poly_divexact against the dense route they replaced ---------
+
+def _upoly_trim(p):
+    while p and p[-1].is_zero():
+        p.pop()
+    return p
+
+
+def _upoly_divmod(a, b):
+    """Exact division with remainder of univariate coefficient lists."""
+    a = list(a)
+    q = [ZERO] * max(0, len(a) - len(b) + 1)
+    inv = b[-1].inverse()
+    while len(a) >= len(b) and a:
+        if a[-1].is_zero():
+            a.pop()
+            continue
+        k = len(a) - len(b)
+        c = a[-1] * inv
+        q[k] = c
+        for i, bc in enumerate(b):
+            a[i + k] = a[i + k] - c * bc
+        _upoly_trim(a)
+    return q, a
+
+
+def _upoly_gcd(a, b):
+    a = _upoly_trim(list(a))
+    b = _upoly_trim(list(b))
+    while b:
+        _, r = _upoly_divmod(a, b)
+        a, b = b, _upoly_trim(r)
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+def _to_ucoeffs(p):
+    """ParamPoly -> list over lam-degree of univariate-in-nu coefficient lists."""
+    dl = max((a for a, _ in p.terms), default=0)
+    out = [[] for _ in range(dl + 1)]
+    for (a, b), c in p.terms.items():
+        row = out[a]
+        while len(row) <= b:
+            row.append(ZERO)
+        row[b] = c
+    return [_upoly_trim(r) for r in out]
+
+
+def _from_ucoeffs(rows):
+    return ParamPoly({(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)})
+
+
+def _umul(a, b):
+    if not a or not b:
+        return []
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _upoly_trim(out)
+
+
+def _content(rows):
+    g = []
+    for r in rows:
+        if r:
+            g = _upoly_gcd(g, r)
+    return g or [ONE]
+
+
+def _rows_divexact(rows, d):
+    out = []
+    for r in rows:
+        if not r:
+            out.append([])
+            continue
+        q, rem = _upoly_divmod(r, d)
+        if rem:
+            raise ArithmeticError("inexact content division")
+        out.append(_upoly_trim(q))
+    return out
+
+
+def reference_poly_gcd(p, q):
+    """gcd over lists in lam of lists in nu, with an uncontrolled
+    pseudo-remainder loop: the route poly_gcd replaced."""
+    if p.is_zero():
+        g = q
+    elif q.is_zero():
+        g = p
+    else:
+        a = _to_ucoeffs(p)
+        b = _to_ucoeffs(q)
+        ca, cb = _content(a), _content(b)
+        a = _rows_divexact(a, ca)
+        b = _rows_divexact(b, cb)
+        while True:
+            b = [_upoly_trim(r) for r in b]
+            while b and not b[-1]:
+                b.pop()
+            if not b:
+                break
+            if len(a) < len(b):
+                a, b = b, a
+                continue
+            # pseudo-remainder of a by b in (Q(i)[nu])[lam]
+            lead = b[-1]
+            r = [list(row) for row in a]
+            while len(r) >= len(b) and any(r[-1] if r else []):
+                k = len(r) - len(b)
+                top = r[-1]
+                r = [_umul(row, lead) for row in r]
+                for i, brow in enumerate(b):
+                    sub = _umul(brow, top)
+                    row = r[i + k]
+                    for d, c in enumerate(sub):
+                        while len(row) <= d:
+                            row.append(ZERO)
+                        row[d] = row[d] - c
+                    r[i + k] = _upoly_trim(row)
+                while r and not r[-1]:
+                    r.pop()
+            a, b = b, r
+            if b:
+                cb2 = _content(b)
+                b = _rows_divexact(b, cb2)
+        g = _from_ucoeffs(a) * _from_ucoeffs([_upoly_gcd(ca, cb)])
+    if g.is_zero():
+        return g
+    _, lead = g.leading()
+    return g * ParamPoly.const(lead.inverse())
+
+
+def reference_poly_divexact(p, d):
+    """Exact division row by row in lam: the route poly_divexact replaced."""
+    if p.is_zero():
+        return p
+    rows_p = _to_ucoeffs(p)
+    rows_d = _to_ucoeffs(d)
+    out = [[] for _ in range(len(rows_p) - len(rows_d) + 1)]
+    lead = rows_d[-1]
+    while True:
+        rows_p = [_upoly_trim(r) for r in rows_p]
+        while rows_p and not rows_p[-1]:
+            rows_p.pop()
+        if not rows_p:
+            break
+        if len(rows_p) < len(rows_d):
+            raise ArithmeticError("inexact polynomial division")
+        k = len(rows_p) - len(rows_d)
+        q, rem = _upoly_divmod(rows_p[-1], lead)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        out[k] = q
+        for i, drow in enumerate(rows_d):
+            sub = _umul(drow, q)
+            row = rows_p[i + k]
+            for dg, c in enumerate(sub):
+                while len(row) <= dg:
+                    row.append(ZERO)
+                row[dg] = row[dg] - c
+            rows_p[i + k] = row
+    return _from_ucoeffs(out)
+
+
+def dense_poly(rng, deg):
+    """Every monomial of total degree <= deg, Gaussian-integer coefficients."""
+    return ParamPoly({(a, b): GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
+                      for a in range(deg + 1) for b in range(deg + 1 - a)})
+
+
+degree4_polys = st.builds(ParamPoly, st.dictionaries(
+    st.sampled_from([(a, b) for a in range(5) for b in range(5 - a)]),
+    small_gaussians, max_size=4))
+
+
+class TestGcdAgainstReference:
+    """The term-dict gcd and division give exactly the dense route's results."""
+
+    @given(degree4_polys, degree4_polys, degree4_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_quotients_and_normal_form(self, p, q, c):
+        p, q = p * c, q * c
+        g = poly_gcd(p, q)
+        assert g == reference_poly_gcd(p, q)
+        if g.is_zero():
+            return
+        num, den = reference_poly_divexact(p, g), reference_poly_divexact(q, g)
+        assert poly_divexact(p, g) == num
+        assert poly_divexact(q, g) == den
+        if q.is_zero():
+            return
+        inv = ParamPoly.const(den.leading()[1].inverse())
+        s = ParamScalar(p, q)
+        assert (s.num, s.den) == (num * inv, den * inv)
+
+    @pytest.mark.parametrize("degree,common", [(7, 2), (8, 3)])
+    def test_dense_bivariate_common_factor(self, degree, common):
+        rng = random.Random(5)
+        c = dense_poly(rng, common)
+        p, q = dense_poly(rng, degree - common) * c, dense_poly(rng, degree - common) * c
+        assert poly_gcd(p, q) == c * ParamPoly.const(c.leading()[1].inverse())
+
+    def test_division_by_zero(self):
+        for p in (LAM + 1, ParamPoly()):
+            with pytest.raises(ZeroDivisionError):
+                poly_divexact(p, ParamPoly())
+
+    def test_inexact_division(self):
+        with pytest.raises(ArithmeticError):
+            poly_divexact(LAM * LAM + 1, LAM + 1)
+
+    def test_negative_power(self):
+        assert (LAM + 1) ** 0 == 1
+        with pytest.raises(ValueError):
+            (LAM + 1) ** -1
+
+
 # -- the fast paths against the routes they replaced ---------------------------
 
 def reference_subs_lam(p, e, f):
@@ -401,11 +624,12 @@ gamma_contents = st.sampled_from([
     ((("1/2", "1/2", "1/4"), -1),),
     ((("0", "1", "5/2"), 1),),
     ((("1/2", "-1/2", "-3/4"), 1), (("1", "0", "1/3"), -1))])
-# degrees and substitution values that keep the Gamma shifts and the gcds
-# small: poly_gcd takes seconds on bivariate inputs of degree 4
+# denominators up to degree 2 in each parameter, and substitution values
+# that keep the Gamma shifts small: a shift by a Gamma token multiplies in
+# one affine factor per unit step
 small_rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-bilinear_polys = st.builds(ParamPoly, st.dictionaries(
-    st.tuples(st.integers(0, 1), st.integers(0, 1)), small_gaussians, max_size=3))
+quadratic_polys = st.builds(ParamPoly, st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), small_gaussians, max_size=4))
 
 
 @st.composite
@@ -420,7 +644,7 @@ def scalars(draw):
     elif kind == "int":
         s = ParamScalar.coerce(draw(st.integers(-6, 6)))
     else:
-        num, den = draw(bilinear_polys), draw(bilinear_polys)
+        num, den = draw(quadratic_polys), draw(quadratic_polys)
         s = ParamScalar(num, ParamPoly.affine(0, 1, 1) if den.is_zero() else den)
     g = draw(gamma_contents)
     return s * ParamScalar(1, None, g) if g else s
