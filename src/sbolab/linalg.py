@@ -3,15 +3,16 @@
 Rows are dicts column->GaussianRational, or column->(re, im) in Z[i]; no
 floating point anywhere.
 Elimination is fraction-free and done once, in `echelon`, on primitive
-rows of Gaussian integers stored as (re, im) pairs of ints: a row is
-reduced by r <- p*r - f*pivot and divided by its content.  The pivot of a
-column is the shortest row holding it (Markowitz's rule, which limits
-fill), so a redundant row is reduced few times before it vanishes; the
-columns are taken in order, so the pivot columns and the reduced echelon
-form do not depend on which row is chosen.  `gaussian_ints`
-turns a Q(i) row into such a row; `eliminate`, `rank` and `nullspace` take
-Q(i) rows and convert them, while a caller that builds its rows in Z[i]
-passes them to `echelon` directly.  A rank is the number of pivots; only a
+rows of Gaussian integers stored as (re, im) pairs of ints, or as ints in
+Z when the caller's system is real (a lattice system at a real point, in
+its real frame): a row is reduced by r <- p*r - f*pivot and divided by its
+content.  The pivot of a column is the shortest row holding it
+(Markowitz's rule, which limits fill), so a redundant row is reduced few
+times before it vanishes; the columns are taken in order, so the pivot
+columns and the reduced echelon form do not depend on which row is chosen.
+`gaussian_ints` turns a Q(i) row into such a row; `eliminate`, `rank`
+and `nullspace` take Q(i) rows and convert them, while a caller that
+builds its rows in Z[i] or Z passes them to `echelon` directly.  A rank is the number of pivots; only a
 caller that needs the pivot rows or a nullspace brings them back to Q(i),
 normalized to 1 at the pivot.
 """
@@ -109,12 +110,41 @@ def _reduce(r, row, col):
     return (_gprimitive(out) if mixed else _primitive(out)) if out else None
 
 
+def _primitive_z(row):
+    """Divide a Z row {col: int} by the gcd of its entries."""
+    g = 0
+    for x in row.values():
+        g = gcd(g, x)
+        if g == 1:
+            return row
+    return {c: x // g for c, x in row.items()}
+
+
+def _reduce_z(r, row, col):
+    """`_reduce` on Z rows {col: int}: the same p*r - f*row, entry for entry
+    that of the rows {col: (x, 0)}."""
+    g = gcd(row[col], r[col])
+    p, f = row[col] // g, r[col] // g
+    out = {}
+    for c, x in r.items():
+        if c != col:
+            x = p * x - f * row.get(c, 0)
+            if x:
+                out[c] = x
+    for c, w in row.items():
+        if c != col and c not in r:
+            out[c] = -f * w
+    return _primitive_z(out) if out else None
+
+
 def echelon(rows, ncols, piv=None):
-    """Fraction-free forward elimination of sparse Z[i] rows.
+    """Fraction-free forward elimination of sparse Z[i] or Z rows.
 
     rows is an iterable of primitive Z[i] rows {col: (re, im)}, as made by
-    `gaussian_ints`; empty rows are skipped, none is modified.  Returns {pivot
-    column: primitive Z[i] row}.  The remaining rows wait in queues keyed by
+    `gaussian_ints`, or of primitive Z rows {col: int}, which are reduced in
+    integers; empty rows are skipped, none is modified.  Rows of both kinds,
+    or rows of another kind than piv's, raise ValueError.  Returns {pivot
+    column: primitive row}.  The remaining rows wait in queues keyed by
     their leading column, so the queue of a column holds every row that
     still has an entry there.  Its pivot is the shortest row in the queue,
     the oldest on a tie (input rows in input order, then reduced rows in the
@@ -125,10 +155,15 @@ def echelon(rows, ncols, piv=None):
     those of the echelon of all rows.  piv itself is left as it was.
     """
     piv = dict(piv) if piv else {}
+    kinds = {type(next(iter(r.values()))) for r in piv.values()}
     queue = {}
     for r in rows:
         if r:
+            kinds.add(type(next(iter(r.values()))))
             queue.setdefault(min(r), []).append(r)
+    if len(kinds) > 1:
+        raise ValueError("echelon: Z and Z[i] rows mixed")
+    reduce = _reduce_z if int in kinds else _reduce
     for col in range(ncols):
         if not queue:
             break
@@ -140,7 +175,7 @@ def echelon(rows, ncols, piv=None):
             row = piv[col] = work.pop(min(range(len(work)),
                                           key=lambda k: len(work[k])))
         for r in work:
-            r = _reduce(r, row, col)
+            r = reduce(r, row, col)
             if r is not None:
                 queue.setdefault(min(r), []).append(r)
     return piv

@@ -67,23 +67,31 @@ class LatticeSystem:
 
 class SolutionSpace:
     """Nullities of a truncated system at depths d and d + 1; the nullspace
-    basis at depth d is built from the echelon when first read."""
+    basis at depth d is built from the echelon when first read.  An echelon
+    of Z rows in the unknowns t_{i,j} = i^-k s_{i,j} of `_real_frame` is
+    first brought back to s: x at (i, j) becomes x * i^-k."""
 
-    __slots__ = ("dim", "dim_next", "stabilized", "_piv", "_cols", "_basis")
+    __slots__ = ("dim", "dim_next", "stabilized", "_piv", "_cols", "_frame",
+                 "_basis")
 
-    def __init__(self, dim, dim_next, piv, cols):
+    def __init__(self, dim, dim_next, piv, cols, frame=None):
         self.dim = dim
         self.dim_next = dim_next
         self.stabilized = dim == dim_next
         self._piv = piv
         self._cols = cols
+        self._frame = frame
         self._basis = None
 
     @property
     def basis(self):
         if self._basis is None:
-            self._basis = [{self._cols[c]: v for c, v in vec.items()} for vec in
-                           linalg.echelon_nullspace(self._piv, len(self._cols))]
+            cols, k, piv = self._cols, self._frame, self._piv
+            if k is not None:
+                piv = {c: {cc: (0, -x) if k(*cols[cc]) else (x, 0)
+                           for cc, x in row.items()} for c, row in piv.items()}
+            self._basis = [{cols[c]: v for c, v in vec.items()} for vec in
+                           linalg.echelon_nullspace(piv, len(cols))]
         return self._basis
 
 
@@ -172,27 +180,46 @@ def build_system(n, lam0, nu0, sign, depth, region=None):
                          [p[0] for p in pairs], [p[1] for p in pairs], region)
 
 
-def _echelon(rows, depth, region, piv=None):
+def _real_frame(system):
+    """At a real point, k(i, j) of the unknowns t_{i,j} = i^-k s_{i,j} in
+    which every row is real up to a unit +-i: (i + j) mod 2 at even n, where
+    the (i, j +- 1) and (i +- 1, j) neighbors carry i, and 0 at odd n.  The
+    entry e at (i, j) becomes the int re + im of e * i^k.  None at a
+    non-real point."""
+    if system.point[1][1] or system.point[2][1]:
+        return None
+    even = system.n % 2 == 0
+    return lambda i, j: (i + j) % 2 if even else 0
+
+
+def _echelon(rows, depth, region, piv=None, frame=None):
     """The unknowns s_{i,j}, i <= depth, free in region, and the echelon of
-    the Z[i] rows over them; the list for depth d is a prefix of that for
-    d + 1."""
+    the rows over them; the list for depth d is a prefix of that for d + 1.
+    Given the frame of `_real_frame`, the rows are eliminated over Z in the
+    unknowns t_{i,j}, otherwise over Z[i]."""
     cols = [(i, j) for i in range(depth + 1) for j in range(i + 1)
             if region is None or region(i, j)]
     idx = {key: c for c, key in enumerate(cols)}
-    return cols, linalg.echelon(({idx[key]: v for key, v in row.items()}
-                                 for row in rows), len(cols), piv)
+    if frame is None:
+        rows = ({idx[key]: v for key, v in row.items()} for row in rows)
+    else:
+        odd = {key for key in cols if frame(*key)}
+        rows = ({idx[key]: x - y if key in odd else x + y
+                 for key, (x, y) in row.items()} for row in rows)
+    return cols, linalg.echelon(rows, len(cols), piv)
 
 
 def solve_dimension(system):
     """Exact nullity of the truncated system, with a stabilization flag: the
     depth-d echelon, extended by the rows of level d, gives the nullity at
     depth d + 1 without solving that system again."""
-    d, region = system.depth, system.region
-    cols, piv = _echelon(system.rows, d, region)
+    d, region, frame = system.depth, system.region, _real_frame(system)
+    cols, piv = _echelon(system.rows, d, region, None, frame)
     top = [row for row, _ in
            _level_rows(system.n, system.point, system.sign, d, region)]
-    cols1, piv1 = _echelon(top, d + 1, region, piv)
-    return SolutionSpace(len(cols) - len(piv), len(cols1) - len(piv1), piv, cols)
+    cols1, piv1 = _echelon(top, d + 1, region, piv, frame)
+    return SolutionSpace(len(cols) - len(piv), len(cols1) - len(piv1), piv,
+                         cols, frame)
 
 
 def on_special_set(n, lam0, nu0):
@@ -239,9 +266,12 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
     where it is a quotient, the target as a subrepresentation, and the
     lattice system is solved with the matching support pattern.
     """
-    if i < 0 or j < 0 or parity not in (0, 1):
-        raise BadLabel("need i, j >= 0 and parity 0 or 1")
-    if depth <= i + j + 2:
+    if type(n) is not int or n < 2:  # type, not isinstance: no bools
+        raise DimensionMismatch("need an integer n >= 2")
+    if any(type(x) is not int for x in (i, j, parity)) or min(i, j) < 0 \
+            or parity not in (0, 1):
+        raise BadLabel("need integers i, j >= 0 and parity 0 or 1")
+    if type(depth) is not int or depth <= i + j + 2:
         raise BadDepth("depth must exceed i + j + 2")
     if pair not in _PAIRS:
         raise ValueError("pair must be one of %r" % (_PAIRS,))
@@ -258,7 +288,8 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
     region = lambda k, l: (k <= i) == src_F and (l <= j) == dst_F
     system = build_system(n, lam0, nu0, sign, depth, region)
     if not stabilize:
-        cols, piv = _echelon(system.rows, depth, region)
+        cols, piv = _echelon(system.rows, depth, region, None,
+                             _real_frame(system))
         return len(cols) - len(piv)
     return solve_dimension(system).dim
 

@@ -18,7 +18,7 @@ from sbolab.monogenics import (lambda_constant, NotAdjacent, _split_label,
 from sbolab.sbolattice import (build_system, solve_dimension, multiplicity,
                                composition_multiplicity, composition_table,
                                expected_composition, on_special_set,
-                               BadDepth, BadLabel, _echelon)
+                               BadDepth, BadLabel, _echelon, _real_frame)
 
 
 # -- the symbolic sector rows: the oracle for the rows built at the point -----
@@ -440,6 +440,25 @@ class TestDomain:
             composition_multiplicity(4, i, j, parity, "FF", depth=12,
                                      stabilize=False)
 
+    @pytest.mark.parametrize("i,j,parity", [
+        (1.5, 0, 0), (1.0, 0, 0), (0, 2.0, 0), (Fraction(1), 0, 0),
+        ("1", 0, 0), (None, 0, 0), (True, 0, 0), (0, False, 0), (1, 0, 1.0),
+        (1, 0, True)])
+    def test_non_integer_composition_label(self, i, j, parity):
+        for stabilize in (True, False):
+            with pytest.raises(BadLabel):
+                composition_multiplicity(4, i, j, parity, "FF", 12, stabilize)
+
+    @pytest.mark.parametrize("n", [4.0, Fraction(4), "4", None, True, 1])
+    def test_non_integer_composition_n(self, n):
+        with pytest.raises(DimensionMismatch):
+            composition_multiplicity(n, 1, 0, 0, "FF")
+
+    @pytest.mark.parametrize("depth", [12.0, "12", None])
+    def test_non_integer_composition_depth(self, depth):
+        with pytest.raises(BadDepth):
+            composition_multiplicity(4, 1, 0, 0, "FF", depth)
+
 
 def test_lattice_path_leaves_monogenics_out():
     # the symbolic derivation lives in the tests, so the point path needs
@@ -533,6 +552,98 @@ class TestExtendedEchelonOracle:
                 assert composition_multiplicity(n, i, j, parity, pair,
                                                 depth) == want[0]
                 assert sol.basis == reference_solve(system)
+
+
+# -- the Z[i] route, kept as the oracle for the Z elimination at real points ---
+
+def zi_solution(system):
+    """(dim, dim_next, basis) from linalg.echelon on system.rows in Z[i],
+    extended by the level-d rows to depth d + 1, with no real frame."""
+    d, region = system.depth, system.region
+    cols = [(i, j) for i in range(d + 2) for j in range(i + 1)
+            if region is None or region(i, j)]
+    idx = {key: c for c, key in enumerate(cols)}
+    ncols = sum(1 for i, _ in cols if i <= d)
+    bigger = build_system(system.n, system.lam0, system.nu0, system.sign,
+                          d + 1, region)
+    assert bigger.rows[:len(system.rows)] == system.rows
+    top = bigger.rows[len(system.rows):]
+    piv = linalg.echelon(({idx[key]: v for key, v in row.items()}
+                          for row in system.rows), ncols)
+    piv1 = linalg.echelon(({idx[key]: v for key, v in row.items()}
+                           for row in top), len(cols), piv)
+    basis = [{cols[c]: v for c, v in vec.items()}
+             for vec in linalg.echelon_nullspace(piv, ncols)]
+    return ncols - len(piv), len(cols) - len(piv1), basis
+
+
+def _real_points(n):
+    """Two special points, two off the set (j > i, and just outside the
+    triangle), a generic rational point, the origin, and a point at the
+    truncation edge of depth 8, where the nullity still grows."""
+    return [_point(n, 2, 1), _point(n, 3, 3), _point(n, 1, 2),
+            _point(n, -1, 0), (rat("2/5"), rat("-3/7")), (rat(0), rat(0)),
+            _point(n, 8, 1)]
+
+
+def _assert_z_matches_zi(system):
+    sol = solve_dimension(system)
+    dim, dim_next, basis = zi_solution(system)
+    assert (sol.dim, sol.dim_next) == (dim, dim_next)
+    assert sol.basis == basis
+    return sol
+
+
+class TestRealFrame:
+    """At a real point the rows are eliminated over Z in the unknowns
+    t_{i,j} = i^-k s_{i,j}; the Z[i] route on the same rows is the oracle."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_nullities_and_basis_match_zi(self, n, sign):
+        flags = set()
+        for lam0, nu0 in _real_points(n):
+            system = build_system(n, lam0, nu0, sign, 8)
+            assert _real_frame(system) is not None
+            flags.add(_assert_z_matches_zi(system).stabilized)
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_composition_regions(self, n):
+        for i, j, parity, depth in ((1, 0, 1, 6), (2, 1, 1, 8), (1, 2, 0, 8),
+                                    (3, 2, 0, 8)):
+            for pair in ("FF", "FT", "TF", "TT"):
+                system = _composition_system(n, i, j, parity, pair, depth)
+                dim = _assert_z_matches_zi(system).dim
+                assert composition_multiplicity(
+                    n, i, j, parity, pair, depth, stabilize=False) == dim
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_rows_are_real_up_to_a_unit(self, n):
+        # e * i^k(col) over a row: all real or all imaginary
+        units = [(1, 0), (0, 1)]
+        for sign in (1, -1):
+            for lam0, nu0 in _real_points(n):
+                system = build_system(n, lam0, nu0, sign, 8)
+                k = _real_frame(system)
+                for row in system.rows:
+                    parts = set()
+                    for key, (x, y) in row.items():
+                        u, v = units[k(*key)]
+                        re, im = x * u - y * v, x * v + y * u
+                        assert re or im
+                        parts.add("re" if re else "im")
+                        assert not (re and im), (n, key, row)
+                    assert len(parts) == 1, (n, row)
+
+    def test_non_real_point_keeps_zi(self):
+        for lam0, nu0 in ((_gauss("1/3", 1), 0), (0, _gauss(0, "1/2"))):
+            system = build_system(4, lam0, nu0, 1, 6)
+            assert _real_frame(system) is None
+            _, piv = _echelon(system.rows, 6, None, None,
+                              _real_frame(system))
+            assert all(isinstance(v, tuple)
+                       for row in piv.values() for v in row.values())
 
 
 def _sympy_nullity(system):

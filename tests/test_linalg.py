@@ -375,6 +375,69 @@ def test_lattice_solve_matches_reference(n, lam0, nu0, sign):
     assert sol.basis == want and sol.dim == len(want)
 
 
+@st.composite
+def int_systems(draw):
+    """Sparse primitive Z rows, some combinations of earlier ones, so that
+    rank deficiency and cancellation are common."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        if len(rows) >= 2 and draw(st.booleans()):
+            a, b = draw(st.integers(-5, 5)), draw(st.integers(-5, 5))
+            r1, r2 = rows[-1], rows[-2]
+            row = {c: a * r1.get(c, 0) + b * r2.get(c, 0)
+                   for c in sorted(set(r1) | set(r2))}
+        else:
+            cols = draw(st.lists(st.integers(0, ncols - 1), unique=True,
+                                 max_size=ncols))
+            row = {c: draw(st.integers(-30, 30)) for c in cols}
+        row = {c: x for c, x in row.items() if x}
+        rows.append(linalg._primitive_z(row) if row else row)
+    return rows, ncols
+
+
+def _as_pairs(rows):
+    return [{c: (x, 0) for c, x in row.items()} for row in rows]
+
+
+def _assert_same_as_pairs(piv, piv_pairs):
+    """The Z echelon is the Z[i] one under x -> (x, 0), entry for entry."""
+    assert list(piv) == list(piv_pairs)
+    assert {c: _as_pairs([row])[0] for c, row in piv.items()} == piv_pairs
+    assert all(type(x) is int for row in piv.values() for x in row.values())
+
+
+@given(int_systems())
+@settings(max_examples=100, deadline=None)
+def test_z_echelon_is_zi_echelon_of_real_rows(system):
+    rows, ncols = system
+    _assert_same_as_pairs(linalg.echelon(rows, ncols),
+                          linalg.echelon(_as_pairs(rows), ncols))
+
+
+@given(int_systems(), int_systems())
+@settings(max_examples=100, deadline=None)
+def test_z_extension_is_zi_extension_of_real_rows(first, second):
+    ncols = max(first[1], second[1])
+    piv = linalg.echelon(first[0], ncols)
+    piv_pairs = linalg.echelon(_as_pairs(first[0]), ncols)
+    _assert_same_as_pairs(piv, piv_pairs)
+    _assert_same_as_pairs(linalg.echelon(second[0], ncols, piv),
+                          linalg.echelon(_as_pairs(second[0]), ncols,
+                                         piv_pairs))
+
+
+@pytest.mark.parametrize("rows,piv", [
+    ([{0: 1}, {0: (1, 0)}], None),
+    ([{0: (2, 1)}, {}, {1: 3}], None),
+    ([{1: 1}], {0: {0: (1, 0)}}),
+    ([{1: (0, 1)}], {0: {0: 2, 1: 1}}),
+])
+def test_echelon_refuses_mixed_kinds(rows, piv):
+    with pytest.raises(ValueError):
+        linalg.echelon(rows, 2, piv)
+
+
 def _indexed_rows(system):
     """The system's Z[i] rows over column indices, as sbolattice orders the
     unknowns s_{i,j}, i <= depth, that its region leaves free."""
@@ -419,17 +482,23 @@ class TestShortestRowPivots:
             lt.build_system(4, lam0, 0, sign, 8)))
 
     def test_reduction_count(self, monkeypatch):
-        # the first-row rule took 17,392 reductions for this query
+        # the first-row rule took 17,392 reductions for this query; at its
+        # real point they are Z reductions, and the Z[i] kernel is not used
         calls = []
-        reduce = linalg._reduce
 
-        def counted(r, row, col):
-            calls.append(col)
-            return reduce(r, row, col)
+        def counted(name):
+            reduce = getattr(linalg, name)
 
-        monkeypatch.setattr(linalg, "_reduce", counted)
+            def wrapped(r, row, col):
+                calls.append(name)
+                return reduce(r, row, col)
+            return wrapped
+
+        for name in ("_reduce", "_reduce_z"):
+            monkeypatch.setattr(linalg, name, counted(name))
         assert lt.multiplicity(4, "5/3", "9/7", depth=16)["total"] == 2
-        assert len(calls) <= 6000
+        assert 0 < len(calls) <= 6000
+        assert set(calls) == {"_reduce_z"}
         assert lt.multiplicity(5, -3, "-5/2", depth=40) == {
             "dim_plus": 2, "dim_minus": 1, "total": 3, "stabilized": True,
             "on_lattice": True}
