@@ -426,15 +426,24 @@ class SpinorPolynomial:
         return _sp(nvars, cn, self.variant, self.terms, self.den)
 
     def map_values(self, spinmap):
-        """Apply the linear map spinmap to every spinor value: its entries
-        over their lcm denominator D multiply the parts, over den * D."""
+        """Apply the linear map spinmap to every spinor value, in one pass
+        over the terms: its entries over their lcm denominator D, grouped
+        by source mask, multiply the parts, over den * D."""
         entries, dmap = _over_den(spinmap.entries)
+        rows = {}
+        for (r, c), (x, y) in entries.items():
+            rows.setdefault(c, []).append((r, x, y))
         m, m2 = self.m, spinmap.dst_dim.bit_length() - 1
         low, out = (1 << m) - 1, {}
-        for (r, c), (x, y) in entries.items():
-            _zacc(out, {key >> m << m2 | r: (a * x - b * y, a * y + b * x)
-                               for key, (a, b) in self.terms.items() if key & low == c},
-                         ((0, 1),))
+        for key, (a, b) in self.terms.items():
+            base = key >> m << m2
+            for r, x, y in rows.get(key & low, ()):  # _zacc inline
+                t = out.get(base | r, (0, 0))
+                u, v = t[0] + a * x - b * y, t[1] + a * y + b * x
+                if u or v:
+                    out[base | r] = (u, v)
+                else:  # only a sum can vanish: Z[i] has no zero divisors
+                    del out[base | r]
         return _reduced(_sp(self.nvars, 2 * m2, self.variant, out, self.den * dmap))
 
     def __eq__(self, other):
@@ -516,13 +525,17 @@ def fischer_split(phi):
     return sorted(comps.items())
 
 
-def mult_coordinate_split(phi, k, moves=(1, 0, -1)):
-    """Split x_k * phi = phi_plus - zeta(x) phi_zero + |x|^2 phi_minus.
+def mult_coordinate_split(phi, moves=(1, 0, -1)):
+    """Split x_k * phi = phi_plus - zeta(x) phi_zero + |x|^2 phi_minus;
+    one (phi_plus, phi_zero, phi_minus) per k = 1..nvars.
 
-    phi must be homogeneous monogenic; the three components are returned as
-    (phi_plus, phi_zero, phi_minus), each monogenic by the closed formulas.
-    Only the components whose degree move (+1, 0, -1 respectively) is in
-    moves, a non-empty subset of {1, 0, -1}, are built; the others are None.
+    phi must be homogeneous monogenic, checked once per call.  Only the
+    components whose degree move (+1, 0, -1 respectively) is in moves, a
+    non-empty subset of {1, 0, -1}, are built; the others are None.  By
+    zeta(x) e_k = -e_k zeta(x) - 2 x_k and zeta(x) d_k = d_k zeta(x) - e_k,
+    all k share Z = zeta(x) phi: with ni = nvars + 2 deg phi,
+    ni phi_plus = (ni - 2) x_k phi - e_k Z - |x|^2 d_k phi,
+    ni (ni - 2) phi_zero = ni e_k phi - 2 d_k Z, (ni - 2) phi_minus = d_k phi.
     """
     if not phi.is_homogeneous():
         raise NotMonogenic("input not homogeneous")
@@ -535,31 +548,36 @@ def mult_coordinate_split(phi, k, moves=(1, 0, -1)):
     if not want or not want <= {1, 0, -1}:
         raise ValueError("moves must be a non-empty subset of {1, 0, -1}, got %r"
                          % (moves,))
-    n = phi.nvars
+    n, m, den = phi.nvars, phi.m, phi.den
     i = max(phi.degree(), 0)
-    dphi = phi.diff(k)
-    ni, f = n + 2 * i, phi.den // dphi.den  # dphi.den divides phi.den
-    plus = zero = minus = None
-    if want & {1, 0}:
-        ek_phi = phi.apply_e(k)
-    # plus and zero each in one accumulator, over one denominator
+    ni = n + 2 * i
     if 1 in want:
-        # (ni x_k phi + zeta(x) e_k phi - |x|^2 dphi) / ni, into the fresh
-        # terms of zeta(x) e_k phi
-        out = _zacc(ek_phi.zeta_x().terms, phi.terms, ((1 << phi.m + _W * (k - 1), ni),))
-        _zacc(out, dphi.terms, ((s, -f * c) for s, c in _norm2_power(n, 1, phi.m)))
-        plus = _reduced(phi._like(out, phi.den * ni))
-    # dphi == 0 also covers n + 2i - 2 == 0 (n = 2, i = 0)
-    if 0 in want and dphi.is_zero():
-        zero = ek_phi.scale(_gr(1, 0, ni))
-    elif 0 in want:
-        # ((ni - 2) e_k phi - 2 zeta(x) dphi) / (ni (ni - 2))
-        out = _zacc({}, ek_phi.terms, ((0, ni - 2),))
-        _zacc(out, dphi.zeta_x().terms, ((0, -2 * f),))
-        zero = _reduced(phi._like(out, phi.den * ni * (ni - 2)))
-    if -1 in want:
-        minus = dphi if dphi.is_zero() else dphi.scale(_gr(1, 0, n + 2 * i - 2))
-    return plus, zero, minus
+        _check_degree(i + 1)  # only plus raises the degree; d_k Z is back at i
+    if 1 in want or 0 in want and i:  # at i = 0 every d_k phi vanishes
+        mz = phi.scale(_gr(-1, 0, 1))._zeta_sum(1)  # -Z, over den
+    splits = []
+    for k in range(1, n + 1):
+        dphi = phi.diff(k)
+        plus = zero = minus = None
+        # plus and zero each in one accumulator, over one denominator
+        if 1 in want:
+            out = mz.apply_e(k).terms  # fresh
+            _zacc(out, phi.terms, ((1 << m + _W * (k - 1), ni - 2),) if ni > 2 else ())
+            f = den // dphi.den  # dphi.den divides den
+            _zacc(out, dphi.terms, ((s, -f * c) for s, c in _norm2_power(n, 1, m)))
+            plus = _reduced(phi._like(out, den * ni))
+        # dphi == 0 also covers ni == 2 (n = 2, i = 0)
+        if 0 in want and dphi.is_zero():
+            zero = phi.apply_e(k).scale(_gr(1, 0, ni))
+        elif 0 in want:
+            dz = mz.diff(k)
+            out = _zacc({}, phi.apply_e(k).terms, ((0, ni),))
+            _zacc(out, dz.terms, ((0, 2 * (den // dz.den)),))
+            zero = _reduced(phi._like(out, den * ni * (ni - 2)))
+        if -1 in want:
+            minus = dphi if dphi.is_zero() else dphi.scale(_gr(1, 0, ni - 2))
+        splits.append((plus, zero, minus))
+    return tuple(splits)
 
 
 # -- branching embeddings M_j(R^n) -> M_i(R^{n+1}) ---------------------------
@@ -708,19 +726,20 @@ def lambda_constant(n, alpha, alphap, beta, betap):
     return val * PS_I if even else -val
 
 
-def _omega_components(phi, k, kind, moves):
+def _omega_components(split, kind, moves):
     """E'(beta')-components of multiplication by x_k on a sphere K-type element.
 
-    kind 'plain' (element psi), 'xz' (element zeta(x) psi) or 'mixed'
-    (element psi + zeta(x) gamma(psi)); returns {move: (kind, rep)} for each
-    move in moves, a subset of {+1, 0, -1}, for the target degree j + move.
+    split is mult_coordinate_split's triple for x_k; kind 'plain' (element
+    psi), 'xz' (element zeta(x) psi) or 'mixed' (element psi + zeta(x)
+    gamma(psi)); returns {move: (kind, rep)} for each move in moves, a subset
+    of those split was built for, for the target degree j + move.
     """
     # the zeta(x) factor of the 0 component swaps the plain and xz kinds
     flipped = {"plain": "xz", "xz": "plain", "mixed": "mixed"}.get(kind)
     if flipped is None:
         raise ValueError(kind)
     # on the unit sphere x_k phi = phi_plus - zeta(x) phi_zero + phi_minus
-    plus, zero, minus = mult_coordinate_split(phi, k, moves)
+    plus, zero, minus = split
     if zero is not None and kind != "xz":
         zero = (zero.gamma_twist() if kind == "mixed" else zero).scale(GaussianRational(-1))
     comps = {1: (kind, plus), 0: (flipped, zero), -1: (kind, minus)}
@@ -738,8 +757,7 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
         basis = basis[:max_basis]
     if not basis:
         raise ZeroMap("empty source K-type")
-    sib_target = _split_label(beta)[1]
-    ib_target = _split_label(beta)[0]
+    ib_target, sib_target = _split_label(beta)
     lhs_move = _adjacent_move(alpha, beta)[0]
 
     def embed_candidate(jp, ipb, kind, rep):
@@ -765,10 +783,11 @@ def _bruteforce_block(n, alpha, alphap, beta, max_basis):
             Psi = branch_embed(n, j, i, phi)
             Psi = Psi if sj == 1 else Psi.gamma_twist()
             lhs_kind, omega_kind = "mixed", "plain" if sj == 1 else "xz"
-        for k in range(1, n + 1):
-            lhs_kind_b, lhs_rep = _omega_components(Psi, k, lhs_kind,
-                                                    (lhs_move,))[lhs_move]
-            src_comps = _omega_components(phi, k, omega_kind, cand_moves)
+        # Psi has n + 1 variables; x_1..x_n are the sphere's coordinates
+        for lhs, src in zip(mult_coordinate_split(Psi, (lhs_move,)),
+                            mult_coordinate_split(phi, cand_moves)):
+            lhs_kind_b, lhs_rep = _omega_components(lhs, lhs_kind, (lhs_move,))[lhs_move]
+            src_comps = _omega_components(src, omega_kind, cand_moves)
             sample = [(None, lhs_rep)]
             for mvq in cand_moves:
                 comp_kind, rep = src_comps[mvq]

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 
 from sbolab import monogenics as mg
@@ -158,7 +160,7 @@ class TestBruteForceAgreement:
 
 def reference_omega_components(phi, k, kind):
     """All three E'(beta')-components of x_k on a sphere K-type element."""
-    plus, zero, minus = mg.mult_coordinate_split(phi, k)
+    plus, zero, minus = mg.mult_coordinate_split(phi)[k - 1]
     if kind == "plain":
         return {1: ("plain", plus), 0: ("xz", zero.scale(GaussianRational(-1))),
                 -1: ("plain", minus)}
@@ -282,3 +284,31 @@ def test_block_matches_full_split_oracle():
         # __wrapped__: past the cache, so this block is solved here
         got = _block_outcome(mg._bruteforce_block.__wrapped__, block)
         assert got == _block_outcome(reference_bruteforce_block, block), block
+
+
+def test_split_checks_its_input_once_per_call():
+    # one split per basis element for the left side and one for the
+    # candidates, each computing the Dirac image of its input once
+    calls = {"split": 0, "dirac": 0}
+    depth = []
+    split, dirac = mg.mult_coordinate_split, mg.dirac
+
+    def counted_split(*args):
+        calls["split"] += 1
+        depth.append(None)
+        try:
+            return split(*args)
+        finally:
+            depth.pop()
+
+    def counted_dirac(phi):
+        calls["dirac"] += bool(depth)
+        return dirac(phi)
+
+    block = (4, (1, 1), 1, (1, -1), None)
+    with mock.patch.object(mg, "mult_coordinate_split", counted_split), \
+            mock.patch.object(mg, "dirac", counted_dirac):
+        got = mg._bruteforce_block.__wrapped__(*block)
+    assert calls["split"] == 2 * len(mg.monogenic_basis(4, 1))
+    assert calls["dirac"] == calls["split"]
+    assert got == mg._bruteforce_block(*block)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sbolab import monogenics
-from sbolab.paramfield import GaussianRational, ONE, ZERO
+from sbolab.paramfield import GaussianRational, ONE, ZERO, _gr, _over_den
 from sbolab.monogenics import (MAX_DEGREE, BadDegree, NotAdjacent,
-                               gegenbauer_coeffs_rational)
-from sbolab.cliffspin import (Spinor, spin_dim, zeta_gen_apply, gamma,
+                               gegenbauer_coeffs_rational, _W, _norm2_power,
+                               _reduced, _sp, _zacc)
+from sbolab.cliffspin import (Spinor, SpinMap, spin_dim, zeta_gen_apply, gamma,
                               fund_branching, zeta_matrix, DimensionMismatch,
                               CliffordElt, pin_cover_action)
 from sbolab.monogenics import (SpinorPolynomial, dirac, monomials,
@@ -166,6 +167,59 @@ def reference_mult_coordinate_split(phi, k):
     return plus, zero.scale(inv_ni), dphi.scale(gr(Fraction(1, n + 2 * i - 2)))
 
 
+def per_coordinate_split(phi, k, moves=(1, 0, -1)):
+    """mult_coordinate_split for one k, checked and built from phi alone
+    (the route one zeta(x) phi per call replaced): each of plus and zero in
+    one accumulator over one denominator, from zeta(x) e_k phi and
+    zeta(x) d_k phi."""
+    if not phi.is_homogeneous():
+        raise NotMonogenic("input not homogeneous")
+    if not monogenics.dirac(phi).is_zero():
+        raise NotMonogenic("input not monogenic")
+    try:
+        want = frozenset(moves)
+    except TypeError:
+        want = frozenset()
+    if not want or not want <= {1, 0, -1}:
+        raise ValueError("moves must be a non-empty subset of {1, 0, -1}, got %r"
+                         % (moves,))
+    n = phi.nvars
+    i = max(phi.degree(), 0)
+    dphi = phi.diff(k)
+    ni, f = n + 2 * i, phi.den // dphi.den
+    plus = zero = minus = None
+    if want & {1, 0}:
+        ek_phi = phi.apply_e(k)
+    if 1 in want:
+        # (ni x_k phi + zeta(x) e_k phi - |x|^2 dphi) / ni
+        out = _zacc(ek_phi.zeta_x().terms, phi.terms, ((1 << phi.m + _W * (k - 1), ni),))
+        _zacc(out, dphi.terms, ((s, -f * c) for s, c in _norm2_power(n, 1, phi.m)))
+        plus = _reduced(phi._like(out, phi.den * ni))
+    if 0 in want and dphi.is_zero():
+        zero = ek_phi.scale(_gr(1, 0, ni))
+    elif 0 in want:
+        # ((ni - 2) e_k phi - 2 zeta(x) dphi) / (ni (ni - 2))
+        out = _zacc({}, ek_phi.terms, ((0, ni - 2),))
+        _zacc(out, dphi.zeta_x().terms, ((0, -2 * f),))
+        zero = _reduced(phi._like(out, phi.den * ni * (ni - 2)))
+    if -1 in want:
+        minus = dphi if dphi.is_zero() else dphi.scale(_gr(1, 0, n + 2 * i - 2))
+    return plus, zero, minus
+
+
+def reference_map_values(phi, spinmap):
+    """map_values one spin-map entry at a time, each entry filtering every
+    term by its source mask (the route the one-pass accumulator replaced)."""
+    entries, dmap = _over_den(spinmap.entries)
+    m, m2 = phi.m, spinmap.dst_dim.bit_length() - 1
+    low, out = (1 << m) - 1, {}
+    for (r, c), (x, y) in entries.items():
+        _zacc(out, {key >> m << m2 | r: (a * x - b * y, a * y + b * x)
+                    for key, (a, b) in phi.terms.items() if key & low == c},
+              ((0, 1),))
+    return _reduced(_sp(phi.nvars, 2 * m2, phi.variant, out, phi.den * dmap))
+
+
 def reference_branch_embed(n, j, i, phi):
     """branch_embed as a sum of whole polynomials: each Gegenbauer term is
     x_{n+1}^p times the embedded input, multiplied by |x|^2 one factor at a
@@ -303,6 +357,11 @@ class TestAgainstReference:
         assert agrees(a.extend_vars(n + 1), ra.extend_vars(n + 1))
         assert agrees(a.map_values(spinmap), ra.map_values(spinmap))
         assert agrees(dirac(a), reference_dirac(ra))
+        # the Clifford relations mult_coordinate_split rests on
+        xk = tuple(1 if t == k - 1 else 0 for t in range(n))
+        assert a.apply_e(k).zeta_x() == \
+            a.zeta_x().apply_e(k).scale(gr(-1)) - a.mul_monomial(xk, gr(2))
+        assert a.diff(k).zeta_x() == a.zeta_x().diff(k) - a.apply_e(k)
         assert (a == b) == (ra == rb)
         assert a == SpinorPolynomial(n, n, variant, ca)
 
@@ -341,7 +400,7 @@ class TestAgainstReference:
             phi = phi + SpinorPolynomial(n, n, variant, dict(psi.coeffs)).scale(
                 data.draw(gaussians))
         k = data.draw(st.integers(1, n), label="k")
-        got = mult_coordinate_split(phi, k)
+        got = mult_coordinate_split(phi)[k - 1]
         want = reference_mult_coordinate_split(as_reference(phi), k)
         for g, w in zip(got, want):
             assert agrees(g, w)
@@ -483,7 +542,7 @@ class TestFischer:
         c = const_poly(n, s)
         phi = c.mul_monomial((1, 0, 0))
         comps = dict(fischer_split(phi))
-        plus, zero, minus = mult_coordinate_split(c, 1)
+        plus, zero, minus = mult_coordinate_split(c)[0]
         assert comps[0] == plus
         assert comps[1] == zero.scale(gr(-1))
         assert 2 not in comps and minus.is_zero()
@@ -520,7 +579,7 @@ class TestCoordinateSplit:
         for n in (2, 3, 4):
             s = Spinor.basis(n // 2, 0)
             c = const_poly(n, s)
-            plus, zero, minus = mult_coordinate_split(c, 1)
+            plus, zero, minus = mult_coordinate_split(c)[0]
             assert minus.is_zero()
             assert zero == c.apply_e(1).scale(gr(Fraction(1, n)))
             want_plus = c.mul_monomial(tuple(1 if t == 0 else 0 for t in range(n))) + \
@@ -531,7 +590,7 @@ class TestCoordinateSplit:
     def test_recombination_and_monogenicity(self, n, i):
         for phi in monogenic_basis(n, i):
             for k in range(1, n + 1):
-                plus, zero, minus = mult_coordinate_split(phi, k)
+                plus, zero, minus = mult_coordinate_split(phi)[k - 1]
                 xk = tuple(1 if t == k - 1 else 0 for t in range(n))
                 assert phi.mul_monomial(xk) == \
                     plus - zero.zeta_x() + minus.norm2_mul()
@@ -542,7 +601,7 @@ class TestCoordinateSplit:
         s = Spinor.basis(1, 0)
         bad = const_poly(2, s).mul_monomial((1, 0))  # x_1 s is not monogenic
         with pytest.raises(NotMonogenic):
-            mult_coordinate_split(bad, 1)
+            mult_coordinate_split(bad)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_requested_components_only(self, n):
@@ -555,9 +614,9 @@ class TestCoordinateSplit:
             inputs += [branch_embed(n, i, imax, phi) for phi in basis]
         for phi in inputs:
             for k in range(1, phi.nvars + 1):
-                full = mult_coordinate_split(phi, k)
+                full = mult_coordinate_split(phi)[k - 1]
                 for moves in SPLIT_MOVES:
-                    got = mult_coordinate_split(phi, k, moves)
+                    got = mult_coordinate_split(phi, moves)[k - 1]
                     for mv, g, f in zip((1, 0, -1), got, full):
                         assert g == (f if mv in moves else None), (mv, moves)
 
@@ -566,7 +625,7 @@ class TestCoordinateSplit:
     def test_bad_moves(self, moves):
         c = const_poly(3, Spinor.basis(1, 0))
         with pytest.raises(ValueError, match="moves"):
-            mult_coordinate_split(c, 1, moves)
+            mult_coordinate_split(c, moves)
 
     @pytest.mark.parametrize("moves", SPLIT_MOVES + [(), (2,)])
     def test_precondition_checked_for_any_moves(self, moves):
@@ -575,16 +634,123 @@ class TestCoordinateSplit:
         not_monogenic = const_poly(2, s).mul_monomial((1, 0))
         for bad in (inhomogeneous, not_monogenic):
             with pytest.raises(NotMonogenic):
-                mult_coordinate_split(bad, 1, moves)
+                mult_coordinate_split(bad, moves)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_split_and_embedding_reject_non_monogenic(self, n):
         bad = const_poly(n, Spinor.basis(n // 2, 0)).mul_monomial(
             (1,) + (0,) * (n - 1))
         with pytest.raises(NotMonogenic):
-            mult_coordinate_split(bad, 1)
+            mult_coordinate_split(bad)
         with pytest.raises(NotMonogenic):
             branch_embed(n, 1, 2, bad)
+
+
+def split_outcome(split, *args):
+    """The split's result, or the type and message of what it raised."""
+    try:
+        return split(*args)
+    except (NotMonogenic, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# the non-empty subsets of the moves
+MOVE_SUBSETS = [(1,), (0,), (-1,), (1, 0), (1, -1), (0, -1), (1, 0, -1)]
+
+
+class TestSplitAgainstPerCoordinateOracle:
+    """One split per input for every coordinate equals the split built for
+    each coordinate on its own, components, denominators and errors."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_every_coordinate_and_moves(self, data):
+        n = data.draw(st.integers(2, 7), label="n")
+        i = data.draw(st.integers(0, 2 if n <= 5 else 1), label="i")
+        variant = data.draw(st.sampled_from("+-"), label="variant")
+        basis = monogenic_basis(n, i)
+        phi = SpinorPolynomial(n, n, variant)
+        for _ in range(data.draw(st.integers(1, 3))):
+            psi = basis[data.draw(st.integers(0, len(basis) - 1))]
+            phi = phi + SpinorPolynomial(n, n, variant, dict(psi.coeffs)).scale(
+                data.draw(gaussians))
+        inputs = [phi, phi.gamma_twist()]
+        if variant == "+":
+            inputs.append(branch_embed(n, i, i + data.draw(st.integers(0, 1)), phi))
+        for p in inputs:
+            for moves in MOVE_SUBSETS:
+                got = split_outcome(mult_coordinate_split, p, moves)
+                want = tuple(split_outcome(per_coordinate_split, p, k, moves)
+                             for k in range(1, p.nvars + 1))
+                if isinstance(got, tuple) and got and isinstance(got[0], type):
+                    assert want == (got,) * p.nvars
+                    continue
+                assert got == want, moves
+                for g, w in zip(got, want):
+                    for gc, wc in zip(g, w):
+                        assert gc is wc is None or gc.den == wc.den
+
+    def test_top_degree(self, monkeypatch):
+        # only the plus component raises the degree; zero forms zeta(x) phi
+        # one degree past the limit and differentiates it back at once
+        phi = monogenic_basis(3, 2)[0]
+        monkeypatch.setattr(monogenics, "MAX_DEGREE", 2)
+        for moves in MOVE_SUBSETS:
+            if 1 in moves:
+                for split in (lambda: mult_coordinate_split(phi, moves),
+                              lambda: per_coordinate_split(phi, 1, moves)):
+                    with pytest.raises(BadDegree):
+                        split()
+            else:
+                assert mult_coordinate_split(phi, moves) == tuple(
+                    per_coordinate_split(phi, k, moves) for k in (1, 2, 3))
+
+
+class TestCliffordRelations:
+    """The two relations the split rests on, on polynomials that are not
+    monogenic."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("variant", "+-")
+    def test_on_random_polynomials(self, n, variant):
+        rng = random.Random(n)
+        for deg in (1, 2, 3):
+            phi = random_poly(rng, n, deg)
+            phi = SpinorPolynomial(n, n, variant, dict(phi.coeffs))
+            assert not dirac(phi).is_zero()
+            z = phi.zeta_x()
+            for k in range(1, n + 1):
+                xk = tuple(1 if t == k - 1 else 0 for t in range(n))
+                # zeta(x) e_k phi = -e_k zeta(x) phi - 2 x_k phi
+                assert phi.apply_e(k).zeta_x() == \
+                    z.apply_e(k).scale(gr(-1)) - phi.mul_monomial(xk, gr(2))
+                # zeta(x) d_k phi = d_k (zeta(x) phi) - e_k phi
+                assert phi.diff(k).zeta_x() == z.diff(k) - phi.apply_e(k)
+
+
+class TestMapValuesAgainstOracle:
+    """The one-pass map_values equals the per-entry loop, denominator
+    included."""
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_fundamental_branching(self, n):
+        spinmap = fund_branching(n)[0]
+        for j in range(3):
+            for phi in embed_inputs(n, j):
+                got, want = phi.map_values(spinmap), reference_map_values(phi, spinmap)
+                assert is_canonical(got)
+                assert got == want and got.den == want.den, (n, j)
+
+    def test_cancelling_rows(self):
+        # both columns feed both rows; on s_0 - s_1 row 0 sums to 0
+        spinmap = SpinMap(2, 2, {(0, 0): ONE, (1, 0): gr(Fraction(1, 2), 1),
+                                 (0, 1): ONE, (1, 1): gr(-1, 3)})
+        phi = SpinorPolynomial(2, 2, "+", {(1, 0): Spinor(1, {0: ONE, 1: gr(-1)}),
+                                           (0, 1): Spinor.basis(1, 1)})
+        got = phi.map_values(spinmap)
+        assert got == reference_map_values(phi, spinmap) and is_canonical(got)
+        assert flat_values(got) == {((1, 0), 1): gr(Fraction(3, 2), -2),
+                                    ((0, 1), 0): ONE, ((0, 1), 1): gr(-1, 3)}
 
 
 class TestPackedKeys:
