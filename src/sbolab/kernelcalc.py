@@ -270,55 +270,53 @@ def _shift_meta(meta, dl, dv):
     return dict(meta, shift=(sl + dl, sv + dv))
 
 
+def _x_move(n, key, i):
+    """The coordinate of 0-based index i times the term key, as (key, factor
+    or None for 1), or 0: d^alpha delta loses a derivative (factor -alpha_i),
+    x_n takes delta^(m) to -m delta^(m-1), another x_i raises an exponent."""
+    if key[0] == "P":
+        a = key[1][i]
+        return a and (("P", _bump(key[1], i, -1)), ParamScalar.coerce(-a))
+    kind, a, b, r, mono = key
+    if i < n - 1:
+        return key[:4] + (_bump(mono, i, 1),), None
+    if kind == "S":
+        return ("S", 1 - a, b + 1, r, mono), None
+    return a and (("B", a - 1, b, r, mono), ParamScalar.coerce(-a))
+
+
 def mult_xn(K):
     """Multiply by the last coordinate; delta layers lose one derivative.
     The x' monomials and radial exponents stay as they are, so a normal
     form maps to a normal form."""
     out = {}
     for key, val in K.terms.items():
-        kind = key[0]
-        if kind == "S":
-            _, par, xn, r, mono = key
-            _put(out, ("S", 1 - par, xn + 1, r, mono), val)
-        elif kind == "B":
-            _, m, xp, r, mono = key
-            if m > 0:
-                _put(out, ("B", m - 1, xp, r, mono), val, ParamScalar.coerce(-m))
-        else:
-            an = key[1][-1]
-            if an > 0:
-                _put(out, ("P", _bump(key[1], K.n - 1, -1)), val,
-                     ParamScalar.coerce(-an))
+        move = _x_move(K.n, key, K.n - 1)
+        if move:
+            _put(out, move[0], val, move[1])
     return K.copy_with(out, normalized=True, meta=_shift_meta(K.meta, 1, 0))
 
 
-def _mult_xi(K, i):
-    """Multiply by the coordinate x_i for i < n (acts on the x'-dependence)."""
-    out = {}
-    for key, val in K.terms.items():
-        if key[0] != "P":
-            _put(out, key[:4] + (_bump(key[4], i - 1, 1),), val)
-        else:
-            ai = key[1][i - 1]
-            if ai > 0:
-                _put(out, ("P", _bump(key[1], i - 1, -1)), val,
-                     ParamScalar.coerce(-ai))
-    # only a raised x_1 exponent can leave the normal form
-    return K.copy_with(out, normalized=i > 1)
-
-
 def mult_zeta(K):
-    """Left-multiply by zeta(x) = sum_i x_i e_i; scalar kernels become End-valued."""
+    """Left-multiply by zeta(x) = sum_i x_i e_i; scalar kernels become End-valued.
+
+    One pass: each x_i moves a term (_x_move) and e_i remaps its blades.  Only
+    the terms whose x_1 exponent rises to 2 leave the normal form, and only
+    they are normalized (normalization is linear and commutes with the remap)."""
     n = K.n
     if K.row_n != n:
         raise BadParams("kernel is not left-multipliable by zeta_n(x)")
     dim = spin_dim(n)
-    # a sum of normal forms is normal
-    out = {}
-    for i in range(1, n + 1):
-        xi = mult_xn(K) if i == n else _mult_xi(K, i)
-        for key, val in xi.terms.items():
-            _put(out, key, _zeta_lmul(n, i, val))
+    out, high = {}, {}
+    for key, val in K.terms.items():
+        for i in range(n):
+            move = _x_move(n, key, i)
+            if move:
+                k, c = move
+                _put(high if i == 0 and k[0] != "P" and k[4][0] == 2 else out, k,
+                     _zeta_lmul(n, i + 1, val), c)
+    for k, v in _normalize(n, high).items():
+        _put(out, k, v)
     return KernelExpr(n, (dim, dim), out,
                       _shift_meta(K.meta, rat("1/2"), -rat("1/2")), normalized=True)
 
@@ -340,8 +338,7 @@ def mult_norm2(K):
                      ParamScalar.coerce(m * (m - 1)))
         else:
             alpha = key[1]
-            for i in range(K.n):
-                ai = alpha[i]
+            for i, ai in enumerate(alpha):
                 if ai >= 2:
                     _put(out, ("P", _bump(alpha, i, -2)), val,
                          ParamScalar.coerce(ai * (ai - 1)))
@@ -589,10 +586,6 @@ def _on_line(K, constraint):
     raise BadParams("unknown constraint %r" % (kind,))
 
 
-def _zero_kernel(n):
-    return KernelExpr(n, None, {}, {}, normalized=True)
-
-
 _H = rat("1/2")
 
 # tag -> (index, line, lhs, rhs).  The index names the parameters the
@@ -619,7 +612,7 @@ _IDENTITIES = {
         "l", ("diff", -_H),
         lambda n, l: mult_xn(make_family("Ct+", n, l=l)),
         lambda n, l: make_family("Ct-", n, l=l - 1).shift_params(1, 0).scale(
-            AffineExp(-2, -2, -1).as_scalar()) if l else _zero_kernel(n)),
+            AffineExp(-2, -2, -1).as_scalar()) if l else KernelExpr(n)),
     # x_n Ct-(l) = -Ct+(l)|_{lam+1} on lam-nu = -3/2-2l
     "juhl_down": (
         "l", ("diff", -3 * _H),
@@ -733,13 +726,13 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
             raise BadParams("%s needs k, l >= 0" % tag)
         return _vanishing_report(tag, n, k, l)
     lhs, rhs = _identity_sides(tag, n, k, l, i, j)
-    diff = lhs - rhs
+    # equal normal forms are equal kernels; a failing report gets the difference
     report = {"identity": tag, "n": n,
               "params": {p: q for p, q in (("k", k), ("l", l), ("i", i), ("j", j))
                          if q is not None},
-              "ok": diff.is_zero()}
-    if not diff.is_zero():
-        report["diff"] = to_json_dict(diff)
+              "ok": lhs == rhs}
+    if not report["ok"]:
+        report["diff"] = to_json_dict(lhs - rhs)
     return report
 
 

@@ -133,14 +133,7 @@ class GaussianRational:
     def __pow__(self, k):
         if k < 0:
             return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ONE)
 
     def is_zero(self):
         return not self._a and not self._b
@@ -196,6 +189,16 @@ def _parts(x):
         return x._a, x._b, x._d
     q = rat(x)
     return q.numerator, 0, q.denominator
+
+
+def _power(base, k, out):
+    """out * base**k for an int k >= 0, by repeated squaring."""
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
 
 
 def _times_i_power(k, z):
@@ -272,7 +275,8 @@ class ParamPoly:
 
     @staticmethod
     def const(c):
-        return ParamPoly({(0, 0): GaussianRational.coerce(c)})
+        c = GaussianRational.coerce(c)
+        return _poly({} if c.is_zero() else {(0, 0): c})
 
     @staticmethod
     def coerce(x):
@@ -310,14 +314,7 @@ class ParamPoly:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("ParamPoly has no inverse: negative power %d" % k)
-        out = ParamPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, _POLY_ONE)
 
     def __eq__(self, other):
         if not isinstance(other, ParamPoly):
@@ -548,12 +545,12 @@ class AffineExp:
 
     def __add__(self, other):
         if not isinstance(other, AffineExp):
-            other = AffineExp.const(other)
+            return AffineExp(self.a, self.b, self.c + rat(other))
         return AffineExp(self.a + other.a, self.b + other.b, self.c + other.c)
 
     def __sub__(self, other):
         if not isinstance(other, AffineExp):
-            other = AffineExp.const(other)
+            return AffineExp(self.a, self.b, self.c - rat(other))
         return AffineExp(self.a - other.a, self.b - other.b, self.c - other.c)
 
     def __eq__(self, other):
@@ -598,14 +595,16 @@ class ParamScalar:
 
     gammas is a sorted tuple of (AffineExp, exponent) pairs, each argument
     the class representative of AffineExp.split.  A raw (a, b, c) triple
-    given to the constructor is taken as AffineExp(a, b, c).
+    given to the constructor is taken as AffineExp(a, b, c).  The form is
+    canonical (den grlex-monic and coprime to num, num 0 over den 1), so
+    equality and hashing compare the parts.
     """
 
     __slots__ = ("num", "den", "gammas")
 
     def __init__(self, num, den=None, gammas=()):
         num = ParamPoly.coerce(num)
-        den = ParamPoly.coerce(den if den is not None else 1)
+        den = _POLY_ONE if den is None else ParamPoly.coerce(den)
         if den.is_zero():
             raise ZeroDivisionError("ParamScalar with zero denominator")
         num, den, gammas = self._normalize(num, den, gammas)
@@ -754,8 +753,8 @@ class ParamScalar:
             if not isinstance(o, (ParamPoly,) + _CONSTANTS):
                 return NotImplemented
             o = ParamScalar.coerce(o)
-        return (self.gammas == o.gammas
-                and (self.num * o.den) == (o.num * self.den))
+        return (self.num.terms == o.num.terms and self.den.terms == o.den.terms
+                and self.gammas == o.gammas)
 
     def __hash__(self):
         # den is monic, so a Gamma-free scalar with constant den equals num

@@ -108,15 +108,22 @@ def _level_rows(n, point, sigma, i, region):
     Gaussian-integer entries (an integer times an affine form in lam0, nu0,
     possibly times i) and is divided by its integer content.  Neighbors
     outside the triangle are never formed; entries outside region (pinned
-    to zero) and zero entries are dropped, and so are rows left empty."""
+    to zero) are dropped before they are computed, zero entries after, and
+    so are rows left empty."""
     d, (lr, li), (nr, ni) = point
     h = d // 2
     one, lam = (1, 0), (lr, li)
     a, b = n + 2 * i - 1, n + 2 * i + 1
     up = (lr + h * (n + 1) + d * i, li)  # D * (lam0 + rho + 1/2 + i)
     dn = (lr - h * (n - 1) - d * i, li)  # D * (lam0 - rho + 1/2 - i)
+    # the free points of levels i - 1..i + 1; row (i, j) reads columns j - 1..j + 1
+    keep = None if region is None else {
+        (k, l) for k in (i - 1, i, i + 1) for l in range(k + 1) if region(k, l)}
+    cols = None if keep is None else {l for _, l in keep}
     out = []
     for j in range(i + 1):
+        if cols is not None and cols.isdisjoint((j - 1, j, j + 1)):
+            continue
         sgn = sigma if (i - j) % 2 == 0 else -sigma
         m = n + 2 * j - 1
         # the units on the (i, j +- 1) and the (i +- 1, j) neighbors
@@ -146,10 +153,11 @@ def _level_rows(n, point, sigma, i, region):
         for row in rows:
             g, ents = 0, []
             for key, k, (u, v), (x, y) in row:
-                x, y = k * (u * x - v * y), k * (u * y + v * x)
-                if (x or y) and (region is None or region(*key)):
-                    g = gcd(g, x, y)
-                    ents.append((key, x, y))
+                if keep is None or key in keep:
+                    x, y = k * (u * x - v * y), k * (u * y + v * x)
+                    if x or y:
+                        g = gcd(g, x, y)
+                        ents.append((key, x, y))
             if ents:
                 out.append(({key: (x // g, y // g) for key, x, y in ents}, g))
     return out

@@ -471,7 +471,41 @@ def test_family_digests_match_golden():
 
 
 
-# -- mult_zeta against the dense product with the zeta_n(e_i) matrices ----------
+# -- mult_zeta against the per-coordinate and dense products ----------------------
+
+def _mult_xi(K, i):
+    """x_i K for i < n (acts on the x'-dependence), normalized whole when
+    i = 1, the only coordinate whose raised exponent can leave the normal
+    form."""
+    out = {}
+    for key, val in K.terms.items():
+        if key[0] != "P":
+            kernelcalc._put(out, key[:4] + (kernelcalc._bump(key[4], i - 1, 1),), val)
+        else:
+            ai = key[1][i - 1]
+            if ai > 0:
+                kernelcalc._put(out, ("P", kernelcalc._bump(key[1], i - 1, -1)), val,
+                                ps(-ai))
+    return K.copy_with(out, normalized=i > 1)
+
+
+def _coordinate_products(K):
+    """The kernels x_i K for i = 1..n."""
+    return [mult_xn(K) if i == K.n else _mult_xi(K, i) for i in range(1, K.n + 1)]
+
+
+def route_mult_zeta(K):
+    """zeta(x) K as sum_i zeta_n(e_i) (x_i K): n normalized kernels x_i K,
+    each remapped on the blades, the route the one-pass product replaced."""
+    n = K.n
+    out = {}
+    for i, xi in enumerate(_coordinate_products(K), 1):
+        for key, val in xi.terms.items():
+            kernelcalc._put(out, key, kernelcalc._zeta_lmul(n, i, val))
+    return KernelExpr(n, (spin_dim(n),) * 2, out,
+                      kernelcalc._shift_meta(K.meta, rat("1/2"), -rat("1/2")),
+                      normalized=True)
+
 
 def dense_mult_zeta(K):
     """zeta(x) K as sum_i zeta_n(e_i) (x_i K) with dense matrix products: the
@@ -480,8 +514,7 @@ def dense_mult_zeta(K):
     n = K.n
     dim = spin_dim(n)
     out = {}
-    for i in range(1, n + 1):
-        xi = mult_xn(K) if i == n else kernelcalc._mult_xi(K, i)
+    for i, xi in enumerate(_coordinate_products(K), 1):
         zi = zeta_matrix(n, "+", i)
         for key, val in xi.terms.items():
             kernelcalc._put(out, key, kernelcalc._matmul(zi.entries,
@@ -490,22 +523,36 @@ def dense_mult_zeta(K):
                       kernelcalc._shift_meta(K.meta, rat("1/2"), -rat("1/2")))
 
 
+def _zeta_cases():
+    """(name, K) for every family case on which zeta_n(x) acts, n = 2..6."""
+    return [(name, K) for name, K in _family_cases(range(2, 7))
+            # zeta_n(x) does not act on S_{n-1}-valued kernels
+            if not name.endswith("project")]
+
+
 def test_mult_zeta_matches_dense_product():
-    for name, K in _family_cases(range(2, 7)):
-        if name.endswith("project"):
-            continue    # zeta_n(x) does not act on S_{n-1}-valued kernels
+    for name, K in _zeta_cases():
         Z = mult_zeta(K)
         assert to_json_dict(Z) == to_json_dict(dense_mult_zeta(K)), name
         assert to_json_dict(mult_zeta(Z)) == to_json_dict(dense_mult_zeta(Z)), name
 
 
+def test_one_pass_mult_zeta_matches_coordinate_route():
+    """The one-pass product, which normalizes only the terms whose x_1
+    exponent rises to 2, equals the sum of the n normalized x_i K."""
+    for name, K in _zeta_cases():
+        Z, R = mult_zeta(K), route_mult_zeta(K)
+        assert (Z.terms, Z.meta) == (R.terms, R.meta), name
+        assert mult_zeta(Z).terms == route_mult_zeta(Z).terms, name
+
+
 def test_multipliers_build_normal_forms():
-    """mult_xn, mult_norm2, mult_zeta, _mult_xi for i >= 2 and the parameter
-    substitutions skip _normalize: their results are normal by construction,
-    so normalizing them again changes nothing."""
+    """mult_xn, mult_norm2, mult_zeta, the oracle's x_i K for i >= 2 and the
+    parameter substitutions skip _normalize: their results are normal by
+    construction, so normalizing them again changes nothing."""
     for name, K in _family_cases(range(3, 7)):
         outs = [mult_xn(K), mult_norm2(K)]
-        outs += [kernelcalc._mult_xi(K, i) for i in range(2, K.n)]
+        outs += [_mult_xi(K, i) for i in range(2, K.n)]
         outs += [K.shift_params(-1, 0), K.shift_params(rat("-1/2"), rat("1/2"))]
         if "constraint" in K.meta:  # a "sum" line or a "diff" line
             outs.append(kernelcalc._on_line(K, K.meta["constraint"]))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,8 @@ from sbolab.monogenics import (lambda_constant, NotAdjacent, _split_label,
 from sbolab.sbolattice import (build_system, solve_dimension, multiplicity,
                                composition_multiplicity, composition_table,
                                expected_composition, on_special_set,
-                               BadDepth, BadLabel, _echelon, _real_frame)
+                               BadDepth, BadLabel, _echelon, _real_frame,
+                               _level_rows, _PAIRS)
 
 
 # -- the symbolic sector rows: the oracle for the rows built at the point -----
@@ -730,6 +732,70 @@ class TestIntegerRows:
         # the nullities equal those of the Q(i) rows through linalg.nullspace
         sol = solve_dimension(system)
         assert (sol.dim, sol.dim_next) == reference_dimensions(system)
+
+
+def reference_level_rows(n, point, sigma, i, region):
+    """The sector rows of level i with every entry computed before region
+    drops it: the route the region-first row builder replaced."""
+    d, (lr, li), (nr, ni) = point
+    h = d // 2
+    one, lam = (1, 0), (lr, li)
+    a, b = n + 2 * i - 1, n + 2 * i + 1
+    up = (lr + h * (n + 1) + d * i, li)
+    dn = (lr - h * (n - 1) - d * i, li)
+    out = []
+    for j in range(i + 1):
+        sgn = sigma if (i - j) % 2 == 0 else -sigma
+        m = n + 2 * j - 1
+        mid, side = ((0, sgn), (0, 1)) if n % 2 == 0 else (one, (sgn, 0))
+        f1 = [((i, j), a * b, one, (nr + h * n + d * j, ni)),
+              ((i + 1, j + 1), -a * m, one, up)]
+        if j + 1 <= i:
+            f1.append(((i, j + 1), 2 * m, mid, lam))
+        if j + 1 <= i - 1:
+            f1.append(((i - 1, j + 1), b * m, one, dn))
+        c = sgn * (n + 2 * i) * m
+        f2 = [((i, j), 1, one, (a * b * nr - c * lr, a * b * ni - c * li)),
+              ((i + 1, j), (i - j + 1) * a, side, up)]
+        if i - 1 >= j:
+            f2.append(((i - 1, j), -b * (n + i + j - 1), side, dn))
+        rows = [f1, f2]
+        if j >= 1:
+            rows.append([
+                ((i, j), a * b * (n + 2 * j - 3), one,
+                 (nr - h * (n - 2) - d * j, ni)),
+                ((i + 1, j - 1), (i - j + 1) * (i - j + 2) * a, one, up),
+                ((i, j - 1), 2 * (i - j + 1) * (n + i + j - 1), mid, lam),
+                ((i - 1, j - 1), -b * (n + i + j - 2) * (n + i + j - 1), one, dn)])
+        for row in rows:
+            g, ents = 0, []
+            for key, k, (u, v), (x, y) in row:
+                x, y = k * (u * x - v * y), k * (u * y + v * x)
+                if (x or y) and (region is None or region(*key)):
+                    g = gcd(g, x, y)
+                    ents.append((key, x, y))
+            if ents:
+                out.append(({key: (x // g, y // g) for key, x, y in ents}, g))
+    return out
+
+
+class TestLevelRowsInRegion:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_composition_regions_match_reference(self, n):
+        """Every composition region at i, j <= 4, both sector signs: the
+        rows and contents equal those of the compute-then-drop route."""
+        for i in range(5):
+            for j in range(5):
+                for parity in (0, 1):
+                    for pair in _PAIRS:
+                        s = _composition_system(n, i, j, parity, pair, 12)
+                        want = [p for lvl in range(12) for p in reference_level_rows(
+                            n, s.point, s.sign, lvl, s.region)]
+                        assert s.rows == [p[0] for p in want], (i, j, parity, pair)
+                        assert s.contents == [p[1] for p in want], (i, j, parity, pair)
+                        # the unfiltered rows at that point are unchanged too
+                        assert _level_rows(n, s.point, s.sign, i, None) == \
+                            reference_level_rows(n, s.point, s.sign, i, None)
 
 
 class TestNonRealPoint:

@@ -10,7 +10,7 @@ from sbolab.paramfield import (AffineExp, GaussianRational, ParamPoly, ParamScal
                                pochhammer, evaluate,
                                PoleError, GammaResidual, poly_gcd, poly_divexact,
                                PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat,
-                               _times_i_power, _acc)
+                               _times_i_power, _acc, _ps_times_i_power)
 from sbolab.cliffspin import SpinMap, _matmul
 
 
@@ -748,6 +748,101 @@ class TestAffineExp:
             ParamScalar(1, None, ((AffineExp("1/2", 0, "7/3"), 2),)))
         g = ParamScalar.gamma_factor("1/2", 0, "7/3")
         assert parts_of(raw) == parts_of(g * g)
+
+
+def reference_eq(a, b):
+    """The cross-multiplied test ParamScalar.__eq__ made before it compared
+    the canonical parts."""
+    return a.gammas == b.gammas and a.num * b.den == b.num * a.den
+
+
+# Gamma arguments that are not constant, so no shift meets a pole
+shift_tokens = st.sampled_from([("1/2", "1/2", "1/4"), ("0", "1", "1/3"),
+                                ("1/2", "-1/2", "3/4"), ("1", "0", "0")])
+
+
+def _power(s, e):
+    out = PS_ONE
+    for _ in range(abs(e)):
+        out = out * s
+    return out if e >= 0 else out.inverse()
+
+
+@st.composite
+def routed_pairs(draw):
+    """(route, a, b): two scalars of one value built by different routes,
+    one through a constructor normalisation and one through a fast path or
+    another identity."""
+    x, y = draw(scalars()), draw(scalars())
+    route = draw(st.sampled_from([
+        "gcd", "coerce", "add", "mul", "neg", "i_power", "inverse",
+        "gamma_shift", "subs_lam", "shift"]))
+    if route == "gcd":
+        # the constructor cancels a common factor, constant or not
+        g = draw(quadratic_polys)
+        assume(not g.is_zero())
+        return route, ParamScalar(x.num * g, x.den * g, x.gammas), x
+    if route == "coerce":
+        p, q = draw(quadratic_polys), draw(quadratic_polys)
+        assume(not q.is_zero())
+        c = draw(small_gaussians)
+        return route, ParamScalar.coerce(p) + ParamScalar.coerce(c), \
+            ParamScalar(p * q + ParamPoly.const(c) * q, q)
+    if route == "add":
+        y = ParamScalar(y.num, y.den, x.gammas)
+        return route, x + y, ParamScalar(x.num * y.den + y.num * x.den,
+                                         x.den * y.den, x.gammas)
+    if route == "mul":
+        return route, x * y, ParamScalar(x.num * y.num, x.den * y.den,
+                                         x.gammas + y.gammas)
+    if route == "neg":
+        return route, -x, x * ParamScalar.coerce(-1)
+    if route == "i_power":
+        k = draw(st.integers(0, 3))
+        return route, _ps_times_i_power(k, x), ParamScalar(x.num * I ** k, x.den,
+                                                           x.gammas)
+    if route == "inverse":
+        assume(not x.is_zero())
+        return route, x.inverse().inverse(), x
+    if route == "gamma_shift":
+        # Gamma(z + m) = (z)_m Gamma(z), Gamma(z - m) = Gamma(z) / (z - m)_m
+        a, b, c = draw(shift_tokens)
+        m, e = draw(st.integers(-2, 2)), draw(st.sampled_from([-2, -1, 1, 2]))
+        z = AffineExp(a, b, c)
+        fac = (pochhammer(z.as_scalar(), m) if m >= 0
+               else pochhammer((z + m).as_scalar(), -m).inverse())
+        shifted = ParamScalar(x.num, x.den, x.gammas + (((z + m), e),))
+        return route, shifted, x * _power(ParamScalar.gamma_factor(a, b, c) * fac, e)
+    e, f = draw(small_rationals), draw(small_rationals)
+    reference = reference_gamma_subs_lam if route == "subs_lam" else reference_gamma_shift
+    try:
+        return route, getattr(x, route)(e, f), reference(x, e, f)
+    except (ZeroDivisionError, PoleError):
+        assume(False)
+
+
+class TestCanonicalEquality:
+    """ParamScalar equality compares the canonical parts; it agrees with the
+    cross-multiplied test on scalars from every construction route, and
+    equal scalars hash alike."""
+
+    @given(routed_pairs(), scalars())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_cross_multiplication(self, case, z):
+        route, a, b = case
+        assert reference_eq(a, b), route
+        assert a == b and hash(a) == hash(b), route
+        for u, v in ((a, z), (z, b), (z, z)):
+            assert (u == v) == reference_eq(u, v), route
+            if u == v:
+                assert hash(u) == hash(v), route
+
+    def test_equal_values_from_different_denominators(self):
+        s = ParamScalar(ParamPoly.affine(1, 0, 2) * ParamPoly.affine(0, 1, 3),
+                        ParamPoly.affine(0, 1, 3) * ParamPoly.affine(2, 1, 0))
+        t = ParamScalar(ParamPoly.affine("1/2", 0, 1), ParamPoly.affine(1, "1/2", 0))
+        assert s == t and reference_eq(s, t) and hash(s) == hash(t)
+        assert s != t * 2 and not reference_eq(s, t * 2)
 
 
 class TestEqualityContract:
