@@ -16,10 +16,11 @@ data, and pull |x'|^2-divisible prefactors into the radial exponents, so
 equality of kernels is decidable by structural comparison.
 """
 
+from itertools import combinations
 from math import factorial
 
 from .paramfield import (AffineExp, GaussianRational, ParamScalar, rat, pochhammer,
-                         PS_ONE, _ps_times_i_power, _acc)
+                         PS_ONE, _ps_times_i_power, _ps_times_int, _acc)
 from .cliffspin import (zeta_matrix, spin_projection_P, spin_dim, _blade_action,
                         _blade_lmul, _matmul)
 
@@ -37,6 +38,8 @@ class SymmetryFailure(AssertionError):
 
 
 _AFF0 = AffineExp()
+# the rational constants of the families and identities, parsed once
+_H, _Q1, _Q3 = rat("1/2"), rat("1/4"), rat("3/4")
 
 
 def _bump(t, pos, d):
@@ -46,14 +49,11 @@ def _bump(t, pos, d):
 
 # -- coefficient values ----------------------------------------------------------
 
-_NEG = ParamScalar.coerce(-1)
-
-
-def _put(terms, key, val, c=None):
-    """Add c * val (c None for 1) to terms[key] entry by entry; an entry whose
-    sum is zero is dropped, and so is a key left with no entry."""
+def _put(terms, key, val, k=1):
+    """Add k * val (k a nonzero int) to terms[key] entry by entry; an entry
+    whose sum is zero is dropped, and so is a key left with no entry."""
     acc = _acc(dict(terms.get(key, ())),
-               val.items() if c is None else ((b, x * c) for b, x in val.items()))
+               val.items() if k == 1 else ((b, _ps_times_int(x, k)) for b, x in val.items()))
     if acc:
         terms[key] = acc
     else:
@@ -136,7 +136,7 @@ class KernelExpr:
         return self.copy_with(t, normalized=True)
 
     def __sub__(self, other):
-        return self + other.scale(_NEG)
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = ParamScalar.coerce(c)
@@ -202,7 +202,7 @@ def _divide_r2(poly, nx):
             # subtract val * x^qm * (x_1^2 + ... + x_nx^2); the x_1^2 piece
             # is the popped leading term itself
             for i in range(1, nx):
-                _put(work, _bump(qm, i, 2), val, _NEG)
+                _put(work, _bump(qm, i, 2), val, -1)
         else:
             _put(rem, mono, val)
     return q, rem
@@ -227,8 +227,9 @@ def _normalize(n, raw):
             # binomial(r, t) = (r - t + 1)_t / t!
             c = pochhammer((r - (t - 1)).as_scalar(), t) * ParamScalar(
                 factorial(m) // factorial(m - 2 * t), factorial(t))
-            newxp = xp + AffineExp(2 * r.a, 2 * r.b, 2 * (r.c - t))
-            _put(terms, ("B", m - 2 * t, newxp, _AFF0, mono), val, c)
+            newxp = xp + (r + r - 2 * t)
+            _put(terms, ("B", m - 2 * t, newxp, _AFF0, mono),
+                 {b: x * c for b, x in val.items()})
 
     # pass 2: pull |x'|^2-divisible prefactors into exponents.  A group is
     # one term shape (key without its x' monomial); each sweep rewrites all
@@ -256,7 +257,7 @@ def _normalize(n, raw):
                 if kind == "S":
                     # |x'|^2 = (|x'|^2 + x_n^2) - x_n^2
                     _put(out, ("S", a, b, r + 1, mono), val)
-                    _put(out, ("S", a, b + 2, r, mono), val, _NEG)
+                    _put(out, ("S", a, b + 2, r, mono), val, -1)
                 else:
                     _put(out, ("B", a, b + 2, _AFF0, mono), val)
         terms = out
@@ -271,18 +272,18 @@ def _shift_meta(meta, dl, dv):
 
 
 def _x_move(n, key, i):
-    """The coordinate of 0-based index i times the term key, as (key, factor
-    or None for 1), or 0: d^alpha delta loses a derivative (factor -alpha_i),
-    x_n takes delta^(m) to -m delta^(m-1), another x_i raises an exponent."""
+    """The coordinate of 0-based index i times the term key, as (key, int
+    factor), or 0: d^alpha delta loses a derivative (factor -alpha_i), x_n
+    takes delta^(m) to -m delta^(m-1), another x_i raises an exponent."""
     if key[0] == "P":
         a = key[1][i]
-        return a and (("P", _bump(key[1], i, -1)), ParamScalar.coerce(-a))
+        return a and (("P", _bump(key[1], i, -1)), -a)
     kind, a, b, r, mono = key
     if i < n - 1:
-        return key[:4] + (_bump(mono, i, 1),), None
+        return key[:4] + (_bump(mono, i, 1),), 1
     if kind == "S":
-        return ("S", 1 - a, b + 1, r, mono), None
-    return a and (("B", a - 1, b, r, mono), ParamScalar.coerce(-a))
+        return ("S", 1 - a, b + 1, r, mono), 1
+    return a and (("B", a - 1, b, r, mono), -a)
 
 
 def mult_xn(K):
@@ -318,7 +319,7 @@ def mult_zeta(K):
     for k, v in _normalize(n, high).items():
         _put(out, k, v)
     return KernelExpr(n, (dim, dim), out,
-                      _shift_meta(K.meta, rat("1/2"), -rat("1/2")), normalized=True)
+                      _shift_meta(K.meta, _H, -_H), normalized=True)
 
 
 def mult_norm2(K):
@@ -334,14 +335,12 @@ def mult_norm2(K):
             _, m, xp, r, mono = key
             _put(out, ("B", m, xp + 2, r, mono), val)
             if m >= 2:
-                _put(out, ("B", m - 2, xp, r, mono), val,
-                     ParamScalar.coerce(m * (m - 1)))
+                _put(out, ("B", m - 2, xp, r, mono), val, m * (m - 1))
         else:
             alpha = key[1]
             for i, ai in enumerate(alpha):
                 if ai >= 2:
-                    _put(out, ("P", _bump(alpha, i, -2)), val,
-                         ParamScalar.coerce(ai * (ai - 1)))
+                    _put(out, ("P", _bump(alpha, i, -2)), val, ai * (ai - 1))
     return K.copy_with(out, normalized=True)
 
 
@@ -380,21 +379,17 @@ def support(K):
 # -- the explicit kernel families ----------------------------------------------
 
 def _laplacian_monomials(n, j):
-    """(multi-index, multinomial weight) pairs for (sum_{a<n} d_a^2)^j."""
-    nx = n - 1
+    """(multi-index, multinomial weight) pairs for (sum_{a<n} d_a^2)^j, in
+    lexicographic order: each choice of n - 2 bars among j + n - 2 places
+    splits j into the n - 1 halved exponents, with no recursion."""
     out = []
-
-    def rec(pos, remaining, alpha, weight):
-        if pos == nx - 1:
-            a = alpha + [remaining]
-            w = weight // factorial(remaining)
-            out.append((tuple(a) + (0,), w))
-            return
-        for t in range(remaining + 1):
-            rec(pos + 1, remaining - t, alpha + [t], weight // factorial(t))
-
-    rec(0, j, [], factorial(j))
-    return [(tuple(2 * a for a in alpha[:-1]) + (0,), w) for alpha, w in out]
+    for bars in combinations(range(j + n - 2), n - 2):
+        parts = [y - x - 1 for x, y in zip((-1,) + bars, bars + (j + n - 2,))]
+        w = factorial(j)
+        for t in parts:
+            w //= factorial(t)
+        out.append((tuple(2 * t for t in parts) + (0,), w))
+    return out
 
 
 def _add_point(terms, n, coeff, j, dn, dprime=None, gen=None):
@@ -404,7 +399,7 @@ def _add_point(terms, n, coeff, j, dn, dprime=None, gen=None):
         alpha = _bump(alpha, n - 1, dn)
         if dprime is not None:
             alpha = _bump(alpha, dprime - 1, 1)
-        c = {0: coeff * ParamScalar.coerce(w)}
+        c = {0: _ps_times_int(coeff, w)}
         _put(terms, ("P", alpha), c if gen is None else _zeta_lmul(n, gen, c))
 
 
@@ -415,8 +410,7 @@ def _zeta_layer(n, m, r, c):
     terms = {("B", m, _AFF0, r, _bump(mono0, a - 1, 1)): _zeta_lmul(n, a, {0: c})
              for a in range(1, n)}
     if m >= 1:
-        terms[("B", m - 1, _AFF0, r, mono0)] = _zeta_lmul(
-            n, n, {0: c * ParamScalar.coerce(-m)})
+        terms[("B", m - 1, _AFF0, r, mono0)] = _zeta_lmul(n, n, {0: _ps_times_int(c, -m)})
     return terms
 
 
@@ -430,11 +424,11 @@ def _smooth_family(tag, n, **_):
     plus = tag.endswith("+")
     c = PS_ONE
     if tag.startswith("At"):
-        c4 = "1/4" if plus else "3/4"
-        c = (ParamScalar.gamma_factor("1/2", "1/2", c4, -1)
-             * ParamScalar.gamma_factor("1/2", "-1/2", c4, -1))
+        c4 = _Q1 if plus else _Q3
+        c = (ParamScalar.gamma_factor(_H, _H, c4, -1)
+             * ParamScalar.gamma_factor(_H, -_H, c4, -1))
     # sgn(x_n)^par |x_n|^{lam+nu-1/2} (|x'|^2 + x_n^2)^{-nu-(n-1)/2}
-    key = ("S", 0 if plus else 1, AffineExp(1, 1, "-1/2"),
+    key = ("S", 0 if plus else 1, AffineExp(1, 1, -_H),
            AffineExp(0, -1, -rat(n - 1) / 2), (0,) * (n - 1))
     return KernelExpr(n, None, {key: c}, {"family": tag})
 
@@ -442,10 +436,10 @@ def _smooth_family(tag, n, **_):
 def _b_family(tag, n, k=None, form="expanded", **_):
     _need_index("B", "k", k)
     plus = tag == "Bt+"
-    tok = ParamScalar.gamma_factor("1/2", "-1/2", "1/4" if plus else "3/4", -1)
+    tok = ParamScalar.gamma_factor(_H, -_H, _Q1 if plus else _Q3, -1)
     m = 2 * k if plus else 2 * k + 1
     meta = {"family": tag, "k": k,
-            "constraint": ("sum", -rat("1/2") - 2 * k if plus else -rat("3/2") - 2 * k)}
+            "constraint": ("sum", -_H - 2 * k if plus else -3 * _H - 2 * k)}
     mono0 = (0,) * (n - 1)
     rho_h = rat(n - 1) / 2
     if form == "radial":
@@ -470,7 +464,7 @@ def _c_family(tag, n, l=None, **_):
         c = pochhammer(nu_l, l - j2) * ParamScalar(2 ** p, factorial(j2) * factorial(dn))
         _add_point(terms, n, c, j2, dn)
     meta = {"family": tag, "l": l,
-            "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
+            "constraint": ("diff", -_H - 2 * l if plus else -3 * _H - 2 * l)}
     return KernelExpr(n, None, terms, meta)
 
 
@@ -497,13 +491,11 @@ def _residue_family(tag, n, i=None, j=None, **_):
 
 
 def _spinor_a_family(tag, n, **_):
-    half = rat("1/2")
     if tag == "sAt+":
-        out = mult_zeta(make_family("At-", n).shift_params(-half, half))
+        out = mult_zeta(make_family("At-", n).shift_params(-_H, _H))
     else:
-        base = make_family("At+", n).shift_params(-half, half)
-        out = mult_zeta(base).scale(
-            AffineExp("1/2", "-1/2", "-1/4").as_scalar().inverse())
+        base = make_family("At+", n).shift_params(-_H, _H)
+        out = mult_zeta(base).scale(AffineExp(_H, -_H, -_Q1).as_scalar().inverse())
     out.meta.clear()
     out.meta.update({"family": tag})
     return out
@@ -512,10 +504,10 @@ def _spinor_a_family(tag, n, **_):
 def _spinor_b_family(tag, n, k=None, **_):
     _need_index("B", "k", k)
     plus = tag == "sBt+"
-    tok = ParamScalar.gamma_factor("1/2", "-1/2", "1/4" if plus else "3/4", -1)
+    tok = ParamScalar.gamma_factor(_H, -_H, _Q1 if plus else _Q3, -1)
     m = 2 * k + 1 if plus else 2 * k
     meta = {"family": tag, "k": k,
-            "constraint": ("sum", -rat("3/2") - 2 * k if plus else -rat("1/2") - 2 * k)}
+            "constraint": ("sum", -3 * _H - 2 * k if plus else -_H - 2 * k)}
     # zeta(x') r^{-nu-n/2} delta^(m) - m e_n r^{-nu-n/2} delta^(m-1)
     return KernelExpr(n, (spin_dim(n),) * 2,
                       _zeta_layer(n, m, AffineExp(0, -1, -rat(n) / 2), tok), meta)
@@ -524,7 +516,7 @@ def _spinor_b_family(tag, n, k=None, **_):
 def _spinor_c_family(tag, n, l=None, **_):
     _need_index("C", "l", l)
     plus = tag == "sCt+"
-    nu_start = AffineExp(0, 1, rat("1/2") - l if plus else -l - rat("1/2")).as_scalar()
+    nu_start = AffineExp(0, 1, _H - l if plus else -l - _H).as_scalar()
     q = 0 if plus else 1
     terms = {}
     for j2 in range(l + 1):
@@ -540,7 +532,7 @@ def _spinor_c_family(tag, n, l=None, **_):
             2 ** (p + 1), factorial(j2) * factorial(p + 1))
         _add_point(terms, n, c, j2, p + 1, gen=n)
     meta = {"family": tag, "l": l,
-            "constraint": ("diff", -rat("1/2") - 2 * l if plus else -rat("3/2") - 2 * l)}
+            "constraint": ("diff", -_H - 2 * l if plus else -3 * _H - 2 * l)}
     return KernelExpr(n, (spin_dim(n),) * 2, terms, meta)
 
 
@@ -586,8 +578,6 @@ def _on_line(K, constraint):
     raise BadParams("unknown constraint %r" % (kind,))
 
 
-_H = rat("1/2")
-
 # tag -> (index, line, lhs, rhs).  The index names the parameters the
 # identity is stated at: 'k' or 'l' (>= 0), 'ij_odd' or 'ij_even' (n odd,
 # i - j of that parity), 'kj' (k and the sign of j, which picks Bt+ or Bt-),
@@ -617,7 +607,7 @@ _IDENTITIES = {
     "juhl_down": (
         "l", ("diff", -3 * _H),
         lambda n, l: mult_xn(make_family("Ct-", n, l=l)),
-        lambda n, l: make_family("Ct+", n, l=l).shift_params(1, 0).scale(_NEG)),
+        lambda n, l: make_family("Ct+", n, l=l).shift_params(1, 0).scale(-1)),
     # the radial display of Bt+-(k) equals its expanded form
     "b_double_display": (
         "kj", None,
@@ -638,18 +628,17 @@ _IDENTITIES = {
     "spinor_c_minus": (
         "l", ("diff", -3 * _H),
         lambda n, l: mult_zeta(make_family("Ct+", n, l=l + 1).shift_params(-_H, _H)),
-        lambda n, l: make_family("sCt-", n, l=l).scale(ParamScalar.coerce(-2))),
+        lambda n, l: make_family("sCt-", n, l=l).scale(-2)),
     # zeta(x) Ct-(l)|_{lam-1/2, nu+1/2} = -sCt+(l), lam-nu = -1/2-2l
     "spinor_c_plus": (
         "l", ("diff", -_H),
         lambda n, l: mult_zeta(make_family("Ct-", n, l=l).shift_params(-_H, _H)),
-        lambda n, l: make_family("sCt+", n, l=l).scale(_NEG)),
+        lambda n, l: make_family("sCt+", n, l=l).scale(-1)),
     # zeta(x) sAt- = -At+|_{lam+1/2, nu-1/2} (x) id, generic parameters
     "spinor_a_closure_minus": (
         None, None,
         lambda n: mult_zeta(make_family("sAt-", n)),
-        lambda n: as_matrix(make_family("At+", n).shift_params(_H, -_H)).scale(
-            ParamScalar.coerce(-1))),
+        lambda n: as_matrix(make_family("At+", n).shift_params(_H, -_H)).scale(-1)),
     # zeta(x) sAt+ = -(lam-nu+1/2)/2 At-|_{lam+1/2, nu-1/2} (x) id
     "spinor_a_closure_plus": (
         None, None,
@@ -660,8 +649,7 @@ _IDENTITIES = {
     "residue_step": (
         "ij_odd", None,
         lambda n, i, j: mult_xn(make_family("Att+", n, i=i + 1, j=j)),
-        lambda n, i, j: make_family("Att-", n, i=i, j=j).scale(
-            ParamScalar.coerce(-((n + i + j - 2) // 2 + 1)))),
+        lambda n, i, j: make_family("Att-", n, i=i, j=j).scale(-((n + i + j - 2) // 2 + 1))),
     # zeta(x) Att+(i+1, j) = sAtt-(i, j)  (n odd, i-j odd)
     "residue_step_spinor_minus": (
         "ij_odd", None,
@@ -815,7 +803,7 @@ def _rotation_apply(K, a, b):
                 if e:
                     nm = _bump(_bump(mono, src - 1, -1), dst - 1, 1)
                     sgn = 1 if src == b else -1
-                    _put(out, key[:4] + (nm,), val, ParamScalar.coerce(-sgn * e))
+                    _put(out, key[:4] + (nm,), val, -sgn * e)
         else:
             alpha = key[1]
             # V(d^alpha delta) = -alpha_a d^{alpha+e_b-e_a} + alpha_b d^{alpha+e_a-e_b}
@@ -823,7 +811,7 @@ def _rotation_apply(K, a, b):
                 e = alpha[src - 1]
                 if e:
                     na = _bump(_bump(alpha, src - 1, -1), dst - 1, 1)
-                    _put(out, ("P", na), val, ParamScalar.coerce(sgn * e))
+                    _put(out, ("P", na), val, sgn * e)
     defect = K.copy_with(out)
     if K.shape:
         # spin twists: X_row o K - K o X_col with X = zeta(e_a e_b)/2, on
@@ -836,7 +824,7 @@ def _rotation_apply(K, a, b):
             if K.row_n == K.n:
                 val = blade_matrix(K.n, val)
             _put(tw, key, _matmul(Xrow, val))
-            _put(tw, key, _matmul(val, Xcol), _NEG)
+            _put(tw, key, _matmul(val, Xcol), -1)
         defect = defect + K.copy_with(tw)
     return defect
 

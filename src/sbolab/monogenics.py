@@ -18,7 +18,7 @@ from itertools import chain
 from math import factorial, gcd, lcm, perm, prod
 from types import MappingProxyType
 
-from .paramfield import (GaussianRational, ParamScalar, ZERO, ONE,
+from .paramfield import (GaussianRational, ParamScalar, ZERO,
                          PS_ZERO, PS_I, PS_LAM, pochhammer, rat, _gr, _acc,
                          _over_den)
 from .cliffspin import (fund_branching, spin_dim, DimensionMismatch, _spinor,
@@ -323,11 +323,6 @@ class SpinorPolynomial:
             return self._like(terms)
         return _reduced(self._like(terms, self.den * d))
 
-    def mul_monomial(self, exps, v=ONE):
-        shift = _pack(exps, self.nvars) << self.m
-        _check_degree(self.degree() + sum(exps))
-        return self._like({key + shift: c for key, c in self.terms.items()}).scale(v)
-
     def diff(self, k):
         """d/dx_k, 1-based k."""
         if not 1 <= k <= self.nvars:
@@ -397,11 +392,6 @@ class SpinorPolynomial:
         _check_degree(self.degree() + 1)
         return self._zeta_sum(1)
 
-    def norm2_mul(self):
-        """Multiply by |x|^2, which keeps the content (Gauss's lemma)."""
-        _check_degree(self.degree() + 2)
-        return self._like(_zacc({}, self.terms, _norm2_power(self.nvars, 1, self.m)))
-
     def gamma_twist(self):
         low = (1 << self.m) - 1
         return self._like({key: ((-a, -b) if (key & low).bit_count() & 1 else (a, b))
@@ -414,16 +404,6 @@ class SpinorPolynomial:
     def is_homogeneous(self):
         m = self.m
         return len({(key >> m) % _FIELD for key in self.terms}) <= 1
-
-    def extend_vars(self, nvars, cn=None):
-        """View in a larger variable set (new variables appended, exponent
-        0): the keys stay, so the terms are shared."""
-        if nvars < self.nvars:
-            raise DimensionMismatch("cannot shrink variables")
-        cn = self.cn if cn is None else cn
-        if cn // 2 != self.m:
-            raise DimensionMismatch("spinor coefficient of wrong size")
-        return _sp(nvars, cn, self.variant, self.terms, self.den)
 
     def map_values(self, spinmap):
         """Apply the linear map spinmap to every spinor value, in one pass

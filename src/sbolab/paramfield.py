@@ -4,12 +4,15 @@ Everything downstream is built over the field Q(sqrt(-1)) of Gaussian
 rationals, polynomials and rational functions in the two formal induction
 parameters lam and nu, and formal Gamma-factor tokens.  A Gamma argument
 is an affine form a*lam + b*nu + c (AffineExp, which also holds the kernel
-exponents of kernelcalc).  Gamma tokens are never evaluated numerically:
-arguments that differ by an integer are merged through the functional
+exponents of kernelcalc).  Both are held as ints over one positive
+denominator; Fraction is only what the public parts (`re`, `im`, `a`, `b`,
+`c`) return, and equal values hash alike.  Gamma tokens are never evaluated
+numerically: arguments that differ by an integer are merged through the functional
 equation Gamma(z+1) = z*Gamma(z), which turns the shift into an exact
 Pochhammer factor.
 """
 
+import sys
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -37,8 +40,26 @@ def rat(x):
     raise TypeError("cannot coerce %r to a rational" % (x,))
 
 
-def _floor(q):
-    return q.numerator // q.denominator
+def _qparts(x):
+    """(numerator, denominator) of an int, Fraction or str; only a str is
+    parsed."""
+    if not isinstance(x, (int, Fraction)):
+        x = rat(x)
+    return x.numerator, x.denominator
+
+
+_HASH_P = sys.hash_info.modulus
+
+
+def _qhashes(d, *nums):
+    """hash(Fraction(x, d)) for each int x in nums and an int d > 0, from
+    one modular inverse of d: hash() of every rational is that of the int
+    x * d^-1 modulo sys.hash_info.modulus, sign and -1 -> -2 rule included."""
+    try:
+        inv = pow(d, -1, _HASH_P)
+    except ValueError:  # d a multiple of the modulus
+        return tuple(hash(Fraction(x, d)) for x in nums)
+    return tuple(hash(x * inv) for x in nums)
 
 
 class GaussianRational:
@@ -152,7 +173,7 @@ class GaussianRational:
         if not self._b:
             if self._d == 1:
                 return hash(self._a)
-            return hash(Fraction(self._a, self._d))
+            return _qhashes(self._d, self._a)[0]
         return hash((self._a, self._b, self._d))
 
     def __repr__(self):
@@ -187,8 +208,8 @@ def _parts(x):
     """Integer parts (a, b, d) of an int, Fraction, str or GaussianRational."""
     if isinstance(x, GaussianRational):
         return x._a, x._b, x._d
-    q = rat(x)
-    return q.numerator, 0, q.denominator
+    p, q = _qparts(x)
+    return p, 0, q
 
 
 def _power(base, k, out):
@@ -522,72 +543,114 @@ def poly_divexact(p, d):
 
 class AffineExp:
     """a*lam + b*nu + c with exact rational coefficients: a kernel exponent or
-    the argument of a Gamma token.  It compares, orders and hashes as the
-    tuple (a, b, c)."""
+    the argument of a Gamma token.  Held as four ints, (a*lam + b*nu + c)/d
+    with d > 0 and gcd(a, b, c, d) == 1 (GaussianRational's canonical form),
+    so every operation works on ints.  The read-only `a`, `b`, `c` are the
+    Fraction coefficients, and the form compares, orders and hashes as the
+    tuple (a, b, c) of them."""
 
-    __slots__ = ("a", "b", "c", "_hash")
+    __slots__ = ("_a", "_b", "_c", "_d", "_hash")
 
     def __init__(self, a=0, b=0, c=0):
-        a, b, c = rat(a), rat(b), rat(c)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        # exponents and Gamma arguments are dict keys: hash the three
-        # Fractions once, not per lookup
-        object.__setattr__(self, "_hash", hash((a, b, c)))
+        if type(a) is int and type(b) is int and type(c) is int:
+            d = 1
+        else:
+            # over the lcm of reduced denominators the form is canonical
+            (a, p), (b, q), (c, r) = _qparts(a), _qparts(b), _qparts(c)
+            d = lcm(p, q, r)
+            a, b, c = a * (d // p), b * (d // q), c * (d // r)
+        _aff_init(self, a, b, c, d)
 
-    def __setattr__(self, *a):
-        raise AttributeError("AffineExp is immutable")
+    a = property(lambda self: Fraction(self._a, self._d))
+    b = property(lambda self: Fraction(self._b, self._d))
+    c = property(lambda self: Fraction(self._c, self._d))
 
     @staticmethod
     def const(c):
         return AffineExp(0, 0, c)
 
-    def __add__(self, other):
+    def _plus(self, other, sign):
+        d = self._d
         if not isinstance(other, AffineExp):
-            return AffineExp(self.a, self.b, self.c + rat(other))
-        return AffineExp(self.a + other.a, self.b + other.b, self.c + other.c)
+            p, q = _qparts(other)
+            return _aff(self._a * q, self._b * q, self._c * q + sign * p * d, d * q)
+        f = other._d
+        return _aff(self._a * f + sign * other._a * d, self._b * f + sign * other._b * d,
+                    self._c * f + sign * other._c * d, d * f)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, AffineExp):
-            return AffineExp(self.a, self.b, self.c - rat(other))
-        return AffineExp(self.a - other.a, self.b - other.b, self.c - other.c)
+        return self._plus(other, -1)
 
     def __eq__(self, other):
-        return (isinstance(other, AffineExp)
-                and (self.a, self.b, self.c) == (other.a, other.b, other.c))
+        return (isinstance(other, AffineExp) and self._a == other._a
+                and self._b == other._b and self._c == other._c and self._d == other._d)
 
     def __lt__(self, other):
-        return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+        # both denominators are positive: cross-multiplied, the order is
+        # that of the Fraction triples
+        d, f = self._d, other._d
+        return ((self._a * f, self._b * f, self._c * f)
+                < (other._a * d, other._b * d, other._c * d))
 
     def __hash__(self):
         return self._hash
 
     def is_const(self):
-        return self.a == 0 and self.b == 0
+        return not self._a and not self._b
 
     def split(self):
         """(rep, m): the class representative rep, whose constant term lies
         in [0, 1), and the integer m with self = rep + m."""
-        m = _floor(self.c)
-        return (AffineExp(self.a, self.b, self.c - m) if m else self), m
+        m = self._c // self._d
+        return (_aff(self._a, self._b, self._c - m * self._d, self._d) if m else self), m
 
     def subs_lam(self, e, f):
         """Substitute lam := e*nu + f."""
-        return AffineExp(0, self.b + self.a * rat(e), self.c + self.a * rat(f))
+        (p, q), (r, t) = _qparts(e), _qparts(f)
+        a = self._a
+        return _aff(0, (self._b * q + a * p) * t, (self._c * t + a * r) * q, self._d * q * t)
 
     def shift(self, dl, dv):
         """Substitute lam := lam + dl, nu := nu + dv."""
-        return AffineExp(self.a, self.b, self.c + self.a * rat(dl) + self.b * rat(dv))
+        (p, q), (r, t) = _qparts(dl), _qparts(dv)
+        a, b = self._a, self._b
+        return _aff(a * q * t, b * q * t, (self._c * q + a * p) * t + b * r * q,
+                    self._d * q * t)
+
+    def _poly(self):
+        """The ParamPoly a*lam + b*nu + c, built from the parts."""
+        d = self._d
+        return _poly({m: _gr(x, 0, d) for m, x in
+                      (((1, 0), self._a), ((0, 1), self._b), ((0, 0), self._c)) if x})
 
     def as_scalar(self):
-        return ParamScalar(ParamPoly.affine(self.a, self.b, self.c))
+        # a polynomial over 1 is canonical as it stands
+        return _ps(self._poly(), _POLY_ONE, ())
 
     def sort_key(self):
         return (str(self.a), str(self.b), str(self.c))
 
     def __repr__(self):
         return "(%s*lam+%s*nu+%s)" % (self.a, self.b, self.c)
+
+
+def _aff_init(x, a, b, c, d):
+    x._a, x._b, x._c, x._d = a, b, c, d
+    # exponents and Gamma arguments are dict keys: hash once, from the ints
+    x._hash = hash((a, b, c)) if d == 1 else hash(_qhashes(d, a, b, c))
+    return x
+
+
+def _aff(a, b, c, d):
+    """The canonical AffineExp (a*lam + b*nu + c)/d, for ints with d > 0."""
+    if d != 1:
+        g = gcd(a, b, c, d)
+        if g != 1:
+            a, b, c, d = a // g, b // g, c // g, d // g
+    return _aff_init(_new(AffineExp), a, b, c, d)
 
 
 class ParamScalar:
@@ -623,9 +686,9 @@ class ParamScalar:
                 continue
             if arg.__class__ is not AffineExp:
                 arg = AffineExp(*arg)
-            if arg.is_const() and arg.c.denominator == 1:
+            if arg.is_const() and arg._d == 1:
                 # Gamma at an integer: reduce to a factorial or a pole
-                m = int(arg.c)
+                m = arg._c
                 if m <= 0:
                     raise PoleError("Gamma token at non-positive integer %d" % m)
                 f = GaussianRational(factorial(m - 1)) ** abs(e)
@@ -638,7 +701,7 @@ class ParamScalar:
             if m:
                 # Gamma(z0 + m) = (z0)_m Gamma(z0) for m > 0, and
                 # Gamma(z0 + m) = Gamma(z0) / ((z0 + m) ... (z0 - 1)) for m < 0
-                z0 = ParamPoly.affine(key.a, key.b, key.c)
+                z0 = key._poly()
                 fac = _POLY_ONE
                 for t in range(min(m, 0), max(m, 0)):
                     fac = fac * (z0 + t)
@@ -796,6 +859,13 @@ def _ps_times_i_power(k, s):
     if k == 0:
         return s
     return _ps(_poly({m: _times_i_power(k, c) for m, c in s.num.terms.items()}),
+               s.den, s.gammas)
+
+
+def _ps_times_int(s, k):
+    """k * s for a nonzero int k: each numerator coefficient is scaled on
+    its parts, so no constant scalar is built or multiplied."""
+    return _ps(_poly({m: _gr(c._a * k, c._b * k, c._d) for m, c in s.num.terms.items()}),
                s.den, s.gammas)
 
 

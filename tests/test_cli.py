@@ -186,6 +186,15 @@ class TestEdgeCases:
         rows = json.loads(text)
         assert all(t["variant"] == "boundary" for t in rows["terms"])
 
+    def test_point_kernel_in_many_dimensions(self):
+        # Delta'^0 over 1999 coordinates: one multi-index, built without
+        # a recursion as deep as n
+        rc, text = run(["kernel", "--family", "Ct+", "--n", "2000", "--l", "0"])
+        assert rc == 0
+        terms = json.loads(text)["terms"]
+        assert len(terms) == 1 and terms[0]["variant"] == "point"
+        assert terms[0]["multi"] == [0] * 2000
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self):

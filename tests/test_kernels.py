@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -484,8 +485,7 @@ def _mult_xi(K, i):
         else:
             ai = key[1][i - 1]
             if ai > 0:
-                kernelcalc._put(out, ("P", kernelcalc._bump(key[1], i - 1, -1)), val,
-                                ps(-ai))
+                kernelcalc._put(out, ("P", kernelcalc._bump(key[1], i - 1, -1)), val, -ai)
     return K.copy_with(out, normalized=i > 1)
 
 
@@ -657,3 +657,33 @@ def test_blades_to_matrix_commutes(case, c, e, f):
     assert dense(Z) == {key: dense_product(zg, m) for key, m in dense(K1).items()}
     assert dense(K1.subs_lam(e, f)) == dense_map(dense(K1), lambda x: x.subs_lam(e, f))
     assert dense(K1.shift_params(e, f)) == dense_map(dense(K1), lambda x: x.shift(e, f))
+
+
+# -- the Laplacian's multi-indices against the recursive enumeration ------------
+
+def recursive_laplacian_monomials(n, j):
+    """(multi-index, multinomial weight) pairs for (sum_{a<n} d_a^2)^j by a
+    recursion n - 1 deep (the route the bars enumeration replaced)."""
+    nx = n - 1
+    out = []
+
+    def rec(pos, remaining, alpha, weight):
+        if pos == nx - 1:
+            a = alpha + [remaining]
+            w = weight // factorial(remaining)
+            out.append((tuple(a) + (0,), w))
+            return
+        for t in range(remaining + 1):
+            rec(pos + 1, remaining - t, alpha + [t], weight // factorial(t))
+
+    rec(0, j, [], factorial(j))
+    return [(tuple(2 * a for a in alpha[:-1]) + (0,), w) for alpha, w in out]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_laplacian_monomials_match_recursion(n):
+    for j in range(4):
+        got = kernelcalc._laplacian_monomials(n, j)
+        assert got == recursive_laplacian_monomials(n, j), (n, j)
+        # the weights are the multinomial expansion of (n - 1 ones)^j
+        assert sum(w for _, w in got) == (n - 1) ** j

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -748,6 +749,112 @@ class TestAffineExp:
             ParamScalar(1, None, ((AffineExp("1/2", 0, "7/3"), 2),)))
         g = ParamScalar.gamma_factor("1/2", 0, "7/3")
         assert parts_of(raw) == parts_of(g * g)
+
+
+class ReferenceAffineExp:
+    """AffineExp as the triple of Fractions it was before the ints over one
+    denominator: the oracle of every affine-form operation."""
+
+    def __init__(self, a=0, b=0, c=0):
+        self.a, self.b, self.c = rat(a), rat(b), rat(c)
+
+    def __add__(self, other):
+        if not isinstance(other, ReferenceAffineExp):
+            return ReferenceAffineExp(self.a, self.b, self.c + rat(other))
+        return ReferenceAffineExp(self.a + other.a, self.b + other.b, self.c + other.c)
+
+    def __sub__(self, other):
+        if not isinstance(other, ReferenceAffineExp):
+            return ReferenceAffineExp(self.a, self.b, self.c - rat(other))
+        return ReferenceAffineExp(self.a - other.a, self.b - other.b, self.c - other.c)
+
+    def __eq__(self, other):
+        return (isinstance(other, ReferenceAffineExp)
+                and (self.a, self.b, self.c) == (other.a, other.b, other.c))
+
+    def __lt__(self, other):
+        return (self.a, self.b, self.c) < (other.a, other.b, other.c)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c))
+
+    def is_const(self):
+        return self.a == 0 and self.b == 0
+
+    def split(self):
+        m = self.c.numerator // self.c.denominator
+        return (ReferenceAffineExp(self.a, self.b, self.c - m) if m else self), m
+
+    def subs_lam(self, e, f):
+        return ReferenceAffineExp(0, self.b + self.a * rat(e), self.c + self.a * rat(f))
+
+    def shift(self, dl, dv):
+        return ReferenceAffineExp(self.a, self.b,
+                                  self.c + self.a * rat(dl) + self.b * rat(dv))
+
+    def as_scalar(self):
+        return ParamScalar(ParamPoly.affine(self.a, self.b, self.c))
+
+    def sort_key(self):
+        return (str(self.a), str(self.b), str(self.c))
+
+    def __repr__(self):
+        return "(%s*lam+%s*nu+%s)" % (self.a, self.b, self.c)
+
+
+def same_affine(x, ref):
+    """x is a canonical AffineExp with the coefficients, hash, repr, sort
+    key and constancy of the reference form ref."""
+    return (type(x) is AffineExp and x._d > 0 and gcd(x._a, x._b, x._c, x._d) == 1
+            and all(type(v) is Fraction for v in (x.a, x.b, x.c))
+            and (x.a, x.b, x.c) == (ref.a, ref.b, ref.c) and hash(x) == hash(ref)
+            and repr(x) == repr(ref) and x.sort_key() == ref.sort_key()
+            and x.is_const() == ref.is_const())
+
+
+# a coefficient as an int, a Fraction or a str
+affine_coeffs = st.one_of(st.integers(-6, 6), rationals, rationals.map(str))
+affine_triples = st.tuples(affine_coeffs, affine_coeffs, affine_coeffs)
+
+
+class TestAffineExpAgainstReference:
+    """The ints over one denominator give every result of the Fraction
+    triple, hash and order included."""
+
+    @given(affine_triples, affine_triples, affine_coeffs,
+           st.one_of(st.integers(-2, 2), small_rationals), small_rationals)
+    @example((1, 0, "1/2"), ("1/2", 0, 0), "-1/2", 0, Fraction(1, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_every_operation(self, s, t, k, e, f):
+        (x, rx), (y, ry) = ((AffineExp(*u), ReferenceAffineExp(*u)) for u in (s, t))
+        assert same_affine(x, rx) and same_affine(y, ry)
+        assert same_affine(AffineExp.const(k), ReferenceAffineExp(0, 0, k))
+        for op in ("__add__", "__sub__"):
+            assert same_affine(getattr(x, op)(y), getattr(rx, op)(ry)), op
+            assert same_affine(getattr(x, op)(k), getattr(rx, op)(k)), op
+        for u, v, ru, rv in ((x, y, rx, ry), (y, x, ry, rx), (x, x, rx, rx)):
+            assert (u == v) == (ru == rv) and (u != v) == (ru != rv)
+            assert (u < v) == (ru < rv)
+        assert x == x + y - y and hash(x + y - y) == hash(x)
+        forms = [x, y, x + k, y - k, x + y, AffineExp(*s)]
+        refs = [rx, ry, rx + k, ry - k, rx + ry, ReferenceAffineExp(*s)]
+        assert [repr(z) for z in sorted(forms)] == [repr(z) for z in sorted(refs)]
+        assert len(set(forms)) == len(set(refs))
+        (rep, m), (rrep, rm) = x.split(), rx.split()
+        assert same_affine(rep, rrep) and type(m) is int and m == rm
+        for method in ("subs_lam", "shift"):
+            assert same_affine(getattr(x, method)(e, f), getattr(rx, method)(e, f))
+            assert same_affine(getattr(x, method)(f, e), getattr(rx, method)(f, e))
+        assert parts_of(x.as_scalar()) == parts_of(rx.as_scalar())
+        assert x != (x.a, x.b, x.c) and x != 0
+
+    def test_denominator_without_modular_inverse(self):
+        # hash() has no inverse of a multiple of its modulus: the Fraction
+        # rule (a fixed value) applies
+        big = Fraction(1, sys.hash_info.modulus)
+        for u in ((0, 0, big), (big, 3 * big, 1), (2, 0, 5 * big)):
+            assert same_affine(AffineExp(*u), ReferenceAffineExp(*u))
+            assert hash(GaussianRational(u[2])) == hash(rat(u[2]))
 
 
 def reference_eq(a, b):
