@@ -8,6 +8,7 @@ forms.  Exit codes: 0 all passed, 1 any failure, 2 usage error, 141
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -270,7 +271,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "%s: error: %s\n" % (self.prog, message))
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as
+    it was, so later `main` calls reuse it."""
     p = _Parser(prog="sbolab",
                 description="exact verification suites for "
                 "spinor symmetry breaking kernels")

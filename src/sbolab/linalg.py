@@ -151,8 +151,9 @@ def echelon(rows, ncols, piv=None):
     order they were made); the rest are reduced against it and join the
     queue of their new leading column.  Given piv, the echelon of earlier
     rows, its row for a column stays that column's pivot and the new rows
-    extend it; the pivot columns, the rank and `echelon_nullspace` are then
-    those of the echelon of all rows.  piv itself is left as it was.
+    extend it, also where they hold columns that lie between those of the
+    earlier rows; the pivot columns, the rank and `echelon_nullspace` are
+    then those of the echelon of all rows.  piv itself is left as it was.
     """
     piv = dict(piv) if piv else {}
     kinds = {type(next(iter(r.values()))) for r in piv.values()}

@@ -305,11 +305,6 @@ class ParamPoly:
             return x
         return ParamPoly.const(x)
 
-    @staticmethod
-    def affine(a, b, c):
-        """a*lam + b*nu + c."""
-        return ParamPoly({(1, 0): a, (0, 1): b, (0, 0): c})
-
     def is_zero(self):
         return not self.terms
 

@@ -11,7 +11,7 @@ vanishing patterns that select quotients and subrepresentations.
 from fractions import Fraction
 from math import gcd
 
-from .paramfield import GaussianRational, rat, _gr, _over_den
+from .paramfield import GaussianRational, ONE, rat, _acc, _gr, _over_den
 from .cliffspin import DimensionMismatch
 from . import linalg
 
@@ -67,19 +67,22 @@ class LatticeSystem:
 
 class SolutionSpace:
     """Nullities of a truncated system at depths d and d + 1; the nullspace
-    basis at depth d is built from the echelon when first read.  An echelon
-    of Z rows in the unknowns t_{i,j} = i^-k s_{i,j} of `_real_frame` is
-    first brought back to s: x at (i, j) becomes x * i^-k."""
+    basis at depth d, that of the reduced echelon form in level order, is
+    built from the j-major echelon over the depth-(d + 1) triangle when
+    first read.  An echelon of Z rows in the unknowns t_{i,j} = i^-k s_{i,j}
+    of `_real_frame` is first brought back to s: x at (i, j) becomes
+    x * i^-k."""
 
-    __slots__ = ("dim", "dim_next", "stabilized", "_piv", "_cols", "_frame",
-                 "_basis")
+    __slots__ = ("dim", "dim_next", "stabilized", "_piv", "_cols", "_depth",
+                 "_frame", "_basis")
 
-    def __init__(self, dim, dim_next, piv, cols, frame=None):
+    def __init__(self, dim, dim_next, piv, cols, depth, frame=None):
         self.dim = dim
         self.dim_next = dim_next
         self.stabilized = dim == dim_next
         self._piv = piv
         self._cols = cols
+        self._depth = depth
         self._frame = frame
         self._basis = None
 
@@ -90,9 +93,34 @@ class SolutionSpace:
             if k is not None:
                 piv = {c: {cc: (0, -x) if k(*cols[cc]) else (x, 0)
                            for cc, x in row.items()} for c, row in piv.items()}
-            self._basis = [{cols[c]: v for c, v in vec.items()} for vec in
-                           linalg.echelon_nullspace(piv, len(cols))]
+            # the level-(d + 1) unknowns hold no entry of a depth-d row, so
+            # each is free and its nullspace vector is its unit vector
+            vecs = [{cols[c]: v for c, v in vec.items()} for vec in
+                    linalg.echelon_nullspace(piv, len(cols))]
+            self._basis = _level_form([vec for vec in vecs
+                                       if max(vec)[0] <= self._depth])
         return self._basis
+
+
+def _level_form(vecs):
+    """The basis of the span of vecs {(i, j): GaussianRational} that is 1 at
+    one free unknown and 0 at the others, sorted by free unknown, the free
+    unknowns being the last independent coordinates in level order.  For a
+    nullspace these complement the first independent columns of the rows,
+    the pivots in level order, so this is the level-order nullspace basis."""
+    todo, done = [dict(vec) for vec in vecs], []
+    while todo:
+        key = max(k for vec in todo for k in vec)
+        vec = todo.pop(next(m for m, v in enumerate(todo) if key in v))
+        s = vec.pop(key)
+        vec = {k: x / s for k, x in vec.items()}
+        for other in todo + [v for _, v in done]:
+            f = other.pop(key, None)
+            if f is not None:
+                _acc(other, ((k, -f * x) for k, x in vec.items()))
+        done.append((key, vec))
+    return [{key: ONE, **{k: vec[k] for k in sorted(vec)}}
+            for key, vec in sorted(done)]
 
 
 def _scaled_point(lam0, nu0):
@@ -201,11 +229,13 @@ def _real_frame(system):
 
 
 def _echelon(rows, depth, region, piv=None, frame=None):
-    """The unknowns s_{i,j}, i <= depth, free in region, and the echelon of
-    the rows over them; the list for depth d is a prefix of that for d + 1.
+    """The unknowns s_{i,j}, i <= depth, free in region, sorted by (j, i),
+    and the echelon of the rows over them.  A row at (i, j) reads only the
+    neighbors (i +- 1, j +- 1), so this order keeps the unknowns of a j-line
+    together and the elimination reduces fewer rows than in level order.
     Given the frame of `_real_frame`, the rows are eliminated over Z in the
     unknowns t_{i,j}, otherwise over Z[i]."""
-    cols = [(i, j) for i in range(depth + 1) for j in range(i + 1)
+    cols = [(i, j) for j in range(depth + 1) for i in range(j, depth + 1)
             if region is None or region(i, j)]
     idx = {key: c for c, key in enumerate(cols)}
     if frame is None:
@@ -218,16 +248,19 @@ def _echelon(rows, depth, region, piv=None, frame=None):
 
 
 def solve_dimension(system):
-    """Exact nullity of the truncated system, with a stabilization flag: the
-    depth-d echelon, extended by the rows of level d, gives the nullity at
-    depth d + 1 without solving that system again."""
+    """Exact nullity of the truncated system, with a stabilization flag.  The
+    depth-d rows, eliminated over the depth-(d + 1) triangle (they hold no
+    level-(d + 1) unknown), give the nullity at depth d; their echelon,
+    extended by the rows of level d, gives it at d + 1 without solving that
+    system again."""
     d, region, frame = system.depth, system.region, _real_frame(system)
-    cols, piv = _echelon(system.rows, d, region, None, frame)
+    cols, piv = _echelon(system.rows, d + 1, region, None, frame)
     top = [row for row, _ in
            _level_rows(system.n, system.point, system.sign, d, region)]
-    cols1, piv1 = _echelon(top, d + 1, region, piv, frame)
-    return SolutionSpace(len(cols) - len(piv), len(cols1) - len(piv1), piv,
-                         cols, frame)
+    _, piv1 = _echelon(top, d + 1, region, piv, frame)
+    ncols = sum(1 for i, _ in cols if i <= d)
+    return SolutionSpace(ncols - len(piv), len(cols) - len(piv1), piv, cols,
+                         d, frame)
 
 
 def on_special_set(n, lam0, nu0):

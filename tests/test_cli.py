@@ -196,6 +196,52 @@ class TestEdgeCases:
         assert terms[0]["multi"] == [0] * 2000
 
 
+# runs each argv of the JSON list argv[1] through cli.main in this process;
+# prints [exit code, output, standard error] per argv as one JSON list
+_CALLS = """
+import contextlib, io, json, sys
+from sbolab import cli
+done = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv, out=out)
+    done.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(done))
+"""
+
+
+def _in_one_process(argvs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _CALLS, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestParserReuse:
+    """One parser serves every `main` call of a process."""
+
+    ARGVS = [
+        ["multiplicity", "--n", "4", "--lam=-5/2", "--nu=-2", "--depth", "6"],
+        ["multiplicity", "--n", "4", "--lam=-5/2"],  # no --nu: usage error
+        ["table", "composition", "--n", "4", "--imax", "1", "--jmax", "1",
+         "--depth", "6"],
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_each_call_as_in_a_fresh_process(self):
+        first = [_in_one_process([argv])[0] for argv in self.ARGVS]
+        together = _in_one_process(self.ARGVS + self.ARGVS[:1])
+        assert together == first + first[:1]
+        rc, out, err = together[1]
+        assert rc == 2 and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert together[0][0] == together[2][0] == 0
+
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self):
         argv = ["table", "composition", "--n", "4", "--imax", "1", "--jmax", "1",

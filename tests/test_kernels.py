@@ -23,6 +23,11 @@ def ps(x):
     return ParamScalar.coerce(x)
 
 
+def affine(a, b, c):
+    """The polynomial a*lam + b*nu + c."""
+    return ParamPoly({(1, 0): a, (0, 1): b, (0, 0): c})
+
+
 class TestFamilies:
     def test_b_plus_k0_form(self):
         # |x'|^{1-n-2nu} delta(x_n) times 1/Gamma((lam-nu+1/2)/2)
@@ -46,7 +51,7 @@ class TestFamilies:
         keys = set(K.terms)
         assert ("P", (0, 0, 1)) in keys and ("P", (1, 0, 0)) in keys
         mat = blade_matrix(3, K.terms[("P", (0, 0, 1))])
-        twice = ParamScalar(ParamPoly.affine(0, 2, -1))
+        twice = ParamScalar(affine(0, 2, -1))
         from sbolab.cliffspin import zeta_matrix
         want = {k: ps(v) * twice for k, v in zeta_matrix(3, "+", 3).entries.items()}
         assert mat == want
@@ -140,7 +145,7 @@ class TestMultiplicationRules:
         assert KernelExpr(4, (4, 4), {point: {(r, r): 2 for r in range(4)}}) == want
 
     def test_substitution_drops_zero_entries(self):
-        lam_minus_nu = ParamScalar(ParamPoly.affine(1, -1, 0))
+        lam_minus_nu = ParamScalar(affine(1, -1, 0))
         point = ("P", (0, 0, 0))
         K = KernelExpr(3, (2, 2), {point: {(0, 0): lam_minus_nu, (1, 1): ps(1)}})
         L = K.subs_lam(1, 0)
@@ -176,7 +181,7 @@ class TestExpandAgainstDelta:
         t2 = K.terms[("B", 2, AffineExp(0, -2, 0), AffineExp(), (0, 0, 0))]
         t0 = K.terms[("B", 0, AffineExp(0, -2, -2), AffineExp(), (0, 0, 0))]
         assert t2 == {0: ps(1)}
-        assert t0 == {0: ParamScalar(ParamPoly.affine(0, -2, 0))}
+        assert t0 == {0: ParamScalar(affine(0, -2, 0))}
 
     def test_normalization_is_additive(self):
         # pulling |x'|^2 out of one group adds to a second group that is
@@ -592,7 +597,7 @@ def test_blade_table_matches_dense_products(n):
 
 
 scalars = st.builds(lambda a, b, c, k: _ps_times_i_power(
-    k, ParamScalar(ParamPoly.affine(a, b, c))),
+    k, ParamScalar(affine(a, b, c))),
     st.integers(-2, 2), st.integers(-2, 2), st.integers(-3, 3),
     st.integers(0, 3)).filter(lambda x: not x.is_zero())
 

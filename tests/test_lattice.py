@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import sbolab
 from sbolab import linalg
 from sbolab.paramfield import (GaussianRational, ParamScalar, PS_LAM, PS_NU,
-                               PS_I, evaluate, rat)
+                               PS_I, evaluate, rat, _acc)
 from sbolab.cliffspin import DimensionMismatch
 from sbolab.monogenics import (lambda_constant, NotAdjacent, _split_label,
                                _adjacent_move)
@@ -20,7 +20,7 @@ from sbolab.sbolattice import (build_system, solve_dimension, multiplicity,
                                composition_multiplicity, composition_table,
                                expected_composition, on_special_set,
                                BadDepth, BadLabel, _echelon, _real_frame,
-                               _level_rows, _PAIRS)
+                               _level_form, _level_rows, _PAIRS)
 
 
 # -- the symbolic sector rows: the oracle for the rows built at the point -----
@@ -646,6 +646,123 @@ class TestRealFrame:
                               _real_frame(system))
             assert all(isinstance(v, tuple)
                        for row in piv.values() for v in row.values())
+
+
+# -- the level-order route, kept as the oracle for the j-major elimination ----
+
+def level_order_solution(system):
+    """(dim, dim_next, basis) by the route `solve_dimension` took before the
+    j-major order: the unknowns numbered by (i, j), so that the index of the
+    depth-d triangle is a prefix of that of depth d + 1; the echelon of the
+    rows there, in the real frame at a real point, extended by the rows of
+    level d; and the nullspace basis from the depth-d echelon."""
+    d, region, k = system.depth, system.region, _real_frame(system)
+    cols = [(i, j) for i in range(d + 2) for j in range(i + 1)
+            if region is None or region(i, j)]
+    idx = {key: c for c, key in enumerate(cols)}
+    ncols = sum(1 for i, _ in cols if i <= d)
+
+    def indexed(rows):
+        if k is None:
+            return [{idx[key]: v for key, v in row.items()} for row in rows]
+        return [{idx[key]: x - y if k(*key) else x + y
+                 for key, (x, y) in row.items()} for row in rows]
+
+    top = [row for row, _ in
+           _level_rows(system.n, system.point, system.sign, d, region)]
+    piv = linalg.echelon(indexed(system.rows), ncols)
+    piv1 = linalg.echelon(indexed(top), len(cols), piv)
+    if k is not None:
+        piv = {c: {cc: (0, -x) if k(*cols[cc]) else (x, 0)
+                   for cc, x in row.items()} for c, row in piv.items()}
+    basis = [{cols[c]: v for c, v in vec.items()}
+             for vec in linalg.echelon_nullspace(piv, ncols)]
+    return ncols - len(piv), len(cols) - len(piv1), basis
+
+
+def _assert_matches_level_order(system):
+    sol = solve_dimension(system)
+    dim, dim_next, basis = level_order_solution(system)
+    assert (sol.dim, sol.dim_next) == (dim, dim_next)
+    # the same vectors, each with its entries in the same order
+    assert [list(vec.items()) for vec in sol.basis] == \
+        [list(vec.items()) for vec in basis]
+    return sol
+
+
+class TestJMajorOrder:
+    """The unknowns are eliminated j-major; the nullities and the level-order
+    basis are those of the level-order route."""
+
+    def test_columns_sorted_by_j_then_i(self):
+        region = lambda k, l: l != 1
+        cols, _ = _echelon([], 5, region)
+        assert cols == sorted(((i, j) for i in range(6) for j in range(i + 1)
+                               if region(i, j)), key=lambda c: (c[1], c[0]))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_real_points(self, n, sign):
+        flags = set()
+        for lam0, nu0 in _real_points(n):
+            system = build_system(n, lam0, nu0, sign, 8)
+            flags.add(_assert_matches_level_order(system).stabilized)
+        assert flags == {True, False}
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_non_real_point(self, sign):
+        system = build_system(4, _gauss("-5/2", "1/2"), _gauss(-2, "-3/4"),
+                              sign, 6)
+        assert _real_frame(system) is None
+        _assert_matches_level_order(system)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_composition_regions(self, n):
+        for i, j, parity, depth in ((1, 0, 1, 6), (2, 1, 1, 8), (1, 2, 0, 8),
+                                    (3, 2, 0, 8)):
+            for pair in ("FF", "FT", "TF", "TT"):
+                system = _composition_system(n, i, j, parity, pair, depth)
+                dim = _assert_matches_level_order(system).dim
+                assert composition_multiplicity(
+                    n, i, j, parity, pair, depth, stabilize=False) == dim
+
+    def test_level_form_of_a_mixed_basis(self):
+        # any basis of the nullspace has the same level-order form: here
+        # the level-order basis itself, mixed by a triangular matrix with
+        # nonzero diagonal, so that the first vector, which holds the last
+        # free unknown, holds every other free unknown too
+        mixed_dims = 0
+        for lam0, nu0 in _real_points(4):
+            for sign in (1, -1):
+                basis = solve_dimension(build_system(4, lam0, nu0, sign,
+                                                     8)).basis
+                mixed = [_acc({}, ((key, v * rat(l + 1))
+                                   for l in range(m, len(basis))
+                                   for key, v in basis[l].items()))
+                         for m in range(len(basis))]
+                got = _level_form(mixed)
+                assert [list(vec.items()) for vec in got] == \
+                    [list(vec.items()) for vec in basis]
+                mixed_dims += len(basis) > 1
+        assert mixed_dims
+
+    def test_fewer_reductions_than_level_order(self, monkeypatch):
+        calls = []
+        reduce = linalg._reduce_z
+
+        def counted(r, row, col):
+            calls.append(col)
+            return reduce(r, row, col)
+
+        monkeypatch.setattr(linalg, "_reduce_z", counted)
+        for lam0, nu0 in (("-5/2", -2), ("1/3", "-2/7")):
+            system = build_system(4, lam0, nu0, 1, 12)
+            solve_dimension(system)
+            j_major = len(calls)
+            calls.clear()
+            level_order_solution(system)
+            assert j_major < len(calls), (lam0, nu0)
+            calls.clear()
 
 
 def _sympy_nullity(system):

@@ -427,6 +427,63 @@ def test_z_extension_is_zi_extension_of_real_rows(first, second):
                                          piv_pairs))
 
 
+
+@st.composite
+def interleaved_extensions(draw):
+    """Sparse primitive rows, all in Z or all in Z[i]: base rows on the even
+    columns, and extension rows on any column, some of them combinations
+    of earlier rows.  The columns new to the extension fall between those
+    of the base, as when sbolattice extends the echelon of the depth-d rows
+    by the rows of level d."""
+    zi = draw(st.booleans())
+    ncols = draw(st.integers(2, 9))
+    entry = st.integers(-20, 20)
+
+    def rows(columns, count, earlier):
+        out = []
+        for _ in range(count):
+            pool = earlier + out
+            if len(pool) >= 2 and draw(st.booleans()):
+                a, b = draw(entry), draw(entry)
+                r1, r2 = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+                zero = (0, 0) if zi else 0
+                row = {}
+                for c in sorted(set(r1) | set(r2)):
+                    x, y = r1.get(c, zero), r2.get(c, zero)
+                    row[c] = (a * x[0] + b * y[0], a * x[1] + b * y[1]) \
+                        if zi else a * x + b * y
+            else:
+                cols = draw(st.lists(st.sampled_from(columns), unique=True,
+                                     max_size=len(columns)))
+                row = {c: (draw(entry), draw(entry)) if zi else draw(entry)
+                       for c in cols}
+            row = {c: x for c, x in row.items() if x not in (0, (0, 0))}
+            if row:
+                out.append(linalg._primitive(row) if zi
+                           else linalg._primitive_z(row))
+        return out
+
+    base = rows(list(range(0, ncols, 2)), draw(st.integers(0, 6)), [])
+    return base, rows(list(range(ncols)), draw(st.integers(1, 6)), base), ncols
+
+
+@given(interleaved_extensions())
+@settings(max_examples=150, deadline=None)
+def test_extension_with_columns_between_the_base_columns(system):
+    base, ext, ncols = system
+    piv = linalg.echelon(base, ncols)
+    got = linalg.echelon(ext, ncols, piv)
+    whole = linalg.echelon(base + ext, ncols)
+    assert all(c % 2 == 0 for row in piv.values() for c in row)
+    assert all(got[c] is row for c, row in piv.items())
+    assert sorted(got) == sorted(whole)
+
+    def zi(piv):
+        return {c: {cc: x if type(x) is tuple else (x, 0)
+                    for cc, x in row.items()} for c, row in piv.items()}
+    assert linalg.echelon_nullspace(zi(got), ncols) == \
+        linalg.echelon_nullspace(zi(whole), ncols)
+
 @pytest.mark.parametrize("rows,piv", [
     ([{0: 1}, {0: (1, 0)}], None),
     ([{0: (2, 1)}, {}, {1: 3}], None),
@@ -441,8 +498,7 @@ def test_echelon_refuses_mixed_kinds(rows, piv):
 def _indexed_rows(system):
     """The system's Z[i] rows over column indices, as sbolattice orders the
     unknowns s_{i,j}, i <= depth, that its region leaves free."""
-    cols = [(i, j) for i in range(system.depth + 1) for j in range(i + 1)
-            if system.region is None or system.region(i, j)]
+    cols, _ = lt._echelon([], system.depth, system.region)
     idx = {key: c for c, key in enumerate(cols)}
     return [{idx[key]: v for key, v in row.items()} for row in system.rows], \
         len(cols)

@@ -24,6 +24,11 @@ def gr(a, b=0):
     return GaussianRational(a, b)
 
 
+def affine(a, b, c):
+    """The polynomial a*lam + b*nu + c."""
+    return ParamPoly({(1, 0): a, (0, 1): b, (0, 0): c})
+
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 gaussians = st.builds(GaussianRational, rationals, rationals)
 
@@ -175,9 +180,9 @@ class TestHashAgreesWithEquality:
         assert hash(ParamScalar.coerce(x)) == hash(x)
 
     def test_nonconstant_values_still_hash(self):
-        s = ParamScalar(ParamPoly.affine(1, 0, 2), ParamPoly.affine(0, 1, 1))
-        assert len({s, ParamScalar(ParamPoly.affine(2, 0, 4),
-                                   ParamPoly.affine(0, 2, 2))}) == 1
+        s = ParamScalar(affine(1, 0, 2), affine(0, 1, 1))
+        assert len({s, ParamScalar(affine(2, 0, 4),
+                                   affine(0, 2, 2))}) == 1
         assert len({PS_LAM, LAM}) == 1
 
 
@@ -225,7 +230,7 @@ class TestPochhammer:
 
 class TestEvaluate:
     def test_direct_substitution(self):
-        s = ParamScalar(ParamPoly.affine(1, -1, 0), ParamPoly.affine(1, 1, 0))
+        s = ParamScalar(affine(1, -1, 0), affine(1, 1, 0))
         assert evaluate(s, 3, 1) == gr("1/2")
 
     def test_imaginary_point(self):
@@ -233,7 +238,7 @@ class TestEvaluate:
         assert evaluate(s, I, 0) == gr(-1)
 
     def test_pole(self):
-        s = ParamScalar(ParamPoly.const(1), ParamPoly.affine(1, -1, 0))
+        s = ParamScalar(ParamPoly.const(1), affine(1, -1, 0))
         with pytest.raises(PoleError):
             evaluate(s, 1, 1)
 
@@ -247,7 +252,7 @@ class TestGammaNormalize:
         # Gamma(z+1)/Gamma(z) = z with z = (lam-nu)/2 + 1/4
         s = ParamScalar.gamma_factor("1/2", "-1/2", "5/4") * \
             ParamScalar.gamma_factor("1/2", "-1/2", "1/4", -1)
-        assert s == ParamScalar(ParamPoly.affine("1/2", "-1/2", "1/4"))
+        assert s == ParamScalar(affine("1/2", "-1/2", "1/4"))
 
     def test_cancellation(self):
         s = ParamScalar.gamma_factor(0, 1, "1/3") * \
@@ -258,15 +263,15 @@ class TestGammaNormalize:
         # Gamma(z+2)/Gamma(z) = z(z+1) with z = (lam-nu)/2 - 1/4
         s = ParamScalar.gamma_factor("1/2", "-1/2", "7/4") * \
             ParamScalar.gamma_factor("1/2", "-1/2", "-1/4", -1)
-        z = ParamScalar(ParamPoly.affine("1/2", "-1/2", "-1/4"))
+        z = ParamScalar(affine("1/2", "-1/2", "-1/4"))
         assert s == z * (z + PS_ONE)
 
     def test_idempotent(self):
         s = ParamScalar.gamma_factor(0, 1, "5/2") * \
             ParamScalar.gamma_factor(0, 1, "1/2", -1)
         assert rebuilt(s) == s
-        assert s == ParamScalar(ParamPoly.affine(0, 1, "1/2") *
-                                ParamPoly.affine(0, 1, "3/2"))
+        assert s == ParamScalar(affine(0, 1, "1/2") *
+                                affine(0, 1, "3/2"))
 
     def test_commutes_with_multiplication(self):
         a = ParamScalar.gamma_factor("1/2", "1/2", "9/4")
@@ -293,19 +298,19 @@ class TestRationalFunctions:
     @settings(max_examples=40, deadline=None)
     def test_field_identities(self, p, q, r):
         a = ParamScalar(p + ParamPoly.const(1))
-        b = ParamScalar(q + ParamPoly.affine(1, 0, 0))
-        c = ParamScalar(r + ParamPoly.affine(0, 1, 2))
+        b = ParamScalar(q + affine(1, 0, 0))
+        c = ParamScalar(r + affine(0, 1, 2))
         assert (a + b) * c == a * c + b * c
         assert a * (b * c) == (a * b) * c
         if not a.is_zero():
             assert a / a == PS_ONE
 
     @given(polys, polys)
-    @example(ParamPoly(), ParamPoly.affine(-1, 1, 0))  # q cancels the shift
+    @example(ParamPoly(), affine(-1, 1, 0))  # q cancels the shift
     @settings(max_examples=40, deadline=None)
     def test_gcd_divides(self, p, q):
-        p = p + ParamPoly.affine(1, 1, 1)
-        q = q + ParamPoly.affine(1, -1, 0)
+        p = p + affine(1, 1, 1)
+        q = q + affine(1, -1, 0)
         # the drawn q can cancel the shift, and 0 is no denominator
         assume(not q.is_zero())
         g = poly_gcd(p * q, q)
@@ -316,11 +321,11 @@ class TestRationalFunctions:
         assert s == ParamScalar(p)
 
     def test_reduction(self):
-        common = ParamPoly.affine(1, 1, 0)
-        s = ParamScalar(common * ParamPoly.affine(1, -1, "1/2"),
-                        common * ParamPoly.affine(0, 1, 2))
-        assert s == ParamScalar(ParamPoly.affine(1, -1, "1/2"),
-                                ParamPoly.affine(0, 1, 2))
+        common = affine(1, 1, 0)
+        s = ParamScalar(common * affine(1, -1, "1/2"),
+                        common * affine(0, 1, 2))
+        assert s == ParamScalar(affine(1, -1, "1/2"),
+                                affine(0, 1, 2))
 
     def test_add_requires_same_gamma_content(self):
         a = ParamScalar.gamma_factor(0, 1, "1/2")
@@ -328,7 +333,7 @@ class TestRationalFunctions:
             a + PS_ONE
 
     def test_substitutions(self):
-        s = ParamScalar(ParamPoly.affine(1, 1, 0))
+        s = ParamScalar(affine(1, 1, 0))
         assert s.subs_lam(-1, "-1/2") == ParamScalar.coerce("-1/2")
         assert s.shift(1, 0) == s + PS_ONE
 
@@ -646,7 +651,7 @@ def scalars(draw):
         s = ParamScalar.coerce(draw(st.integers(-6, 6)))
     else:
         num, den = draw(quadratic_polys), draw(quadratic_polys)
-        s = ParamScalar(num, ParamPoly.affine(0, 1, 1) if den.is_zero() else den)
+        s = ParamScalar(num, affine(0, 1, 1) if den.is_zero() else den)
     g = draw(gamma_contents)
     return s * ParamScalar(1, None, g) if g else s
 
@@ -793,7 +798,7 @@ class ReferenceAffineExp:
                                   self.c + self.a * rat(dl) + self.b * rat(dv))
 
     def as_scalar(self):
-        return ParamScalar(ParamPoly.affine(self.a, self.b, self.c))
+        return ParamScalar(affine(self.a, self.b, self.c))
 
     def sort_key(self):
         return (str(self.a), str(self.b), str(self.c))
@@ -945,9 +950,9 @@ class TestCanonicalEquality:
                 assert hash(u) == hash(v), route
 
     def test_equal_values_from_different_denominators(self):
-        s = ParamScalar(ParamPoly.affine(1, 0, 2) * ParamPoly.affine(0, 1, 3),
-                        ParamPoly.affine(0, 1, 3) * ParamPoly.affine(2, 1, 0))
-        t = ParamScalar(ParamPoly.affine("1/2", 0, 1), ParamPoly.affine(1, "1/2", 0))
+        s = ParamScalar(affine(1, 0, 2) * affine(0, 1, 3),
+                        affine(0, 1, 3) * affine(2, 1, 0))
+        t = ParamScalar(affine("1/2", 0, 1), affine(1, "1/2", 0))
         assert s == t and reference_eq(s, t) and hash(s) == hash(t)
         assert s != t * 2 and not reference_eq(s, t * 2)
 
