@@ -208,8 +208,7 @@ def _lattice_grid(n, imax, jmax, depth):
     rows = []
     for a in range(-1, imax + 1):
         for b in range(-1, jmax + 1):
-            lam0 = -(rat(n) / 2 + rat("1/2") + a)
-            nu0 = -(rat(n - 1) / 2 + rat("1/2") + b)
+            lam0, nu0 = sbolattice.lattice_point(n, a, b)
             res = sbolattice.multiplicity(n, lam0, nu0, depth=depth)
             rows.append({"n": n, "lam": str(lam0), "nu": str(nu0),
                          "sector_plus": res["dim_plus"],

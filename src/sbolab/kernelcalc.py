@@ -727,7 +727,8 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
 def identity_cases(n, kmax, lmax):
     """(tag, index keywords) of every catalogued check up to kmax and lmax.
 
-    In report order: the k identities for each k, the l identities for each
+    In report order: the k identities for each k (an identity indexed by k
+    and the sign of j at j >= 0, then at j = -1), the l identities for each
     l, those without index, the vanishing reports, then at odd n the residue
     steps at each 0 <= j < i <= kmax whose i - j has the step's parity.
     """
@@ -735,7 +736,9 @@ def identity_cases(n, kmax, lmax):
         # the tags whose index name starts with first ("" for no index)
         return [tag for tag, (name, *_) in _IDENTITIES.items()
                 if (name or "")[:1] == first]
-    cases = [(tag, {"k": k}) for k in range(kmax + 1) for tag in named("k")]
+    cases = [(tag, kw) for k in range(kmax + 1) for tag in named("k")
+             for kw in ([{"k": k}, {"k": k, "j": -1}]
+                        if _IDENTITIES[tag][0] == "kj" else [{"k": k}])]
     cases += [(tag, {"l": l}) for l in range(lmax + 1) for tag in named("l")]
     cases += [(tag, {}) for tag in named("")]
     cases += [(tag, {"k": kmax, "l": lmax}) for tag in _VANISHING]

@@ -12,9 +12,11 @@ times before it vanishes; the columns are taken in order, so the pivot
 columns and the reduced echelon form do not depend on which row is chosen.
 `gaussian_ints` turns a Q(i) row into such a row; `eliminate`, `rank`
 and `nullspace` take Q(i) rows and convert them, while a caller that
-builds its rows in Z[i] or Z passes them to `echelon` directly.  A rank is the number of pivots; only a
-caller that needs the pivot rows or a nullspace brings them back to Q(i),
-normalized to 1 at the pivot.
+builds its rows in Z[i] or Z passes them to `echelon` directly.  A rank
+is the number of pivots; only a caller that needs the pivot rows or a
+nullspace brings them back to Q(i), normalized to 1 at the pivot.  The
+back substitution is done once, in `reduced_echelon`, which every
+nullspace and `solve_in_span` read.
 """
 
 from math import gcd
@@ -203,30 +205,25 @@ def nullspace(rows, ncols):
                              ncols)
 
 
+def reduced_echelon(piv):
+    """The reduced echelon form of an echelon {col: Z[i] row}: {pivot column:
+    Q(i) row} in ascending pivot order, each row 1 at its pivot and 0 at
+    every other pivot column.  The rows are back-substituted from the last."""
+    rref = {c: _to_rationals(piv[c], c) for c in sorted(piv)}
+    for c in reversed(rref):
+        row = rref[c]
+        for cc in [cc for cc in row if cc != c and cc in rref]:
+            f = -row.pop(cc)
+            _acc(row, ((k, f * v) for k, v in rref[cc].items() if k != cc))
+    return rref
+
+
 def echelon_nullspace(piv, ncols):
-    """The nullspace basis of nullspace() from an echelon {col: Z[i] row}."""
-    pivots = sorted(piv)
-    prows = [_to_rationals(piv[c], c) for c in pivots]
-    # back-substitute to reduced echelon form
-    piv_of_col = {c: i for i, c in enumerate(pivots)}
-    for i in range(len(prows) - 1, -1, -1):
-        row = prows[i]
-        for c in list(row.keys()):
-            j = piv_of_col.get(c)
-            if j is None or j <= i:
-                continue
-            f = -row.pop(c)
-            _acc(row, ((cc, f * v) for cc, v in prows[j].items() if cc != c))
-    free = [c for c in range(ncols) if c not in piv_of_col]
-    basis = []
-    for fc in free:
-        vec = {fc: ONE}
-        for i, pc in enumerate(pivots):
-            v = prows[i].get(fc)
-            if v is not None:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
+    """The nullspace basis of nullspace() from an echelon {col: Z[i] row}:
+    one vector per free column, the free column first, then the pivots."""
+    rref = reduced_echelon(piv)
+    return [{fc: ONE, **{c: -row[fc] for c, row in rref.items() if fc in row}}
+            for fc in range(ncols) if fc not in rref]
 
 
 def solve_in_span(rows, m):
@@ -253,10 +250,10 @@ def solve_in_span(rows, m):
             piv = echelon([_primitive(row)], m + 1, piv)
             if m in piv:
                 return None  # inconsistent
-    # the pivots are the columns 0..m-1, so the nullspace is spanned by
-    # (-c_0, ..., -c_{m-1}, 1)
-    (vec,) = echelon_nullspace(piv, m + 1)
-    sol = [-vec.get(c, ZERO) for c in range(m)]
+    # the pivots are the columns 0..m-1, so row j of the reduced echelon
+    # form says that c_j is its entry in the target column
+    rref = reduced_echelon(piv)
+    sol = [rref[c].get(m, ZERO) for c in range(m)]
     # the solution as Gaussian integers over one denominator d, and -d for
     # the target column
     nums, d = _over_den(dict(enumerate(sol)))

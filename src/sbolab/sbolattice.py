@@ -11,7 +11,7 @@ vanishing patterns that select quotients and subrepresentations.
 from fractions import Fraction
 from math import gcd
 
-from .paramfield import GaussianRational, ONE, rat, _acc, _gr, _over_den
+from .paramfield import GaussianRational, ONE, _gr, _over_den
 from .cliffspin import DimensionMismatch
 from . import linalg
 
@@ -24,12 +24,11 @@ class BadLabel(ValueError):
     """A sector sign, lattice index or parity outside its range."""
 
 
-def rho(n):
-    return Fraction(n, 2)
-
-
-def rho_h(n):
-    return Fraction(n - 1, 2)
+def lattice_point(n, a, b):
+    """The point (lam, nu) of lattice index (a, b):
+    lam = -(rho + 1/2 + a) with rho = n/2, nu = -(rho' + 1/2 + b) with
+    rho' = (n - 1)/2.  The special set is 0 <= b <= a."""
+    return Fraction(-(n + 1 + 2 * a), 2), Fraction(-(n + 2 * b), 2)
 
 
 # -- the sector systems ---------------------------------------------------------
@@ -105,22 +104,19 @@ class SolutionSpace:
 def _level_form(vecs):
     """The basis of the span of vecs {(i, j): GaussianRational} that is 1 at
     one free unknown and 0 at the others, sorted by free unknown, the free
-    unknowns being the last independent coordinates in level order.  For a
-    nullspace these complement the first independent columns of the rows,
-    the pivots in level order, so this is the level-order nullspace basis."""
-    todo, done = [dict(vec) for vec in vecs], []
-    while todo:
-        key = max(k for vec in todo for k in vec)
-        vec = todo.pop(next(m for m, v in enumerate(todo) if key in v))
-        s = vec.pop(key)
-        vec = {k: x / s for k, x in vec.items()}
-        for other in todo + [v for _, v in done]:
-            f = other.pop(key, None)
-            if f is not None:
-                _acc(other, ((k, -f * x) for k, x in vec.items()))
-        done.append((key, vec))
-    return [{key: ONE, **{k: vec[k] for k in sorted(vec)}}
-            for key, vec in sorted(done)]
+    unknowns being the last independent coordinates in level order: the
+    reduced echelon form of vecs with the coordinates numbered from the
+    largest (i, j) down.  For a nullspace these complement the first
+    independent columns of the rows, the pivots in level order, so this is
+    the level-order nullspace basis."""
+    keys = sorted({k for vec in vecs for k in vec}, reverse=True)
+    idx = {k: c for c, k in enumerate(keys)}
+    rows = ({idx[k]: x for k, x in vec.items()} for vec in vecs)
+    rref = linalg.reduced_echelon(
+        linalg.echelon(map(linalg.gaussian_ints, rows), len(keys)))
+    return [{keys[c]: ONE, **{keys[cc]: row[cc]
+                              for cc in sorted(row, reverse=True) if cc != c}}
+            for c, row in reversed(rref.items())]
 
 
 def _scaled_point(lam0, nu0):
@@ -269,12 +265,9 @@ def on_special_set(n, lam0, nu0):
     lam0, nu0 = GaussianRational.coerce(lam0), GaussianRational.coerce(nu0)
     if lam0.im or nu0.im:
         return False
-    a = -(lam0.re + rat(rho(n)) + rat("1/2"))
-    b = -(nu0.re + rat(rho_h(n)) + rat("1/2"))
-    if a.denominator != 1 or b.denominator != 1:
-        return False
-    i, j = int(a), int(b)
-    return 0 <= j <= i
+    lam, nu = lattice_point(n, 0, 0)
+    a, b = lam - lam0.re, nu - nu0.re
+    return a.denominator == 1 and b.denominator == 1 and 0 <= b <= a
 
 
 def multiplicity(n, lam0, nu0, depth=12):
@@ -305,7 +298,12 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
     F'(j) or T'(j)); parity is delta+epsilon mod 2.  The factor is realized
     as a quotient of the full module at the sign of the induction parameter
     where it is a quotient, the target as a subrepresentation, and the
-    lattice system is solved with the matching support pattern.
+    lattice system is solved with the matching support pattern: F(i) sits
+    at -lam and T'(j) at -nu of `lattice_point` (n, i, j).  The entry is the
+    nullity of the depth-d rows over the unknowns of the depth-d triangle.
+    stabilize has no effect: those rows hold no level-(d + 1) unknown, so
+    numbering the depth-(d + 1) triangle, as `solve_dimension` does, gives
+    the same nullity.
     """
     if type(n) is not int or n < 2:  # type, not isinstance: no bools
         raise DimensionMismatch("need an integer n >= 2")
@@ -316,23 +314,19 @@ def composition_multiplicity(n, i, j, parity, pair, depth=12, stabilize=True):
         raise BadDepth("depth must exceed i + j + 2")
     if pair not in _PAIRS:
         raise ValueError("pair must be one of %r" % (_PAIRS,))
-    lam_mag = rat(rho(n)) + rat("1/2") + i
-    nu_mag = rat(rho_h(n)) + rat("1/2") + j
+    lam, nu = lattice_point(n, i, j)
     src_F = pair[0] == "F"
     dst_F = pair[1] == "F"
-    lam0 = lam_mag if src_F else -lam_mag
-    nu0 = -nu_mag if dst_F else nu_mag
+    lam0 = -lam if src_F else lam
+    nu0 = nu if dst_F else -nu
     # realizing F as a quotient and T' as a subrepresentation flips one
     # parity each; the sector carries the net flip
     p = (parity + (1 if src_F else 0) + (0 if dst_F else 1)) % 2
     sign = 1 if p == 0 else -1
     region = lambda k, l: (k <= i) == src_F and (l <= j) == dst_F
     system = build_system(n, lam0, nu0, sign, depth, region)
-    if not stabilize:
-        cols, piv = _echelon(system.rows, depth, region, None,
-                             _real_frame(system))
-        return len(cols) - len(piv)
-    return solve_dimension(system).dim
+    cols, piv = _echelon(system.rows, depth, region, None, _real_frame(system))
+    return len(cols) - len(piv)
 
 
 def composition_table(n, imax, jmax, depth=12):

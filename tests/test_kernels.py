@@ -278,6 +278,11 @@ class TestIdentityCatalogue:
                 odd = (kw["i"] - kw["j"]) % 2 == 1
                 assert odd == (tag != "residue_step_spinor_plus")
         assert not any("i" in kw for _, kw in kernelcalc.identity_cases(4, 2, 1))
+        # the double display of Bt- (j < 0) right after that of Bt+
+        cases = kernelcalc.identity_cases(4, 2, 1)
+        for k in range(3):
+            at = cases.index(("b_double_display", {"k": k}))
+            assert cases[at + 1] == ("b_double_display", {"k": k, "j": -1})
 
     def test_unknown_identity(self):
         with pytest.raises(UnknownIdentity):

@@ -312,3 +312,22 @@ def test_split_checks_its_input_once_per_call():
     assert calls["split"] == 2 * len(mg.monogenic_basis(4, 1))
     assert calls["dirac"] == calls["split"]
     assert got == mg._bruteforce_block(*block)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_criterion_3_on_full_bases(n):
+    # criterion 3 samples a reduced spanning set at n = 5, 6; on the full
+    # basis every one of its constants is matched too, and no map vanishes
+    compared = 0
+    for i in range(4):
+        for j in range(i + 1):
+            for sa in (1, -1):
+                for quad in adjacent_quadruples(n, i, j, sa):
+                    try:
+                        table = lambda_constant(n, *quad)
+                    except NotAdjacent:
+                        continue
+                    bf = lambda_constant_bruteforce(n, *quad, max_basis=None)
+                    assert bf == table, quad
+                    compared += 1
+    assert compared == 126

@@ -19,8 +19,8 @@ from sbolab.monogenics import (lambda_constant, NotAdjacent, _split_label,
 from sbolab.sbolattice import (build_system, solve_dimension, multiplicity,
                                composition_multiplicity, composition_table,
                                expected_composition, on_special_set,
-                               BadDepth, BadLabel, _echelon, _real_frame,
-                               _level_form, _level_rows, _PAIRS)
+                               lattice_point, BadDepth, BadLabel, _echelon,
+                               _real_frame, _level_form, _level_rows, _PAIRS)
 
 
 # -- the symbolic sector rows: the oracle for the rows built at the point -----
@@ -388,6 +388,11 @@ class TestSpecialSet:
         assert not on_special_set(4, rat("-5/2"), rat(-3))   # j > i
         assert not on_special_set(4, rat(0), rat(0))
         assert not on_special_set(4, rat("-3"), rat(-2))     # lam not half-integer
+        for n in range(2, 10):
+            for a in range(-2, 7):
+                for b in range(-2, 7):
+                    assert on_special_set(n, *lattice_point(n, a, b)) == \
+                        (0 <= b <= a), (n, a, b)
 
 
 class TestReductionConsistency:

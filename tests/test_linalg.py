@@ -253,6 +253,30 @@ def test_nullspace_annihilates_rows(system):
             assert _dot(row, vec).is_zero()
 
 
+def _assert_reduced(piv, rows, ncols):
+    """reduced_echelon of the Z[i] echelon piv of the Q(i) rows: pivot order,
+    1 at the pivot, 0 at every other pivot column; and every nullspace
+    vector read from it annihilates every row."""
+    rref = linalg.reduced_echelon(piv)
+    assert list(rref) == sorted(piv)
+    for c, row in rref.items():
+        assert row[c] == ONE
+        assert not any(cc in row for cc in rref if cc != c)
+    basis = linalg.echelon_nullspace(piv, ncols)
+    assert len(basis) == ncols - len(piv)
+    for vec in basis:
+        for row in rows:
+            assert _dot(row, vec).is_zero()
+
+
+@given(sparse_systems())
+@settings(max_examples=50, deadline=None)
+def test_reduced_echelon_of_zi_rows(system):
+    rows, ncols = system
+    _assert_reduced(linalg.echelon(map(linalg.gaussian_ints, rows), ncols),
+                    rows, ncols)
+
+
 @given(sparse_systems(), st.lists(gaussians, min_size=1, max_size=7))
 @settings(max_examples=50, deadline=None)
 def test_solve_in_span_roundtrip(system, coeffs):
@@ -425,6 +449,16 @@ def test_z_extension_is_zi_extension_of_real_rows(first, second):
     _assert_same_as_pairs(linalg.echelon(second[0], ncols, piv),
                           linalg.echelon(_as_pairs(second[0]), ncols,
                                          piv_pairs))
+
+
+@given(int_systems())
+@settings(max_examples=50, deadline=None)
+def test_reduced_echelon_of_z_rows(system):
+    rows, ncols = system
+    piv = linalg.echelon(rows, ncols)
+    _assert_reduced({c: _as_pairs([row])[0] for c, row in piv.items()},
+                    [{c: GaussianRational(x) for c, x in row.items()}
+                     for row in rows], ncols)
 
 
 
