@@ -100,15 +100,9 @@ class CliffordElt:
         return not self.coeffs
 
     def vector_part(self):
-        coords = []
-        rest = 0
-        for i in range(self.n):
-            coords.append(self.coeffs.get(1 << i, ZERO))
-        for m in self.coeffs:
-            if bin(m).count("1") != 1:
-                rest += 1
-        return coords, rest == 0 and all(
-            bin(m).count("1") == 1 or m == 0 for m in self.coeffs)
+        """(coordinates, pure): pure when every blade is a vector."""
+        coords = [self.coeffs.get(1 << i, ZERO) for i in range(self.n)]
+        return coords, all(bin(m).count("1") == 1 for m in self.coeffs)
 
     def versor_inverse(self):
         """Inverse of a product of unit vectors, via the reversal."""
@@ -410,15 +404,11 @@ def _matmul(a, b):
 
 @lru_cache(maxsize=None)
 def zeta_matrix(n, variant, i):
-    """Matrix of zeta_n(e_i) on the mask-ordered basis of S_n."""
-    m = n // 2
-    dim = 1 << m
-    entries = {}
-    for mask in range(dim):
-        img = zeta_gen_apply(n, variant, i, Spinor.basis(m, mask))
-        for rmask, v in img.coeffs.items():
-            entries[(rmask, mask)] = v
-    return SpinMap(dim, dim, entries)
+    """Matrix of zeta_n(e_i) on the mask-ordered basis of S_n, read from the
+    signed permutation `_zeta_table`: i^k at (image, mask)."""
+    dim = spin_dim(n)
+    return SpinMap(dim, dim, {(image, mask): _times_i_power(k, ONE) for mask, (image, k)
+                              in enumerate(_zeta_table(n, variant, i))})
 
 
 @lru_cache(maxsize=None)

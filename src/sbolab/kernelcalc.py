@@ -19,9 +19,9 @@ equality of kernels is decidable by structural comparison.
 from itertools import combinations
 from math import factorial
 
-from .paramfield import (AffineExp, GaussianRational, ParamScalar, rat, pochhammer,
+from .paramfield import (AffineExp, ParamScalar, rat, pochhammer,
                          PS_ONE, _ps_times_i_power, _ps_times_int, _acc)
-from .cliffspin import (zeta_matrix, spin_projection_P, spin_dim, _blade_action,
+from .cliffspin import (spin_projection_P, spin_dim, _blade_action,
                         _blade_lmul, _matmul)
 
 
@@ -414,11 +414,6 @@ def _zeta_layer(n, m, r, c):
     return terms
 
 
-def _need_index(kind, name, v):
-    if v is None or v < 0:
-        raise BadParams("%s families need %s >= 0" % (kind, name))
-
-
 def _smooth_family(tag, n, **_):
     """A+, A- (raw smooth kernels) and At+, At- (normalized)."""
     plus = tag.endswith("+")
@@ -433,13 +428,19 @@ def _smooth_family(tag, n, **_):
     return KernelExpr(n, None, {key: c}, {"family": tag})
 
 
-def _b_family(tag, n, k=None, form="expanded", **_):
-    _need_index("B", "k", k)
-    plus = tag == "Bt+"
+def _b_family(tag, n, k, form):
+    """Bt+, Bt- (scalar delta layers of order 2k, 2k + 1, in the radial or
+    the expanded display) and sBt+, sBt- (zeta layers of order 2k + 1, 2k)."""
+    plus = tag.endswith("+")
+    spinor = tag[0] == "s"
+    odd = int(plus == spinor)
     tok = ParamScalar.gamma_factor(_H, -_H, _Q1 if plus else _Q3, -1)
-    m = 2 * k if plus else 2 * k + 1
-    meta = {"family": tag, "k": k,
-            "constraint": ("sum", -_H - 2 * k if plus else -3 * _H - 2 * k)}
+    m = 2 * k + odd
+    meta = {"family": tag, "k": k, "constraint": ("sum", -_H - 2 * k - odd)}
+    if spinor:
+        # zeta(x') r^{-nu-n/2} delta^(m) - m e_n r^{-nu-n/2} delta^(m-1)
+        return KernelExpr(n, (spin_dim(n),) * 2,
+                          _zeta_layer(n, m, AffineExp(0, -1, -rat(n) / 2), tok), meta)
     mono0 = (0,) * (n - 1)
     rho_h = rat(n - 1) / 2
     if form == "radial":
@@ -453,8 +454,7 @@ def _b_family(tag, n, k=None, form="expanded", **_):
     return KernelExpr(n, None, terms, meta)
 
 
-def _c_family(tag, n, l=None, **_):
-    _need_index("C", "l", l)
+def _c_family(tag, n, l, **_):
     plus = tag == "Ct+"
     nu_l = AffineExp(0, 1, -l).as_scalar()
     terms = {}
@@ -473,13 +473,8 @@ def _c_family(tag, n, l=None, **_):
 _RESIDUE = {"Att+": (-1, 0), "Att-": (-1, 1), "sAtt+": (0, 1), "sAtt-": (0, 0)}
 
 
-def _residue_family(tag, n, i=None, j=None, **_):
+def _residue_family(tag, n, i, j, **_):
     """Att+, Att- and their spinor analogues sAtt+, sAtt- at odd n."""
-    if n % 2 == 0 or i is None or j is None:
-        raise BadParams("residue forms need odd n and indices i, j")
-    plus = tag.endswith("+")
-    if i < j or (i - j) % 2 != (0 if plus else 1):
-        raise BadParams(tag + (" needs i - j in 2N" if plus else " needs i - j odd"))
     offset, flip = _RESIDUE[tag]
     m = n + i + j + offset
     c = ParamScalar((-1) ** (m // 2 + flip) * factorial(m // 2), factorial(m))
@@ -501,20 +496,7 @@ def _spinor_a_family(tag, n, **_):
     return out
 
 
-def _spinor_b_family(tag, n, k=None, **_):
-    _need_index("B", "k", k)
-    plus = tag == "sBt+"
-    tok = ParamScalar.gamma_factor(_H, -_H, _Q1 if plus else _Q3, -1)
-    m = 2 * k + 1 if plus else 2 * k
-    meta = {"family": tag, "k": k,
-            "constraint": ("sum", -3 * _H - 2 * k if plus else -_H - 2 * k)}
-    # zeta(x') r^{-nu-n/2} delta^(m) - m e_n r^{-nu-n/2} delta^(m-1)
-    return KernelExpr(n, (spin_dim(n),) * 2,
-                      _zeta_layer(n, m, AffineExp(0, -1, -rat(n) / 2), tok), meta)
-
-
-def _spinor_c_family(tag, n, l=None, **_):
-    _need_index("C", "l", l)
+def _spinor_c_family(tag, n, l, **_):
     plus = tag == "sCt+"
     nu_start = AffineExp(0, 1, _H - l if plus else -l - _H).as_scalar()
     q = 0 if plus else 1
@@ -536,18 +518,37 @@ def _spinor_c_family(tag, n, l=None, **_):
     return KernelExpr(n, (spin_dim(n),) * 2, terms, meta)
 
 
-_FAMILIES = {tag + sign: build
-             for tag, build in (("A", _smooth_family), ("At", _smooth_family),
-                                ("Bt", _b_family), ("Ct", _c_family),
-                                ("Att", _residue_family), ("sAt", _spinor_a_family),
-                                ("sBt", _spinor_b_family), ("sCt", _spinor_c_family),
-                                ("sAtt", _residue_family))
-             for sign in "+-"}
+# tag -> (index name, builder), the index names those of _IDENTITIES: the
+# residue forms Att+- and sAtt+- are stated where i - j is even (+) or odd (-)
+_FAMILIES = {tag + sign: (name + parity if name == "ij" else name, build)
+             for tag, name, build in (
+                 ("A", None, _smooth_family), ("At", None, _smooth_family),
+                 ("Bt", "k", _b_family), ("Ct", "l", _c_family), ("Att", "ij", _residue_family),
+                 ("sAt", None, _spinor_a_family), ("sBt", "k", _b_family),
+                 ("sCt", "l", _spinor_c_family), ("sAtt", "ij", _residue_family))
+             for sign, parity in (("+", "_even"), ("-", "_odd"))}
 
 
-def _check_dim(n):
+def _index(name, n, k, l, i, j):
+    """The index tuple of a family or identity index name (see _IDENTITIES),
+    after the one domain check: n >= 2, then k or l >= 0, or odd n with
+    0 <= j <= i and i - j of the named parity; BadParams outside it."""
     if n < 2:
         raise BadParams("kernels on R^n need n >= 2, got n=%r" % (n,))
+    if name is None:
+        return ()
+    if name[0] == "i":
+        odd = name == "ij_odd"
+        if n % 2 == 0 or i is None or j is None or not 0 <= j <= i or (i - j) % 2 != odd:
+            raise BadParams("residue forms need odd n and 0 <= j <= i, i - j %s"
+                            % ("odd" if odd else "even"))
+        return i, j
+    x = k if name[0] == "k" else l
+    if x is None or x < 0:
+        raise BadParams("needs %s >= 0" % name[0])
+    if name == "kj":
+        return x, "+" if j is None or j >= 0 else "-"
+    return (x,)
 
 
 def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
@@ -555,15 +556,17 @@ def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
 
     Scalar tags: 'A+', 'A-' (raw smooth kernels), 'At+', 'At-' (normalized),
     'Bt+', 'Bt-' (delta layers, index k), 'Ct+', 'Ct-' (point kernels, index
-    l), 'Att+', 'Att-' (residue forms at lattice points, n odd, indices i, j).
+    l), 'Att+', 'Att-' (residue forms at lattice points, indices i, j).
     Spinor tags: prefix 's' for the matrix-valued analogues.  form 'radial'
-    selects the undifferentiated radial display where one exists.
+    selects the undifferentiated radial display of Bt+ and Bt-.  The domain
+    is the tag's index name in _FAMILIES, checked by `_index` as for the
+    identities (k, l >= 0; the residue forms at odd n and 0 <= j <= i).
     """
-    build = _FAMILIES.get(tag)
-    if build is None:
+    entry = _FAMILIES.get(tag)
+    if entry is None:
         raise BadParams("unknown family tag %r" % (tag,))
-    _check_dim(n)
-    return build(tag, n, k=k, l=l, i=i, j=j, form=form)
+    name, build = entry
+    return build(tag, n, *_index(name, n, k, l, i, j), form=form)
 
 
 # -- identity suite -------------------------------------------------------------
@@ -580,8 +583,9 @@ def _on_line(K, constraint):
 
 # tag -> (index, line, lhs, rhs).  The index names the parameters the
 # identity is stated at: 'k' or 'l' (>= 0), 'ij_odd' or 'ij_even' (n odd,
-# i - j of that parity), 'kj' (k and the sign of j, which picks Bt+ or Bt-),
-# or None.  lhs and rhs build the two sides from (n, *index).  A line
+# 0 <= j <= i, i - j of that parity), 'kj' (k and the sign of j, which
+# picks Bt+ or Bt-), or None; `_index` checks it, for the families too.
+# lhs and rhs build the two sides from (n, *index).  A line
 # (kind, c) restricts both sides to lam + nu (kind 'sum') or lam - nu
 # (kind 'diff') = c - 2 * index.
 _IDENTITIES = {
@@ -668,30 +672,13 @@ _VANISHING = ("xn_kernel", "zeta_kernel")
 IDENTITY_TAGS = tuple(_IDENTITIES) + _VANISHING
 
 
-def _identity_index(name, n, k, l, i, j):
-    """The index tuple an identity is stated at; BadParams outside its domain."""
-    if name is None:
-        return ()
-    if name[0] == "i":
-        if n % 2 == 0 or i is None or j is None:
-            raise BadParams("needs odd n and i, j")
-        return i, j
-    x = k if name[0] == "k" else l
-    if x is None or x < 0:
-        raise BadParams("needs %s >= 0" % name[0])
-    if name == "kj":
-        return x, "+" if j is None or j >= 0 else "-"
-    return (x,)
-
-
 def _identity_sides(tag, n, k=None, l=None, i=None, j=None):
     """Both sides of a catalogued identity, restricted to its constraint line."""
     entry = _IDENTITIES.get(tag)
     if entry is None:
         raise UnknownIdentity(tag)
-    _check_dim(n)
     name, line, lhs, rhs = entry
-    index = _identity_index(name, n, k, l, i, j)
+    index = _index(name, n, k, l, i, j)
     lhs = lhs(n, *index)
     rhs = rhs(n, *index)
     if line is not None:
@@ -709,10 +696,9 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
     difference on failure.
     """
     if tag in _VANISHING:
-        _check_dim(n)
-        if (k is not None and k < 0) or (l is not None and l < 0):
-            raise BadParams("%s needs k, l >= 0" % tag)
-        return _vanishing_report(tag, n, k, l)
+        k, l = (2 if x is None else x for x in (k, l))
+        return _vanishing_report(tag, n, *_index("k", n, k, l, i, j),
+                                 *_index("l", n, k, l, i, j))
     lhs, rhs = _identity_sides(tag, n, k, l, i, j)
     # equal normal forms are equal kernels; a failing report gets the difference
     report = {"identity": tag, "n": n,
@@ -756,8 +742,6 @@ def _vanishing_report(tag, n, kmax, lmax):
         op, expect_zero = mult_xn, {("Bt+", 0), ("Ct+", 0)}
     else:
         op, expect_zero = mult_zeta, {("Ct+", 0)}
-    kmax = 2 if kmax is None else kmax
-    lmax = 2 if lmax is None else lmax
     ok = True
     detail = {}
     for fam, idx_name, top in (("Bt+", "k", kmax), ("Bt-", "k", kmax),
@@ -819,8 +803,7 @@ def _rotation_apply(K, a, b):
     if K.shape:
         # spin twists: X_row o K - K o X_col with X = zeta(e_a e_b)/2, on
         # dense matrices; copy_with takes them back to blades for rows in S_n
-        Xrow, Xcol = (zeta_matrix(m, "+", a).compose(zeta_matrix(m, "+", b))
-                      .scale(GaussianRational("1/2")).entries
+        Xrow, Xcol = (blade_matrix(m, {1 << (a - 1) | 1 << (b - 1): ParamScalar(1, 2)})
                       for m in (K.row_n, K.n))
         tw = {}
         for key, val in K.terms.items():

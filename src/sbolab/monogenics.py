@@ -18,9 +18,8 @@ from itertools import chain
 from math import factorial, gcd, lcm, perm, prod
 from types import MappingProxyType
 
-from .paramfield import (GaussianRational, ParamScalar, ZERO,
-                         PS_ZERO, PS_I, PS_LAM, pochhammer, rat, _gr, _acc,
-                         _over_den)
+from .paramfield import (GaussianRational, ParamScalar, PS_ZERO, PS_I, PS_LAM,
+                         evaluate, pochhammer, rat, _gr, _acc, _over_den)
 from .cliffspin import (fund_branching, spin_dim, DimensionMismatch, _spinor,
                         _zeta_table)
 from . import linalg
@@ -74,16 +73,10 @@ def gegenbauer(deg, lam):
 
 @lru_cache(maxsize=None)
 def gegenbauer_coeffs_rational(deg, lam):
-    """Coefficients of C_deg^lam(z) for a fixed rational lam, as GaussianRational."""
-    lam = rat(lam)
-    out = [ZERO] * (deg + 1)
-    for m in range(deg // 2 + 1):
-        p = deg - 2 * m
-        q = Fraction((-1) ** m * 2 ** p, factorial(m) * factorial(p))
-        for t in range(deg - m):
-            q *= lam + t
-        out[p] = GaussianRational(q)
-    return tuple(out)
+    """Coefficients of C_deg^lam(z) for a fixed rational lam (int, Fraction
+    or str), as GaussianRational: the coefficients of `gegenbauer`, each
+    evaluated (it is constant in lam and nu); () for deg = -1."""
+    return tuple(evaluate(c, 0, 0) for c in gegenbauer(deg, rat(lam)))
 
 
 # z-factors of an identity term, as ((power of z, coefficient), ...)

@@ -338,8 +338,7 @@ def composition_table(n, imax, jmax, depth=12):
                 entry = {"n": n, "i": i, "j": j, "parity": parity}
                 for pair in _PAIRS:
                     entry[pair] = composition_multiplicity(n, i, j, parity,
-                                                           pair, depth,
-                                                           stabilize=False)
+                                                           pair, depth)
                 rows.append(entry)
     return rows
 

@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sbolab import cli, kernelcalc
 
@@ -300,7 +300,15 @@ def argvs(draw):
                                         ["-h"]]))
 
 
+# residue indices outside 0 <= j <= i: once a ValueError traceback and a
+# kernel printed with exit 0
+_OFF_LATTICE = [["kernel", "--family", "Att+", "--n", "3", "--i=-2", "--j=-2"],
+                ["kernel", "--family", "sAtt-", "--n", "3", "--i=-1", "--j=-2"]]
+
+
 @given(argvs())
+@example(_OFF_LATTICE[0])
+@example(_OFF_LATTICE[1])
 @settings(max_examples=150, deadline=None)
 def test_exit_contract(argv):
     err = io.StringIO()
@@ -308,6 +316,8 @@ def test_exit_contract(argv):
         rc = cli.main(argv, out=io.StringIO())
     err = err.getvalue()
     assert rc in (0, 1, 2)
+    if argv in _OFF_LATTICE:
+        assert rc == 2
     assert "Traceback" not in err
     if rc == 2:
         assert err.endswith("\n") and err.count("\n") == 1, err

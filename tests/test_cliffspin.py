@@ -105,6 +105,14 @@ class TestCliffordAlgebra:
         with pytest.raises(DimensionMismatch):
             CliffordElt.basis(2, [1]) * CliffordElt.basis(3, [1])
 
+    def test_vector_part(self):
+        v = CliffordElt(3, {1: 2, 4: gr(0, 1)})
+        assert v.vector_part() == ([gr(2), ZERO, I], True)
+        # a scalar or a bivector part makes the element impure
+        assert (v + CliffordElt.scalar(3, 1)).vector_part() == ([gr(2), ZERO, I], False)
+        assert (v + CliffordElt.basis(3, [1, 3])).vector_part()[1] is False
+        assert CliffordElt(3).vector_part() == ([ZERO] * 3, True)
+
 
 class TestPinCover:
     def test_reflection(self):
@@ -179,6 +187,9 @@ class TestZetaTable:
                 for mask in range(1 << m):
                     s = Spinor.basis(m, mask).scale(gr("3/5", -2))
                     assert zeta_gen_apply(n, variant, i, s) == \
+                        zeta_gen_oracle(n, variant, i, s)
+                    # the matrix is read from the same table
+                    assert zeta_matrix(n, variant, i).apply_spinor(s) == \
                         zeta_gen_oracle(n, variant, i, s)
 
     @pytest.mark.parametrize("n", range(2, 9))

@@ -73,9 +73,38 @@ class TestFamilies:
         with pytest.raises(BadParams):
             make_family("sBt+", 1, k=0)  # needs n >= 2
         with pytest.raises(BadParams):
+            make_family("Att+", 3, i=-2, j=-2)  # used to raise ValueError
+        with pytest.raises(BadParams):
+            make_family("sAtt-", 3, i=-1, j=-2)  # used to build a kernel
+        with pytest.raises(BadParams):
             check_identity("juhl_up", 1, l=0)
         with pytest.raises(BadParams):  # End(S_4) is 4 x 4
             KernelExpr(4, (2, 4), {("P", (0, 0, 0, 0)): {(0, 0): ps(1)}})
+
+
+def _off_domain(name):
+    """(n, index keywords) outside the domain of a family index name, next
+    to one pair inside it: n = 1, a negative or missing index, and for
+    the residue forms even n, j < 0, j > i and the wrong parity of i - j."""
+    if name is None:
+        return (3, {}), [(1, {})]
+    if name in ("k", "l"):
+        return (3, {name: 0}), [(1, {name: 0}), (3, {name: -1}), (3, {})]
+    p = int(name == "ij_odd")
+    good = {"i": 2 - p, "j": 0}
+    return (3, good), [(1, good), (4, good), (3, {"i": 2 - p}), (3, {"j": 0}),
+                       (3, {"i": 0, "j": p - 2}), (3, {"i": p - 3, "j": -3}),
+                       (3, {"i": 0, "j": 2 - p}), (3, {"i": 1 + p, "j": 0})]
+
+
+@pytest.mark.parametrize("tag", list(kernelcalc._FAMILIES))
+def test_family_domain(tag):
+    good, bad = _off_domain(kernelcalc._FAMILIES[tag][0])
+    n, kw = good
+    make_family(tag, n, **kw)
+    for n, kw in bad:
+        with pytest.raises(BadParams):
+            make_family(tag, n, **kw)
 
 
 class TestMultiplicationRules:
@@ -244,6 +273,18 @@ class TestIdentityCatalogue:
         assert check_identity("residue_step", n, i=1, j=0)["ok"]
         assert check_identity("residue_step_spinor_minus", n, i=1, j=0)["ok"]
         assert check_identity("residue_step_spinor_plus", n, i=2, j=0)["ok"]
+
+    @pytest.mark.parametrize("tag,kw", [
+        ("residue_step", {"i": 0, "j": -1}),  # used to report ok
+        ("residue_step", {"i": 0, "j": 1}),
+        ("residue_step", {"i": 2, "j": 0}),
+        ("residue_step_spinor_minus", {"i": -1, "j": -2}),
+        ("residue_step_spinor_plus", {"i": 1, "j": 0}),
+        ("residue_step_spinor_plus", {"i": -2, "j": -2}),
+    ])
+    def test_residue_steps_need_lattice_indices(self, tag, kw):
+        with pytest.raises(BadParams):
+            check_identity(tag, 3, **kw)
 
     def test_vanishing_classification(self):
         assert check_identity("xn_kernel", 4, k=2, l=2)["ok"]
@@ -441,20 +482,24 @@ GOLDEN_FAMILIES = os.path.join(os.path.dirname(__file__), "golden",
                                "kernel_families.json")
 
 
+def _index_cases(name, n):
+    """The index keywords of the digest cases of a family index name: none,
+    k or l in 0..2, or at odd n each j <= i <= 2 with i - j of the parity."""
+    if name is None:
+        return [{}]
+    if name in ("k", "l"):
+        return [{name: x} for x in range(3)]
+    odd = name == "ij_odd"
+    return [{"i": i, "j": j} for i in range(3) for j in range(i + 1)
+            if n % 2 and (i - j) % 2 == odd]
+
+
 def _family_cases(ns=range(2, 6)):
-    """(case name, kernel) for every tag at each n in ns and indices 0..2."""
+    """(case name, kernel) for every catalogued tag at each n in ns, at the
+    index keywords of `_index_cases`."""
     for n in ns:
-        cases = [(tag, {}) for tag in ("A+", "A-", "At+", "At-", "sAt+", "sAt-")]
-        cases += [(tag, {"k": k}) for tag in ("Bt+", "Bt-", "sBt+", "sBt-")
-                  for k in range(3)]
-        cases += [(tag, {"l": l}) for tag in ("Ct+", "Ct-", "sCt+", "sCt-")
-                  for l in range(3)]
-        if n % 2:
-            for i in range(3):
-                for j in range(i + 1):
-                    sign = "-" if (i - j) % 2 else "+"
-                    cases += [("Att" + sign, {"i": i, "j": j}),
-                              ("sAtt" + sign, {"i": i, "j": j})]
+        cases = [(tag, kw) for tag, (name, _) in kernelcalc._FAMILIES.items()
+                 for kw in _index_cases(name, n)]
         for tag, kw in cases:
             name = " ".join(["%s n=%d" % (tag, n)] +
                             ["%s=%d" % p for p in sorted(kw.items())])
@@ -477,6 +522,7 @@ def test_family_digests_match_golden():
     with open(GOLDEN_FAMILIES) as fh:
         want = json.load(fh)
     got = family_digests()
+    assert len(want) == 452
     assert sorted(got) == sorted(want)
     assert [name for name in want if got[name] != want[name]] == []
 
