@@ -557,14 +557,18 @@ def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
     Scalar tags: 'A+', 'A-' (raw smooth kernels), 'At+', 'At-' (normalized),
     'Bt+', 'Bt-' (delta layers, index k), 'Ct+', 'Ct-' (point kernels, index
     l), 'Att+', 'Att-' (residue forms at lattice points, indices i, j).
-    Spinor tags: prefix 's' for the matrix-valued analogues.  form 'radial'
-    selects the undifferentiated radial display of Bt+ and Bt-.  The domain
-    is the tag's index name in _FAMILIES, checked by `_index` as for the
-    identities (k, l >= 0; the residue forms at odd n and 0 <= j <= i).
+    Spinor tags: prefix 's' for the matrix-valued analogues.  form is
+    'expanded' or 'radial' (BadParams otherwise); 'radial' selects the
+    undifferentiated radial display of Bt+ and Bt-, and a tag with one
+    display returns it for either form.  The domain is the tag's index name
+    in _FAMILIES, checked by `_index` as for the identities (k, l >= 0; the
+    residue forms at odd n and 0 <= j <= i).
     """
     entry = _FAMILIES.get(tag)
     if entry is None:
         raise BadParams("unknown family tag %r" % (tag,))
+    if form not in ("expanded", "radial"):
+        raise BadParams("form must be 'expanded' or 'radial', got %r" % (form,))
     name, build = entry
     return build(tag, n, *_index(name, n, k, l, i, j), form=form)
 
@@ -716,7 +720,8 @@ def identity_cases(n, kmax, lmax):
     In report order: the k identities for each k (an identity indexed by k
     and the sign of j at j >= 0, then at j = -1), the l identities for each
     l, those without index, the vanishing reports, then at odd n the residue
-    steps at each 0 <= j < i <= kmax whose i - j has the step's parity.
+    steps at each 0 <= j <= i <= kmax whose i - j has the step's parity (at
+    j = i only residue_step_spinor_plus, whose i - j is even).
     """
     def named(first):
         # the tags whose index name starts with first ("" for no index)
@@ -730,7 +735,7 @@ def identity_cases(n, kmax, lmax):
     cases += [(tag, {"k": kmax, "l": lmax}) for tag in _VANISHING]
     if n % 2:
         cases += [(tag, {"i": i, "j": j})
-                  for i in range(1, kmax + 1) for j in range(i)
+                  for i in range(kmax + 1) for j in range(i + 1)
                   for tag in named("i")
                   if _IDENTITIES[tag][0] == ("ij_odd" if (i - j) % 2 else "ij_even")]
     return cases

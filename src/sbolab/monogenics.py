@@ -614,15 +614,21 @@ def branch_embed(n, j, i, phi):
 
 # -- proportionality constants on the K-type lattice --------------------------
 #
-# K-type labels: for n even the source-group types are (i, s) with s = +-1 and
-# the target types are plain integers j; for n odd the roles of the sign are
-# swapped: types i and (j, s).  Containment means j <= i, adjacency means the
-# index moves by one of {(+1, same sign), (0, flip), (-1, same sign)}.
+# K-type labels: an int index i (unsigned) or a pair (i, s) with s = +1 or -1;
+# anything else is not a label (NotAdjacent).  For n even the source-group
+# types are (i, s) and the target types plain integers j; for n odd the roles
+# of the sign are swapped: types i and (j, s).  Containment means j <= i,
+# adjacency means the index moves by one of {(+1, same sign), (0, flip),
+# (-1, same sign)}, an unsigned index staying in place as its own flip.
 
 def _split_label(lbl):
-    if isinstance(lbl, tuple):
-        return lbl[0], lbl[1]
-    return lbl, 0
+    """(index, sign) of one K-type label, sign 0 for an unsigned index."""
+    if type(lbl) is int:  # type, not isinstance: no bools
+        return lbl, 0
+    if type(lbl) is tuple and len(lbl) == 2 and type(lbl[0]) is int \
+            and type(lbl[1]) is int and lbl[1] in (1, -1):
+        return lbl
+    raise NotAdjacent("a K-type label is an int or (int, +-1), got %r" % (lbl,))
 
 
 def _adjacent_move(a, b):
@@ -632,32 +638,24 @@ def _adjacent_move(a, b):
     unsigned labels may also stay in place.
     """
     (ia, sa), (ib, sb) = _split_label(a), _split_label(b)
-    if ib == ia + 1 and sa == sb:
-        return 1, False
-    if ib == ia:
-        if sa == 0 and sb == 0:
-            return 0, False
-        if sa == -sb and sa != 0:
-            return 0, True
-    if ib == ia - 1 and sa == sb:
-        return -1, False
+    step = ib - ia
+    if abs(step) <= 1 and sb == (sa if step else -sa):
+        return step, step == 0 and sa != 0
     return None
 
 
 def _validate_pair(n, alpha, alphap, beta, betap):
     """Check one adjacent lattice move; (i, si, j, sj, index step of alpha
     -> beta, index step of alphap -> betap)."""
-    if n < 2:
-        raise DimensionMismatch("lattice constants need n >= 2, got n=%r" % (n,))
+    if type(n) is not int or n < 2:
+        raise DimensionMismatch("lattice constants need an integer n >= 2, got n=%r"
+                                % (n,))
+    labels = [_split_label(lbl) for lbl in (alpha, alphap, beta, betap)]
     even = n % 2 == 0
-    i, si = _split_label(alpha)
-    j, sj = _split_label(alphap)
-    ib, sib = _split_label(beta)
-    jb, sjb = _split_label(betap)
-    if even and (si == 0 or sj != 0 or sib == 0 or sjb != 0):
-        raise NotAdjacent("for even n use alpha=(i,+-1), alphap=j")
-    if not even and (si != 0 or sj == 0 or sib != 0 or sjb == 0):
-        raise NotAdjacent("for odd n use alpha=i, alphap=(j,+-1)")
+    if [s != 0 for _, s in labels] != [even, not even] * 2:
+        raise NotAdjacent("for even n use alpha=(i,+-1), alphap=j" if even
+                          else "for odd n use alpha=i, alphap=(j,+-1)")
+    (i, si), (j, sj), (ib, _), (jb, _) = labels
     if not (0 <= j <= i) or not (0 <= jb <= ib):
         raise NotAdjacent("containment j <= i fails")
     mv = _adjacent_move(alpha, beta)
@@ -699,79 +697,59 @@ def lambda_constant(n, alpha, alphap, beta, betap):
     return val * PS_I if even else -val
 
 
-def _omega_components(split, kind, moves):
-    """E'(beta')-components of multiplication by x_k on a sphere K-type element.
+def _sphere_part(split, move, sign):
+    """The E'(beta')-component, of degree move, of x_k times a sphere K-type
+    element, from mult_coordinate_split's triple for x_k.
 
-    split is mult_coordinate_split's triple for x_k; kind 'plain' (element
-    psi), 'xz' (element zeta(x) psi) or 'mixed' (element psi + zeta(x)
-    gamma(psi)); returns {move: (kind, rep)} for each move in moves, a subset
-    of those split was built for, for the target degree j + move.
+    The element is psi (sign +1), zeta(x) psi (sign -1) or psi + zeta(x)
+    gamma(psi) (sign None).  On the unit sphere x_k phi = phi_plus - zeta(x)
+    phi_zero + phi_minus, and zeta(x)^2 = -1, so the move-0 part is -phi_zero
+    for psi, phi_zero for zeta(x) psi and -gamma(phi_zero) for the mixed
+    element; the zeta(x) factor it carries is left to the embedding.
     """
-    # the zeta(x) factor of the 0 component swaps the plain and xz kinds
-    flipped = {"plain": "xz", "xz": "plain", "mixed": "mixed"}.get(kind)
-    if flipped is None:
-        raise ValueError(kind)
-    # on the unit sphere x_k phi = phi_plus - zeta(x) phi_zero + phi_minus
-    plus, zero, minus = split
-    if zero is not None and kind != "xz":
-        zero = (zero.gamma_twist() if kind == "mixed" else zero).scale(GaussianRational(-1))
-    comps = {1: (kind, plus), 0: (flipped, zero), -1: (kind, minus)}
-    return {mv: comps[mv] for mv in moves}
+    part = split[1 - move]
+    if move or sign == -1:
+        return part
+    return (part if sign == 1 else part.gamma_twist()).scale(GaussianRational(-1))
 
 
 @lru_cache(maxsize=256)
 def _bruteforce_block(n, alpha, alphap, beta, max_basis):
-    """Solve for all constants into one target type at once; {move: value}."""
+    """Solve for all constants into one target type at once; {move: value}.
+
+    Labels come checked by _validate_pair.  At even n the left side Psi =
+    I(phi) (alpha = (i, +)) or I(gamma phi) (alpha = (i, -)) carries the
+    sign si and the source side is mixed; at odd n the left side Psi = I(phi)
+    or gamma(I(phi)) is mixed and the source side carries the sign sj.  A
+    candidate embeds a source part, gamma-twisted first at target sign -1
+    (even n), and at odd n gamma-twisted afterwards when its part is of the
+    zeta(x) psi form.
+    """
     i, si = _split_label(alpha)
     j, sj = _split_label(alphap)
-    even = n % 2 == 0
-    basis = monogenic_basis(n, j)
-    if max_basis is not None:
-        basis = basis[:max_basis]
+    ib, sib = _split_label(beta)
+    basis = monogenic_basis(n, j)[:max_basis]
     if not basis:
         raise ZeroMap("empty source K-type")
-    ib_target, sib_target = _split_label(beta)
     lhs_move = _adjacent_move(alpha, beta)[0]
-
-    def embed_candidate(jp, ipb, kind, rep):
-        """S_{beta,beta'} applied to an omega'-component rep."""
-        if rep.is_zero() or jp > ipb:
-            return None
-        if even:
-            # target sign decides whether the x-factor (and gamma twist) is used
-            if sib_target == 1:
-                return ("plain", branch_embed(n, jp, ipb, rep))
-            return ("xz", branch_embed(n, jp, ipb, rep.gamma_twist()))
-        emb = branch_embed(n, jp, ipb, rep)
-        return ("mixed", emb if kind == "plain" else emb.gamma_twist())
-
-    cand_moves = [mvq for mvq in (1, 0, -1) if 0 <= j + mvq <= ib_target]
+    cand_moves = [mvq for mvq in (1, 0, -1) if 0 <= j + mvq <= ib]
     samples = []  # per (phi, k): [(None, left side), (move, nonzero candidate)...]
     for phi in basis:
-        if even:
-            # alpha = (i,+): Psi = I(phi); (i,-): Psi = I(gamma phi), xz kind
-            Psi = branch_embed(n, j, i, phi if si == 1 else phi.gamma_twist())
-            lhs_kind, omega_kind = "plain" if si == 1 else "xz", "mixed"
-        else:
-            Psi = branch_embed(n, j, i, phi)
-            Psi = Psi if sj == 1 else Psi.gamma_twist()
-            lhs_kind, omega_kind = "mixed", "plain" if sj == 1 else "xz"
+        Psi = branch_embed(n, j, i, phi.gamma_twist() if si == -1 else phi)
+        Psi = Psi.gamma_twist() if sj == -1 else Psi
         # Psi has n + 1 variables; x_1..x_n are the sphere's coordinates
         for lhs, src in zip(mult_coordinate_split(Psi, (lhs_move,)),
                             mult_coordinate_split(phi, cand_moves)):
-            lhs_kind_b, lhs_rep = _omega_components(lhs, lhs_kind, (lhs_move,))[lhs_move]
-            src_comps = _omega_components(src, omega_kind, cand_moves)
-            sample = [(None, lhs_rep)]
+            sample = [(None, _sphere_part(lhs, lhs_move, si or None))]
             for mvq in cand_moves:
-                comp_kind, rep = src_comps[mvq]
-                cand = embed_candidate(j + mvq, ib_target, comp_kind, rep)
-                if cand is not None:
-                    ck, cpoly = cand
-                    if ck != lhs_kind_b:
-                        raise MultiplicityViolation(
-                            "component kinds disagree: %s vs %s" % (ck, lhs_kind_b))
-                    if not cpoly.is_zero():
-                        sample.append((mvq, cpoly))
+                rep = _sphere_part(src, mvq, sj or None)
+                if rep.is_zero():
+                    continue
+                cand = branch_embed(n, j + mvq, ib, rep.gamma_twist() if sib == -1 else rep)
+                if sj and (sj == 1) == (mvq == 0):
+                    cand = cand.gamma_twist()
+                if not cand.is_zero():
+                    sample.append((mvq, cand))
             samples.append(sample)
 
     live = [mvq for mvq in cand_moves if any(t == mvq for s in samples for t, _ in s)]
@@ -811,7 +789,7 @@ def lambda_constant_bruteforce(n, alpha, alphap, beta, betap, max_basis=None):
     proportional and ZeroMap when the comparison map vanishes on the whole
     spanning set.
     """
-    if max_basis is not None and max_basis < 1:
+    if max_basis is not None and (type(max_basis) is not int or max_basis < 1):
         raise ValueError("max_basis must be >= 1 or None, got %r" % (max_basis,))
     mvp = _validate_pair(n, alpha, alphap, beta, betap)[-1]
     block = _bruteforce_block(n, alpha, alphap, beta, max_basis)

@@ -76,6 +76,9 @@ class TestFamilies:
             make_family("Att+", 3, i=-2, j=-2)  # used to raise ValueError
         with pytest.raises(BadParams):
             make_family("sAtt-", 3, i=-1, j=-2)  # used to build a kernel
+        for form in ("bogus", None, "Radial"):  # used to give the expanded display
+            with pytest.raises(BadParams):
+                make_family("Bt+", 3, k=1, form=form)
         with pytest.raises(BadParams):
             check_identity("juhl_up", 1, l=0)
         with pytest.raises(BadParams):  # End(S_4) is 4 x 4
@@ -318,6 +321,9 @@ class TestIdentityCatalogue:
             if "i" in kw:
                 odd = (kw["i"] - kw["j"]) % 2 == 1
                 assert odd == (tag != "residue_step_spinor_plus")
+        # the step at j = i, even i - j, for each i <= kmax
+        assert [kw for tag, kw in cases if "i" in kw and kw["i"] == kw["j"]] == \
+            [{"i": i, "j": i} for i in range(3)]
         assert not any("i" in kw for _, kw in kernelcalc.identity_cases(4, 2, 1))
         # the double display of Bt- (j < 0) right after that of Bt+
         cases = kernelcalc.identity_cases(4, 2, 1)

@@ -5,7 +5,8 @@ import pytest
 from sbolab import monogenics as mg
 from sbolab.paramfield import GaussianRational, ParamScalar, PS_I
 from sbolab.monogenics import (lambda_constant, lambda_constant_bruteforce,
-                               NotAdjacent, ZeroMap, MultiplicityViolation)
+                               NotAdjacent, ZeroMap, MultiplicityViolation,
+                               DimensionMismatch)
 
 from test_linalg import reference_solve_in_span
 
@@ -56,6 +57,24 @@ class TestClosedForm:
             lambda_constant(4, (1, 1), 2, (2, 1), 1)  # containment fails
         with pytest.raises(NotAdjacent):
             lambda_constant(3, (1, 1), 0, (2, 1), 1)  # wrong label shape
+
+
+# labels and dimensions outside the domain; each comment gives what
+# lambda_constant, then lambda_constant_bruteforce, returned before labels
+# were checked at the entry
+@pytest.mark.parametrize("args,exc", [
+    ((4, (1, 2), 1, (1, -2), 1), NotAdjacent),  # 6/7, MultiplicityViolation
+    ((3, 1, (0, 5), 2, (1, 5)), NotAdjacent),  # 1/3, 1/3
+    ((4, (True, 1), 0, (2, 1), 1), NotAdjacent),  # 3/7, 3/7
+    ((4, (1.0, 1), 0, (2, 1), 1), NotAdjacent),  # TypeError, 3/7
+    ((3, (1, 0), (0, 1), 2, (1, 1)), NotAdjacent),  # 1/3, 1/3
+    ((4, (1, 1, 0), 0, (2, 1), 1), NotAdjacent),  # 3/7, 3/7
+    ((4.0, (1, 1), 0, (2, 1), 1), DimensionMismatch),  # TypeError, 3/7
+])
+@pytest.mark.parametrize("solve", [lambda_constant, lambda_constant_bruteforce])
+def test_label_domain(solve, args, exc):
+    with pytest.raises(exc):
+        solve(*args)
 
 
 def reference_lambda_constant(n, alpha, alphap, beta, betap):
@@ -139,9 +158,10 @@ class TestBruteForceAgreement:
                     bf = lambda_constant_bruteforce(n, *quad, max_basis=mb)
                     assert bf == table, quad
 
-    @pytest.mark.parametrize("mb", [0, -1, -5])
+    @pytest.mark.parametrize("mb", [0, -1, -5, True, 2.5])
     def test_max_basis_below_one(self, mb):
-        # -1 used to drop the last basis element, 0 to leave no basis
+        # -1 used to drop the last basis element, 0 to leave no basis, True
+        # to be taken as 1 and 2.5 to end in a TypeError
         with pytest.raises(ValueError, match="max_basis"):
             lambda_constant_bruteforce(4, (1, 1), 1, (1, -1), 1, max_basis=mb)
         assert lambda_constant_bruteforce(4, (1, 1), 1, (1, -1), 1, max_basis=1) == \
@@ -278,8 +298,9 @@ def _block_outcome(solve, block):
 
 def test_block_matches_full_split_oracle():
     blocks = (criterion_3_blocks(3, 2, None) + criterion_3_blocks(4, 2, None)
-              + criterion_3_blocks(5, 1, 6) + criterion_3_blocks(6, 1, 4))
-    assert len(blocks) == 100
+              + criterion_3_blocks(5, 1, 6) + criterion_3_blocks(6, 1, 4)
+              + criterion_3_blocks(2, 2, None) + criterion_3_blocks(7, 1, 4))
+    assert len(blocks) == 150
     for block in blocks:
         # __wrapped__: past the cache, so this block is solved here
         got = _block_outcome(mg._bruteforce_block.__wrapped__, block)
