@@ -9,7 +9,6 @@ forms.  Exit codes: 0 all passed, 1 any failure, 2 usage error, 141
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys

@@ -252,16 +252,20 @@ def _normalize(n, raw):
                 changed = changed or bool(q)
             for mono, val in poly.items():
                 _put(out, gk + (mono,), val)
-            kind, a, b, r = gk
             for mono, val in q.items():
-                if kind == "S":
-                    # |x'|^2 = (|x'|^2 + x_n^2) - x_n^2
-                    _put(out, ("S", a, b, r + 1, mono), val)
-                    _put(out, ("S", a, b + 2, r, mono), val, -1)
-                else:
-                    _put(out, ("B", a, b + 2, _AFF0, mono), val)
+                for k, c in _r2_prime(gk + (mono,)):
+                    _put(out, k, val, c)
         terms = out
     return terms
+
+
+def _r2_prime(key):
+    """|x'|^2 times a Smooth or Boundary term, normal, as (key, int factor)
+    pairs: (|x'|^2 + x_n^2) - x_n^2 on a smooth term, |x'|^{xp+2} on a boundary one."""
+    kind, a, b, r, mono = key
+    if kind == "S":
+        return ((kind, a, b, r + 1, mono), 1), ((kind, a, b + 2, r, mono), -1)
+    return ((kind, a, b + 2, r, mono), 1),
 
 
 # -- multiplication operators --------------------------------------------------
@@ -323,24 +327,21 @@ def mult_zeta(K):
 
 
 def mult_norm2(K):
-    """Multiply by |x|^2 = |x'|^2 + x_n^2; normal forms map to normal forms,
-    as in mult_xn."""
+    """Multiply by |x|^2: |x'|^2 by _r2_prime on Smooth and Boundary terms, each
+    x_i^2 by two _x_moves (x_n there, every x_i on Point terms; x_n^2 cancels
+    the -x_n^2 of a smooth |x'|^2).  Normal forms map to normal forms."""
+    n = K.n
     out = {}
     for key, val in K.terms.items():
-        kind = key[0]
-        if kind == "S":
-            _, par, xn, r, mono = key
-            _put(out, ("S", par, xn, r + 1, mono), val)
-        elif kind == "B":
-            _, m, xp, r, mono = key
-            _put(out, ("B", m, xp + 2, r, mono), val)
-            if m >= 2:
-                _put(out, ("B", m - 2, xp, r, mono), val, m * (m - 1))
-        else:
-            alpha = key[1]
-            for i, ai in enumerate(alpha):
-                if ai >= 2:
-                    _put(out, ("P", _bump(alpha, i, -2)), val, ai * (ai - 1))
+        point = key[0] == "P"
+        if not point:
+            for k, c in _r2_prime(key):
+                _put(out, k, val, c)
+        for i in range(n) if point else (n - 1,):
+            move = _x_move(n, key, i)
+            twice = move and _x_move(n, move[0], i)
+            if twice:
+                _put(out, twice[0], val, move[1] * twice[1])
     return K.copy_with(out, normalized=True)
 
 
@@ -367,12 +368,9 @@ def as_matrix(K):
 def support(K):
     """'full', 'hyperplane', 'origin' or 'empty' from the normal form."""
     kinds = {key[0] for key in K.terms}
-    if "S" in kinds:
-        return "full"
-    if "B" in kinds:
-        return "hyperplane"
-    if "P" in kinds:
-        return "origin"
+    for kind, where in (("S", "full"), ("B", "hyperplane"), ("P", "origin")):
+        if kind in kinds:
+            return where
     return "empty"
 
 
@@ -530,11 +528,15 @@ _FAMILIES = {tag + sign: (name + parity if name == "ij" else name, build)
 
 
 def _index(name, n, k, l, i, j):
-    """The index tuple of a family or identity index name (see _IDENTITIES),
-    after the one domain check: n >= 2, then k or l >= 0, or odd n with
-    0 <= j <= i and i - j of the named parity; BadParams outside it."""
+    """The index tuple of a family or identity index name (see _IDENTITIES) after
+    the one domain check, BadParams outside it: n >= 2, no keyword the name does
+    not use, then k or l >= 0, or odd n, 0 <= j <= i and i - j of the named parity."""
     if n < 2:
         raise BadParams("kernels on R^n need n >= 2, got n=%r" % (n,))
+    unused = [p for p, x in zip("klij", (k, l, i, j))
+              if x is not None and p not in (name or "").split("_")[0]]
+    if unused:
+        raise BadParams("index %s not used here" % ", ".join(unused))
     if name is None:
         return ()
     if name[0] == "i":
@@ -701,8 +703,8 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
     """
     if tag in _VANISHING:
         k, l = (2 if x is None else x for x in (k, l))
-        return _vanishing_report(tag, n, *_index("k", n, k, l, i, j),
-                                 *_index("l", n, k, l, i, j))
+        return _vanishing_report(tag, n, *_index("k", n, k, None, i, j),
+                                 *_index("l", n, None, l, i, j))
     lhs, rhs = _identity_sides(tag, n, k, l, i, j)
     # equal normal forms are equal kernels; a failing report gets the difference
     report = {"identity": tag, "n": n,
@@ -786,24 +788,15 @@ def _rotation_apply(K, a, b):
     zero exactly when the kernel is invariant.
     """
     out = {}
-    # -V(K) with V = x_a d_b - x_b d_a acting on the x-dependence
+    # -V(K), V = x_a d_b - x_b d_a, on the last key entry (x' monomial or point
+    # multi-index): an exponent e moves a -> b with factor e, b -> a with -e
     for key, val in K.terms.items():
-        if key[0] != "P":
-            mono = key[4]
-            for (src, dst) in ((b, a), (a, b)):
-                e = mono[src - 1]
-                if e:
-                    nm = _bump(_bump(mono, src - 1, -1), dst - 1, 1)
-                    sgn = 1 if src == b else -1
-                    _put(out, key[:4] + (nm,), val, -sgn * e)
-        else:
-            alpha = key[1]
-            # V(d^alpha delta) = -alpha_a d^{alpha+e_b-e_a} + alpha_b d^{alpha+e_a-e_b}
-            for (src, dst, sgn) in ((a, b, 1), (b, a, -1)):
-                e = alpha[src - 1]
-                if e:
-                    na = _bump(_bump(alpha, src - 1, -1), dst - 1, 1)
-                    _put(out, ("P", na), val, sgn * e)
+        ex = key[-1]
+        for src, dst, sgn in ((a, b, 1), (b, a, -1)):
+            e = ex[src - 1]
+            if e:
+                _put(out, key[:-1] + (_bump(_bump(ex, src - 1, -1), dst - 1, 1),),
+                     val, sgn * e)
     defect = K.copy_with(out)
     if K.shape:
         # spin twists: X_row o K - K o X_col with X = zeta(e_a e_b)/2, on

@@ -304,11 +304,14 @@ def argvs(draw):
 # kernel printed with exit 0
 _OFF_LATTICE = [["kernel", "--family", "Att+", "--n", "3", "--i=-2", "--j=-2"],
                 ["kernel", "--family", "sAtt-", "--n", "3", "--i=-1", "--j=-2"]]
+# an index the family does not take: once ignored, with a kernel and exit 0
+_FOREIGN_INDEX = [["kernel", "--family", "A+", "--n", "3", "--k", "2"]]
 
 
 @given(argvs())
 @example(_OFF_LATTICE[0])
 @example(_OFF_LATTICE[1])
+@example(_FOREIGN_INDEX[0])
 @settings(max_examples=150, deadline=None)
 def test_exit_contract(argv):
     err = io.StringIO()
@@ -316,7 +319,7 @@ def test_exit_contract(argv):
         rc = cli.main(argv, out=io.StringIO())
     err = err.getvalue()
     assert rc in (0, 1, 2)
-    if argv in _OFF_LATTICE:
+    if argv in _OFF_LATTICE + _FOREIGN_INDEX:
         assert rc == 2
     assert "Traceback" not in err
     if rc == 2:

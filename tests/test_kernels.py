@@ -81,6 +81,8 @@ class TestFamilies:
                 make_family("Bt+", 3, k=1, form=form)
         with pytest.raises(BadParams):
             check_identity("juhl_up", 1, l=0)
+        with pytest.raises(BadParams):  # used to build Ct+(1)
+            make_family("Ct+", 3, l=1, k=7, i=1)
         with pytest.raises(BadParams):  # End(S_4) is 4 x 4
             KernelExpr(4, (2, 4), {("P", (0, 0, 0, 0)): {(0, 0): ps(1)}})
 
@@ -102,9 +104,12 @@ def _off_domain(name):
 
 @pytest.mark.parametrize("tag", list(kernelcalc._FAMILIES))
 def test_family_domain(tag):
-    good, bad = _off_domain(kernelcalc._FAMILIES[tag][0])
+    name = kernelcalc._FAMILIES[tag][0]
+    good, bad = _off_domain(name)
     n, kw = good
     make_family(tag, n, **kw)
+    # each keyword outside the index name, once silently ignored
+    bad += [(n, dict(kw, **{p: 1})) for p in "klij" if p not in (name or "")[:2]]
     for n, kw in bad:
         with pytest.raises(BadParams):
             make_family(tag, n, **kw)
@@ -286,6 +291,16 @@ class TestIdentityCatalogue:
         ("residue_step_spinor_plus", {"i": -2, "j": -2}),
     ])
     def test_residue_steps_need_lattice_indices(self, tag, kw):
+        with pytest.raises(BadParams):
+            check_identity(tag, 3, **kw)
+
+    @pytest.mark.parametrize("tag,kw", [
+        # each used to report ok with the unused keyword among its params
+        ("juhl_up", {"l": 1, "k": 5}), ("spinor_a_closure_minus", {"l": 4}),
+        ("b_double_display", {"k": 1, "i": 0}), ("residue_step", {"i": 1, "j": 0, "k": 1}),
+        ("xn_kernel", {"i": 1}), ("zeta_kernel", {"k": 1, "l": 1, "j": 0}),
+    ])
+    def test_foreign_index_keyword(self, tag, kw):
         with pytest.raises(BadParams):
             check_identity(tag, 3, **kw)
 
@@ -622,6 +637,133 @@ def test_multipliers_build_normal_forms():
             outs.append(mult_zeta(K))
         for out in outs:
             assert kernelcalc._normalize(K.n, out.terms) == out.terms, name
+
+
+# -- the one coordinate rule against the per-kind rules it replaced -------------
+
+def reference_r2_prime(key):
+    """|x'|^2 times a normal Smooth or Boundary term, as the quotient step of
+    _normalize wrote it before _r2_prime."""
+    kind, a, b, r, mono = key
+    if kind == "S":
+        # |x'|^2 = (|x'|^2 + x_n^2) - x_n^2
+        return [(("S", a, b, r + 1, mono), 1), (("S", a, b + 2, r, mono), -1)]
+    return [(("B", a, b + 2, AffineExp(), mono), 1)]
+
+
+def reference_mult_norm2(K):
+    """The terms of |x|^2 K by the per-kind factors mult_norm2 once stated on
+    its own: r + 1 on a smooth term, |x'|^{xp+2} and m(m-1) delta^(m-2) on a
+    boundary term, alpha_i(alpha_i-1) d^{alpha-2e_i} delta on a point term."""
+    put, bump = kernelcalc._put, kernelcalc._bump
+    out = {}
+    for key, val in K.terms.items():
+        kind = key[0]
+        if kind == "S":
+            _, par, xn, r, mono = key
+            put(out, ("S", par, xn, r + 1, mono), val)
+        elif kind == "B":
+            _, m, xp, r, mono = key
+            put(out, ("B", m, xp + 2, r, mono), val)
+            if m >= 2:
+                put(out, ("B", m - 2, xp, r, mono), val, m * (m - 1))
+        else:
+            alpha = key[1]
+            for i, ai in enumerate(alpha):
+                if ai >= 2:
+                    put(out, ("P", bump(alpha, i, -2)), val, ai * (ai - 1))
+    return out
+
+
+def reference_rotation_apply(K, a, b):
+    """The rotation defect with one exponent-move loop per term kind, in the
+    mirrored orders _rotation_apply used before its one loop."""
+    put, bump = kernelcalc._put, kernelcalc._bump
+    out = {}
+    for key, val in K.terms.items():
+        if key[0] != "P":
+            mono = key[4]
+            for (src, dst) in ((b, a), (a, b)):
+                e = mono[src - 1]
+                if e:
+                    nm = bump(bump(mono, src - 1, -1), dst - 1, 1)
+                    sgn = 1 if src == b else -1
+                    put(out, key[:4] + (nm,), val, -sgn * e)
+        else:
+            alpha = key[1]
+            for (src, dst, sgn) in ((a, b, 1), (b, a, -1)):
+                e = alpha[src - 1]
+                if e:
+                    na = bump(bump(alpha, src - 1, -1), dst - 1, 1)
+                    put(out, ("P", na), val, sgn * e)
+    defect = K.copy_with(out)
+    if K.shape:
+        Xrow, Xcol = (blade_matrix(m, {1 << (a - 1) | 1 << (b - 1): ParamScalar(1, 2)})
+                      for m in (K.row_n, K.n))
+        tw = {}
+        for key, val in K.terms.items():
+            if K.row_n == K.n:
+                val = blade_matrix(K.n, val)
+            put(tw, key, kernelcalc._matmul(Xrow, val))
+            put(tw, key, kernelcalc._matmul(val, Xcol), -1)
+        defect = defect + K.copy_with(tw)
+    return defect
+
+
+def _oracle_kernels():
+    """(kind, K): random scalar and spinor kernels at n = 2..6 and the
+    projections of the spinor ones; none is rotation invariant by design."""
+    rng = random.Random(27)
+    for n in range(2, 7):
+        for _ in range(5):
+            yield "scalar", random_kernel(rng, n)
+            S = random_kernel(rng, n, (spin_dim(n),) * 2)
+            yield "spinor", S
+            yield "projected", project(S)
+
+
+def test_mult_norm2_matches_per_kind_rules():
+    cases = list(_oracle_kernels()) + list(_family_cases(range(2, 6)))
+    for name, K in cases:
+        N = mult_norm2(K)
+        assert (N.terms, N.meta) == (reference_mult_norm2(K), K.meta), name
+    assert any(not mult_norm2(K).is_zero() for _, K in cases)
+
+
+def test_r2_prime_matches_quotient_branch(monkeypatch):
+    """Every |x'|^2 step, from the quotient of _normalize, from mult_zeta's
+    terms whose x_1 exponent rises to 2 and from mult_norm2, equals the
+    branch _normalize used to hold."""
+    real, seen = kernelcalc._r2_prime, set()
+
+    def checked(key):
+        got = real(key)
+        assert list(got) == reference_r2_prime(key), key
+        seen.add(key[0])
+        return got
+    monkeypatch.setattr(kernelcalc, "_r2_prime", checked)
+    for _, K in _oracle_kernels():
+        KernelExpr(K.n, K.shape, dict(K.terms), row_n=K.row_n)
+        mult_norm2(K)
+        if K.row_n == K.n:
+            mult_zeta(K)
+    assert seen == {"S", "B"}
+
+
+def test_rotation_defect_matches_per_kind_loops():
+    nonzero = set()
+    for kind, K in _oracle_kernels():
+        for a in range(1, K.n):
+            for b in range(a + 1, K.n):
+                D = kernelcalc._rotation_apply(K, a, b)
+                R = reference_rotation_apply(K, a, b)
+                assert (D.terms, D.shape, D.row_n) == (R.terms, R.shape, R.row_n), \
+                    (kind, K.n, a, b)
+                if not D.is_zero():
+                    nonzero.add((kind, K.n))
+    # the comparison is not vacuous: a defect for every kind at every n >= 3
+    assert nonzero == {(kind, n) for kind in ("scalar", "spinor", "projected")
+                       for n in range(3, 7)}
 
 
 # -- the blades against the dense zeta_n(e_i) products ----------------------------

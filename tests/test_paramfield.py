@@ -11,7 +11,7 @@ from sbolab.paramfield import (AffineExp, GaussianRational, ParamPoly, ParamScal
                                pochhammer, evaluate,
                                PoleError, GammaResidual, poly_gcd, poly_divexact,
                                PS_LAM, PS_NU, PS_ONE, ONE, ZERO, I, LAM, rat,
-                               _times_i_power, _acc, _ps_times_i_power)
+                               _times_i_power, _acc, _ps_times_i_power, _gr)
 from sbolab.cliffspin import SpinMap, _matmul
 
 
@@ -1020,3 +1020,45 @@ class TestSharedSparsePieces:
                 if not v.is_zero()}
         assert _matmul(a, b) == want
         assert SpinMap(k, r, a).compose(SpinMap(c, k, b)) == SpinMap(c, r, want)
+
+
+constants = st.one_of(st.integers(-6, 6), rationals, gaussians)
+
+
+class TestReflectedOperations:
+    """A constant left of a polynomial or scalar: each reflected method
+    equals the forward operation on the coerced constant.  An int or
+    Fraction reaches it through the operator; a GaussianRational's own
+    `-` and `/` do not defer to it, so its method is called directly."""
+
+    @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_negative_denominator_is_canonical(self, a, b, d):
+        z = _gr(a, b, -d)
+        assert z._d > 0 and gcd(z._a, z._b, z._d) == 1
+        assert z == GaussianRational(Fraction(-a, d), Fraction(-b, d))
+        assert (z.re, z.im) == (Fraction(a, -d), Fraction(b, -d))
+
+    @given(constants, polys)
+    @settings(max_examples=60, deadline=None)
+    def test_constant_minus_poly(self, c, p):
+        want = ParamPoly.coerce(c) - p
+        assert p.__rsub__(c) == want
+        if not isinstance(c, GaussianRational):
+            assert c - p == want
+
+    @given(constants, scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_constant_minus_and_over_scalar(self, c, s):
+        def outcome(f):
+            # a nonzero constant minus a scalar with Gamma tokens is undefined
+            try:
+                return f()
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc)
+        for method, op in (("__rsub__", lambda x, y: x - y),
+                           ("__rtruediv__", lambda x, y: x / y)):
+            want = outcome(lambda: op(ParamScalar.coerce(c), s))
+            assert outcome(lambda: getattr(s, method)(c)) == want, method
+            if not isinstance(c, GaussianRational):
+                assert outcome(lambda: op(c, s)) == want, method
