@@ -145,15 +145,12 @@ class KernelExpr:
         return self.copy_with({k: {b: x * c for b, x in v.items()}
                                for k, v in self.terms.items()}, normalized=True)
 
-    def _subs(self, method, *args):
-        """Apply the affine substitution `method` (a method name shared by
-        AffineExp and ParamScalar) to every exponent and coefficient.
-        Coefficient values repeat across terms and blades, so each distinct
-        one is substituted once; entries that become zero are dropped."""
+    def _subs(self, sub):
+        """Apply the affine substitution sub (a function taking an AffineExp
+        or a ParamScalar) to every exponent and coefficient.  Coefficient
+        values repeat across terms and blades, so each distinct one is
+        substituted once; entries that become zero are dropped."""
         done = {}
-
-        def sub(x):
-            return getattr(x, method)(*args)
 
         def coeff(x):
             y = done.get(x)
@@ -170,11 +167,11 @@ class KernelExpr:
 
     def subs_lam(self, e, f):
         """Substitute lam := e*nu + f everywhere (constraint-line restriction)."""
-        return self._subs("subs_lam", e, f)
+        return self._subs(lambda x: x.subs_lam(e, f))
 
     def shift_params(self, dl, dv):
         """Substitute (lam, nu) := (lam + dl, nu + dv); builds K_{lam+dl, nu+dv}."""
-        return self._subs("shift", dl, dv)
+        return self._subs(lambda x: x.shift(dl, dv))
 
     def __eq__(self, other):
         return (isinstance(other, KernelExpr)
@@ -412,6 +409,9 @@ def _zeta_layer(n, m, r, c):
     return terms
 
 
+# The builders return the raw terms of a family's printed display; make_family
+# adds the shape, the metadata and the constraint line.
+
 def _smooth_family(tag, n, **_):
     """A+, A- (raw smooth kernels) and At+, At- (normalized)."""
     plus = tag.endswith("+")
@@ -423,47 +423,37 @@ def _smooth_family(tag, n, **_):
     # sgn(x_n)^par |x_n|^{lam+nu-1/2} (|x'|^2 + x_n^2)^{-nu-(n-1)/2}
     key = ("S", 0 if plus else 1, AffineExp(1, 1, -_H),
            AffineExp(0, -1, -rat(n - 1) / 2), (0,) * (n - 1))
-    return KernelExpr(n, None, {key: c}, {"family": tag})
+    return {key: c}
 
 
 def _b_family(tag, n, k, form):
     """Bt+, Bt- (scalar delta layers of order 2k, 2k + 1, in the radial or
     the expanded display) and sBt+, sBt- (zeta layers of order 2k + 1, 2k)."""
-    plus = tag.endswith("+")
-    spinor = tag[0] == "s"
-    odd = int(plus == spinor)
-    tok = ParamScalar.gamma_factor(_H, -_H, _Q1 if plus else _Q3, -1)
-    m = 2 * k + odd
-    meta = {"family": tag, "k": k, "constraint": ("sum", -_H - 2 * k - odd)}
-    if spinor:
+    tok = ParamScalar.gamma_factor(_H, -_H, _Q1 if tag.endswith("+") else _Q3, -1)
+    m = 2 * k + _ODD[tag]
+    if tag[0] == "s":
         # zeta(x') r^{-nu-n/2} delta^(m) - m e_n r^{-nu-n/2} delta^(m-1)
-        return KernelExpr(n, (spin_dim(n),) * 2,
-                          _zeta_layer(n, m, AffineExp(0, -1, -rat(n) / 2), tok), meta)
+        return _zeta_layer(n, m, AffineExp(0, -1, -rat(n) / 2), tok)
     mono0 = (0,) * (n - 1)
     rho_h = rat(n - 1) / 2
     if form == "radial":
-        return KernelExpr(n, None, {("B", m, _AFF0, AffineExp(0, -1, -rho_h), mono0): tok},
-                          meta)
+        return {("B", m, _AFF0, AffineExp(0, -1, -rho_h), mono0): tok}
     nu_rho = AffineExp(0, 1, rho_h).as_scalar()
-    terms = {("B", m - 2 * t, AffineExp(0, -2, 1 - n - 2 * t), _AFF0, mono0):
-             tok * pochhammer(nu_rho, t) * ParamScalar(
-                 (-1) ** t * factorial(m), factorial(t) * factorial(m - 2 * t))
-             for t in range(k + 1)}
-    return KernelExpr(n, None, terms, meta)
+    return {("B", m - 2 * t, AffineExp(0, -2, 1 - n - 2 * t), _AFF0, mono0):
+            tok * pochhammer(nu_rho, t) * ParamScalar(
+                (-1) ** t * factorial(m), factorial(t) * factorial(m - 2 * t))
+            for t in range(k + 1)}
 
 
 def _c_family(tag, n, l, **_):
-    plus = tag == "Ct+"
     nu_l = AffineExp(0, 1, -l).as_scalar()
     terms = {}
     for j2 in range(l + 1):
         p = 2 * l - 2 * j2
-        dn = p if plus else p + 1
+        dn = p + _ODD[tag]
         c = pochhammer(nu_l, l - j2) * ParamScalar(2 ** p, factorial(j2) * factorial(dn))
         _add_point(terms, n, c, j2, dn)
-    meta = {"family": tag, "l": l,
-            "constraint": ("diff", -_H - 2 * l if plus else -3 * _H - 2 * l)}
-    return KernelExpr(n, None, terms, meta)
+    return terms
 
 
 # delta order m = n + i + j + offset and sign (-1)^(m//2 + flip) of the
@@ -477,27 +467,21 @@ def _residue_family(tag, n, i, j, **_):
     m = n + i + j + offset
     c = ParamScalar((-1) ** (m // 2 + flip) * factorial(m // 2), factorial(m))
     r = AffineExp.const(j)
-    meta = {"family": tag, "i": i, "j": j}
     if tag[0] == "s":
-        return KernelExpr(n, (spin_dim(n),) * 2, _zeta_layer(n, m, r, c), meta)
-    return KernelExpr(n, None, {("B", m, _AFF0, r, (0,) * (n - 1)): c}, meta)
+        return _zeta_layer(n, m, r, c)
+    return {("B", m, _AFF0, r, (0,) * (n - 1)): c}
 
 
 def _spinor_a_family(tag, n, **_):
     if tag == "sAt+":
-        out = mult_zeta(make_family("At-", n).shift_params(-_H, _H))
-    else:
-        base = make_family("At+", n).shift_params(-_H, _H)
-        out = mult_zeta(base).scale(AffineExp(_H, -_H, -_Q1).as_scalar().inverse())
-    out.meta.clear()
-    out.meta.update({"family": tag})
-    return out
+        return mult_zeta(make_family("At-", n).shift_params(-_H, _H)).terms
+    base = make_family("At+", n).shift_params(-_H, _H)
+    return mult_zeta(base).scale(AffineExp(_H, -_H, -_Q1).as_scalar().inverse()).terms
 
 
 def _spinor_c_family(tag, n, l, **_):
-    plus = tag == "sCt+"
-    nu_start = AffineExp(0, 1, _H - l if plus else -l - _H).as_scalar()
-    q = 0 if plus else 1
+    nu_start = AffineExp(0, 1, _H - l if tag == "sCt+" else -l - _H).as_scalar()
+    q = _ODD[tag]
     terms = {}
     for j2 in range(l + 1):
         # sum_a Delta^j d_n^p D'_a delta (x) zeta(e_a), p = 2l-2j-1 (+1 for sCt-)
@@ -511,9 +495,7 @@ def _spinor_c_family(tag, n, l, **_):
         c = pochhammer(nu_start, l - j2 + q) * ParamScalar(
             2 ** (p + 1), factorial(j2) * factorial(p + 1))
         _add_point(terms, n, c, j2, p + 1, gen=n)
-    meta = {"family": tag, "l": l,
-            "constraint": ("diff", -_H - 2 * l if plus else -3 * _H - 2 * l)}
-    return KernelExpr(n, (spin_dim(n),) * 2, terms, meta)
+    return terms
 
 
 # tag -> (index name, builder), the index names those of _IDENTITIES: the
@@ -525,6 +507,11 @@ _FAMILIES = {tag + sign: (name + parity if name == "ij" else name, build)
                  ("sAt", None, _spinor_a_family), ("sBt", "k", _b_family),
                  ("sCt", "l", _spinor_c_family), ("sAtt", "ij", _residue_family))
              for sign, parity in (("+", "_even"), ("-", "_odd"))}
+
+# the parity of the delta or d_n order of each B and C family, which fixes
+# its constraint line lam + nu (index k) or lam - nu (index l) = -1/2 - 2 index - odd
+_ODD = {"Bt+": 0, "Bt-": 1, "sBt+": 1, "sBt-": 0,
+        "Ct+": 0, "Ct-": 1, "sCt+": 0, "sCt-": 1}
 
 
 def _index(name, n, k, l, i, j):
@@ -572,7 +559,14 @@ def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
     if form not in ("expanded", "radial"):
         raise BadParams("form must be 'expanded' or 'radial', got %r" % (form,))
     name, build = entry
-    return build(tag, n, *_index(name, n, k, l, i, j), form=form)
+    index = _index(name, n, k, l, i, j)
+    # the index values under the letters of the index name
+    meta = dict(zip((name or "").split("_")[0], index), family=tag)
+    if tag in _ODD:
+        meta["constraint"] = ("sum" if name == "k" else "diff",
+                              -_H - 2 * index[0] - _ODD[tag])
+    return KernelExpr(n, (spin_dim(n),) * 2 if tag[0] == "s" else None,
+                      build(tag, n, *index, form=form), meta)
 
 
 # -- identity suite -------------------------------------------------------------
@@ -580,11 +574,8 @@ def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
 def _on_line(K, constraint):
     """Restrict symbolic (lam, nu) to the affine constraint line."""
     kind, const = constraint
-    if kind == "sum":      # lam + nu = const
-        return K.subs_lam(-1, const)
-    if kind == "diff":     # lam - nu = const
-        return K.subs_lam(1, const)
-    raise BadParams("unknown constraint %r" % (kind,))
+    # lam = -nu + const on lam + nu = const ('sum'), nu + const on lam - nu ('diff')
+    return K.subs_lam({"sum": -1, "diff": 1}[kind], const)
 
 
 # tag -> (index, line, lhs, rhs).  The index names the parameters the

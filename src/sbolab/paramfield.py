@@ -348,14 +348,6 @@ class ParamPoly:
             return hash(t[(0, 0)])
         return hash(frozenset(t.items()))
 
-    def eval(self, lam0, nu0):
-        lam0 = GaussianRational.coerce(lam0)
-        nu0 = GaussianRational.coerce(nu0)
-        out = ZERO
-        for (a, b), c in self.terms.items():
-            out = out + c * (lam0 ** a) * (nu0 ** b)
-        return out
-
     def subs_lam(self, e, f):
         """Substitute lam := e*nu + f (e, f rationals)."""
         return self._affine_subs(ParamPoly({(0, 1): e, (0, 0): f}), NU)
@@ -883,14 +875,15 @@ def pochhammer(x, n):
 
 
 def evaluate(s, lam0, nu0):
-    """Exact value of s at (lam0, nu0); Gamma tokens must already be gone."""
+    """Exact value of s at (lam0, nu0): the affine substitution at constant
+    images, read at the monomial 1.  Gamma tokens must already be gone."""
     s = ParamScalar.coerce(s)
     if s.has_gammas():
         raise GammaResidual("unreduced Gamma tokens remain: %r" % (s.gammas,))
     lam0 = GaussianRational.coerce(lam0)
     nu0 = GaussianRational.coerce(nu0)
-    d = s.den.eval(lam0, nu0)
+    point = ParamPoly.const(lam0), ParamPoly.const(nu0)
+    d = s.den._affine_subs(*point).terms.get((0, 0), ZERO)
     if d.is_zero():
         raise PoleError("denominator vanishes at (%r, %r)" % (lam0, nu0))
-    return s.num.eval(lam0, nu0) / d
-
+    return s.num._affine_subs(*point).terms.get((0, 0), ZERO) / d
