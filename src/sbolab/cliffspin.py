@@ -148,6 +148,8 @@ def _blade_mul(n, p, s, t):
 
 def pin_element(vectors, p=None):
     """Product of vectors in Cl(p,q); vectors must have Q(v) = +-1."""
+    if not vectors:
+        raise DimensionMismatch("pin_element needs at least one vector")
     n = len(vectors[0])
     g = CliffordElt.scalar(n, ONE, p)
     for v in vectors:
@@ -453,8 +455,8 @@ def spin_projection_P(n):
     which Pin(n-1) acts by zeta_{n-1} itself and inverts the branching
     embedding on the complementary summand, so P o iota_minus = id.
     """
-    if n < 2:
-        raise DimensionMismatch("need n >= 2")
+    if type(n) is not int or n < 2:  # type, not isinstance: no bools
+        raise DimensionMismatch("need an integer n >= 2, got n=%r" % (n,))
     if n % 2:
         return gamma_matrix(n // 2)
     m = n // 2
@@ -472,8 +474,8 @@ def spin_projection_P(n):
 
 def check_proj_independence(n):
     """Exact rank certificate that {P o zeta_n(e_i)} are linearly independent."""
-    if n % 2 or n < 2:
-        raise DimensionMismatch("independence check is for even n >= 2")
+    if type(n) is not int or n % 2 or n < 2:
+        raise DimensionMismatch("independence check is for an even integer n >= 2")
     P = spin_projection_P(n)
     rows = []
     for i in range(1, n + 1):

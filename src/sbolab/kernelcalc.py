@@ -516,14 +516,17 @@ _ODD = {"Bt+": 0, "Bt-": 1, "sBt+": 1, "sBt-": 0,
 
 def _index(name, n, k, l, i, j):
     """The index tuple of a family or identity index name (see _IDENTITIES) after
-    the one domain check, BadParams outside it: n >= 2, no keyword the name does
-    not use, then k or l >= 0, or odd n, 0 <= j <= i and i - j of the named parity."""
-    if n < 2:
-        raise BadParams("kernels on R^n need n >= 2, got n=%r" % (n,))
-    unused = [p for p, x in zip("klij", (k, l, i, j))
-              if x is not None and p not in (name or "").split("_")[0]]
+    the one domain check, BadParams outside it: an integer n >= 2, no keyword the
+    name does not use, integer indices, then k or l >= 0, or odd n, 0 <= j <= i and
+    i - j of the named parity."""
+    if type(n) is not int or n < 2:  # type, not isinstance: no bools
+        raise BadParams("kernels on R^n need an integer n >= 2, got n=%r" % (n,))
+    given = [(p, x) for p, x in zip("klij", (k, l, i, j)) if x is not None]
+    unused = [p for p, x in given if p not in (name or "").split("_")[0]]
     if unused:
         raise BadParams("index %s not used here" % ", ".join(unused))
+    if any(type(x) is not int for _, x in given):
+        raise BadParams("indices must be integers, got %r" % (dict(given),))
     if name is None:
         return ()
     if name[0] == "i":

@@ -448,8 +448,10 @@ def monomials(n, d):
 @lru_cache(maxsize=None)
 def monogenic_basis(n, i):
     """Exact basis of M_i(R^n; S_n) = ker(Dirac) on degree-i polynomials."""
-    if n < 1:
-        raise DimensionMismatch("need n >= 1")
+    if type(n) is not int or n < 1:  # type, not isinstance: no bools
+        raise DimensionMismatch("need an integer n >= 1, got n=%r" % (n,))
+    if type(i) is not int:
+        raise BadDegree("the degree must be an integer, got i=%r" % (i,))
     cols = [_pack(mono, n) << n // 2 | mask for mono in monomials(n, i)
             for mask in range(spin_dim(n))]
     rows = {}

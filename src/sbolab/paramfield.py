@@ -97,7 +97,11 @@ class GaussianRational:
         return GaussianRational(x)
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
+        if other.__class__ is not GaussianRational:
+            # a polynomial or scalar operand adds through its own __radd__
+            if isinstance(other, (ParamPoly, ParamScalar)):
+                return NotImplemented
+            other = GaussianRational(other)
         d, f = self._d, other._d
         if d == f:
             return _gr(self._a + other._a, self._b + other._b, d)
@@ -106,7 +110,10 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
+        if other.__class__ is not GaussianRational:
+            if isinstance(other, (ParamPoly, ParamScalar)):
+                return NotImplemented
+            other = GaussianRational(other)
         d, f = self._d, other._d
         if d == f:
             return _gr(self._a - other._a, self._b - other._b, d)
@@ -120,8 +127,6 @@ class GaussianRational:
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
-            # a polynomial or scalar operand multiplies through its own
-            # __rmul__, so mixed products work in either order
             if isinstance(other, (ParamPoly, ParamScalar)):
                 return NotImplemented
             other = GaussianRational(other)
@@ -146,6 +151,8 @@ class GaussianRational:
         return _gr(d * a, -d * b, a * a + b * b)
 
     def __truediv__(self, other):
+        if isinstance(other, (ParamPoly, ParamScalar)):
+            return NotImplemented
         return self * GaussianRational.coerce(other).inverse()
 
     def __rtruediv__(self, other):
@@ -309,6 +316,10 @@ class ParamPoly:
         return not self.terms
 
     def __add__(self, other):
+        # a scalar operand works through its own reflected operators, so
+        # mixed sums, differences and products work in either order
+        if isinstance(other, ParamScalar):
+            return NotImplemented
         return _poly(_acc(dict(self.terms), ParamPoly.coerce(other).terms.items()))
 
     __radd__ = __add__
@@ -317,12 +328,16 @@ class ParamPoly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
+        if isinstance(other, ParamScalar):
+            return NotImplemented
         return self + (-ParamPoly.coerce(other))
 
     def __rsub__(self, other):
         return ParamPoly.coerce(other) - self
 
     def __mul__(self, other):
+        if isinstance(other, ParamScalar):
+            return NotImplemented
         return _poly(_mul_terms(self.terms, ParamPoly.coerce(other).terms))
 
     __rmul__ = __mul__

@@ -150,6 +150,10 @@ class TestPinCover:
         with pytest.raises(NotInPin):
             pin_element([[1, 1, 0]])
 
+    def test_no_vectors(self):
+        with pytest.raises(DimensionMismatch):  # used to raise IndexError
+            pin_element([])
+
 
 class TestSpinModule:
     def test_wedge_action(self):
@@ -343,3 +347,10 @@ class TestSpinProjection:
     def test_independence(self, n):
         rep = check_proj_independence(n)
         assert rep["ok"] and rep["rank"] == n
+
+    @pytest.mark.parametrize("n", [2.5, 4.0])
+    def test_non_integer_dimension(self, n):
+        # 2.5 used to end in a TypeError, 4.0 to build a projection
+        for check in (spin_projection_P, check_proj_independence):
+            with pytest.raises(DimensionMismatch):
+                check(n)

@@ -86,6 +86,19 @@ class TestFamilies:
         with pytest.raises(BadParams):  # End(S_4) is 4 x 4
             KernelExpr(4, (2, 4), {("P", (0, 0, 0, 0)): {(0, 0): ps(1)}})
 
+    def test_non_integer_dimension_and_indices(self):
+        # a bool index used to build the family at 1 or report ok, a float
+        # one to end in a TypeError
+        for bad in (lambda: make_family("Bt+", 3, k=True),
+                    lambda: check_identity("juhl_up", 3, l=True),
+                    lambda: make_family("A+", 2.0),
+                    lambda: make_family("Bt+", 3, k=1.0),
+                    lambda: make_family("Att+", 3, i=1, j=1.0),
+                    lambda: check_identity("juhl_up", 3.5, l=1),
+                    lambda: check_identity("xn_kernel", True)):
+            with pytest.raises(BadParams):
+                bad()
+
 
 def _off_domain(name):
     """(n, index keywords) outside the domain of a family index name, next

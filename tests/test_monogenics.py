@@ -834,6 +834,14 @@ class TestPackedKeys:
             with pytest.raises(DimensionMismatch):
                 top.diff(bad)
 
+    def test_basis_needs_integer_dimension_and_degree(self):
+        with pytest.raises(DimensionMismatch):  # used to end in a RecursionError
+            monogenic_basis(2.5, 1)
+        with pytest.raises(DimensionMismatch):
+            monogenic_basis(True, 1)
+        with pytest.raises(BadDegree):
+            monogenic_basis(3, 1.0)
+
     def test_branch_embed_past_the_limit(self):
         phi = monogenic_basis(2, 0)[0]
         with pytest.raises(BadDegree):

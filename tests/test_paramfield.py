@@ -1027,9 +1027,8 @@ constants = st.one_of(st.integers(-6, 6), rationals, gaussians)
 
 class TestReflectedOperations:
     """A constant left of a polynomial or scalar: each reflected method
-    equals the forward operation on the coerced constant.  An int or
-    Fraction reaches it through the operator; a GaussianRational's own
-    `-` and `/` do not defer to it, so its method is called directly."""
+    equals the forward operation on the coerced constant, and so does the
+    operator, for an int, a Fraction and a GaussianRational alike."""
 
     @given(st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 40))
     @settings(max_examples=100, deadline=None)
@@ -1044,8 +1043,7 @@ class TestReflectedOperations:
     def test_constant_minus_poly(self, c, p):
         want = ParamPoly.coerce(c) - p
         assert p.__rsub__(c) == want
-        if not isinstance(c, GaussianRational):
-            assert c - p == want
+        assert c - p == want
 
     @given(constants, scalars())
     @settings(max_examples=60, deadline=None)
@@ -1060,5 +1058,43 @@ class TestReflectedOperations:
                            ("__rtruediv__", lambda x, y: x / y)):
             want = outcome(lambda: op(ParamScalar.coerce(c), s))
             assert outcome(lambda: getattr(s, method)(c)) == want, method
-            if not isinstance(c, GaussianRational):
-                assert outcome(lambda: op(c, s)) == want, method
+            assert outcome(lambda: op(c, s)) == want, method
+
+    @given(constants, polys, scalars())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_operands_act_in_the_higher_type(self, c, p, s):
+        # level 0: constant, 1: polynomial, 2: scalar; x op y in either
+        # order equals op on both operands coerced to the higher level
+        lift = (lambda x: x, ParamPoly.coerce, ParamScalar.coerce)
+
+        def outcome(f):
+            # a zero keeps the Gamma tokens of the operand it came from, so
+            # zeros compare by value
+            try:
+                r = f()
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                return type(exc)
+            return "zero" if r.is_zero() else r
+        values = (c, p, s)
+        for lo in range(3):
+            for hi in range(max(lo, 1), 3):
+                x, y = values[lo], values[hi]
+                for name, op in (("+", lambda a, b: a + b), ("-", lambda a, b: a - b),
+                                 ("*", lambda a, b: a * b), ("/", lambda a, b: a / b)):
+                    for a, b in ((x, y), (y, x)):
+                        if name == "/" and hi == 1:
+                            # a polynomial has no inverse and no quotient
+                            assert outcome(lambda: op(a, b)) is TypeError
+                            continue
+                        want = outcome(lambda: op(lift[hi](a), lift[hi](b)))
+                        assert outcome(lambda: op(a, b)) == want, (name, lo, hi)
+
+    def test_lower_type_on_the_left(self):
+        g, p, s = GaussianRational(1, 2), LAM + 1, PS_LAM / (PS_NU + 1)
+        assert g + p == p + g and g - p == -(p - g)
+        assert g + s == s + g and g - s == -(s - g)
+        assert g / s == ParamScalar.coerce(g) / s
+        assert LAM + PS_ONE == PS_LAM + 1 and LAM - PS_ONE == PS_LAM - 1
+        assert LAM * PS_LAM == PS_LAM * PS_LAM and I + LAM == LAM + I
+        with pytest.raises(TypeError):
+            g / p
