@@ -73,6 +73,15 @@ class TestVerify:
         for line in text.splitlines():
             assert json.loads(line)["status"] == "pass"
 
+    @pytest.mark.parametrize("suite,imax,count", [("branching", 2, 12), ("lambda", 1, 28)])
+    def test_suite_at_odd_n(self, suite, imax, count):
+        # branching: n = 2, 3 and 0 <= j <= i <= 2; lambda: the odd-n labels
+        rc, text = run(["verify", suite, "--n", "3", "--imax", str(imax)])
+        reports = [json.loads(l) for l in text.splitlines()]
+        assert rc == 0
+        assert [r["status"] for r in reports] == ["pass"] * count
+        assert {r["check"] for r in reports} == {suite}
+
     def test_failing_suite_exits_one(self, monkeypatch):
         def fake(args):
             yield {"check": "fake", "params": {}, "status": "fail",
@@ -92,6 +101,20 @@ class TestVerify:
         monkeypatch.setitem(cli._SUITES, "kernels", fake)
         with pytest.raises(kernelcalc.BadParams):
             run(["verify", "kernels", "--n", "4"])
+
+
+class TestMultiplicitySector:
+    ARGV = ["multiplicity", "--n", "4", "--lam=-5/2", "--nu=-2", "--depth", "10"]
+
+    def test_one_sector_each(self):
+        both = json.loads(run(self.ARGV)[1])
+        for sector, shown, hidden in (("plus", "dim_plus", "dim_minus"),
+                                      ("minus", "dim_minus", "dim_plus")):
+            rc, text = run(self.ARGV + ["--sector", sector])
+            rep = json.loads(text)
+            assert rc == 0 and hidden not in rep
+            assert rep == {k: v for k, v in both.items() if k != hidden}, sector
+            assert rep[shown] == both[shown] and rep["total"] == both["total"] == 3
 
 
 class TestUsageErrors:

@@ -275,6 +275,13 @@ CONTROL_CASES = [
 ]
 
 
+# identity with a line -> (family, index name) whose constraint that line is
+LINE_FAMILY = {"b_translation": ("Bt-", "k"), "c_translation": ("Ct-", "l"),
+               "juhl_up": ("Ct+", "l"), "juhl_down": ("Ct-", "l"),
+               "spinor_b_minus": ("sBt-", "k"), "spinor_b_plus": ("sBt+", "k"),
+               "spinor_c_minus": ("sCt-", "l"), "spinor_c_plus": ("sCt+", "l")}
+
+
 class TestIdentityCatalogue:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("tag,kw", [
@@ -316,6 +323,17 @@ class TestIdentityCatalogue:
     def test_foreign_index_keyword(self, tag, kw):
         with pytest.raises(BadParams):
             check_identity(tag, 3, **kw)
+
+    def test_identity_lines_are_family_constraints(self):
+        # each identity with a line is stated on the constraint line of one
+        # family; at index x the line moves by -2x, as in _identity_sides
+        lined = {tag for tag, (_, line, *_) in kernelcalc._IDENTITIES.items() if line}
+        assert lined == set(LINE_FAMILY)
+        for tag, (family, name) in LINE_FAMILY.items():
+            kind, c = kernelcalc._IDENTITIES[tag][1]
+            for x in range(5):
+                K = make_family(family, 3, **{name: x})
+                assert K.meta["constraint"] == (kind, c - 2 * x), (tag, x)
 
     def test_vanishing_classification(self):
         assert check_identity("xn_kernel", 4, k=2, l=2)["ok"]

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -614,6 +615,15 @@ def reference_shift(p, dlam, dnu):
     return out
 
 
+def reference_eval(p, lam0, nu0):
+    """p at (lam0, nu0) with one power product per term: the old route."""
+    lam0, nu0 = GaussianRational.coerce(lam0), GaussianRational.coerce(nu0)
+    out = ZERO
+    for (a, b), c in p.terms.items():
+        out = out + c * (lam0 ** a) * (nu0 ** b)
+    return out
+
+
 def parts_of(s):
     return s.num.terms, s.den.terms, s.gammas
 
@@ -665,6 +675,21 @@ class TestFastPaths:
     def test_affine_substitution_matches_reference(self, p, e, f):
         assert p.subs_lam(e, f) == reference_subs_lam(p, e, f)
         assert p.shift(e, f) == reference_shift(p, e, f)
+
+    @given(scalars(), small_gaussians, small_gaussians, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_matches_reference(self, s, lam0, nu0, pole):
+        s = ParamScalar(s.num, s.den)   # evaluation needs a Gamma-free scalar
+        if pole:
+            # a denominator that vanishes at the point, unless the factor
+            # cancels against the numerator
+            s = s / ParamScalar(affine(1, 0, -lam0) * affine(0, 1, -nu0))
+        d = reference_eval(s.den, lam0, nu0)
+        if d.is_zero():
+            with pytest.raises(PoleError, match=re.escape("(%r, %r)" % (lam0, nu0))):
+                evaluate(s, lam0, nu0)
+        else:
+            assert evaluate(s, lam0, nu0) == reference_eval(s.num, lam0, nu0) / d
 
     @given(scalars(), scalars())
     @settings(max_examples=150, deadline=None)
