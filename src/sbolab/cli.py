@@ -195,10 +195,8 @@ def cmd_multiplicity(args, out):
     except _LATTICE_DOMAIN as exc:
         sys.stderr.write("bad lattice parameters: %s\n" % exc)
         return 2
-    if args.sector == "plus":
-        res = {k: v for k, v in res.items() if k != "dim_minus"}
-    elif args.sector == "minus":
-        res = {k: v for k, v in res.items() if k != "dim_plus"}
+    hidden = {"plus": "dim_minus", "minus": "dim_plus"}.get(args.sector)
+    res = {k: v for k, v in res.items() if k != hidden}
     _emit(dict(res, n=args.n, lam=str(lam0), nu=str(nu0), depth=args.depth), out)
     return 0
 
@@ -244,11 +242,7 @@ def cmd_table(args, out):
 
 
 def cmd_kernel(args, out):
-    kw = {}
-    for name in ("k", "l", "i", "j"):
-        v = getattr(args, name)
-        if v is not None:
-            kw[name] = v
+    kw = {name: getattr(args, name) for name in "klij" if getattr(args, name) is not None}
     try:
         K = kernelcalc.make_family(args.family, args.n, **kw)
         if args.project:

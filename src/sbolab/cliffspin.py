@@ -447,7 +447,8 @@ def fund_branching(n):
     return SpinMap(dim, big, plus), SpinMap(dim, big, minus)
 
 
-@lru_cache(maxsize=None)
+# typed: a float or bool equal to a cached int is a new key, so its check runs
+@lru_cache(maxsize=None, typed=True)
 def spin_projection_P(n):
     """Nonzero P: S_n -> S_{n-1} intertwining [zeta_n (x) det]| with zeta_{n-1}.
 

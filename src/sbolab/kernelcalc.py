@@ -575,10 +575,10 @@ def make_family(tag, n, k=None, l=None, i=None, j=None, form="expanded"):
 # -- identity suite -------------------------------------------------------------
 
 def _on_line(K, constraint):
-    """Restrict symbolic (lam, nu) to the affine constraint line."""
-    kind, const = constraint
-    # lam = -nu + const on lam + nu = const ('sum'), nu + const on lam - nu ('diff')
-    return K.subs_lam({"sum": -1, "diff": 1}[kind], const)
+    """Restrict symbolic (lam, nu) to the line (kind, c): lam := -nu + c on
+    lam + nu = c (kind 'sum'), lam := nu + c on lam - nu = c ('diff')."""
+    kind, c = constraint
+    return K.subs_lam({"sum": -1, "diff": 1}[kind], c)
 
 
 # tag -> (index, line, lhs, rhs).  The index names the parameters the
@@ -679,12 +679,10 @@ def _identity_sides(tag, n, k=None, l=None, i=None, j=None):
         raise UnknownIdentity(tag)
     name, line, lhs, rhs = entry
     index = _index(name, n, k, l, i, j)
-    lhs = lhs(n, *index)
-    rhs = rhs(n, *index)
+    lhs, rhs = lhs(n, *index), rhs(n, *index)
     if line is not None:
         line = (line[0], line[1] - 2 * index[0])
-        lhs = _on_line(lhs, line)
-        rhs = _on_line(rhs, line)
+        lhs, rhs = _on_line(lhs, line), _on_line(rhs, line)
     return lhs, rhs
 
 

@@ -445,7 +445,8 @@ def monomials(n, d):
             yield (e,) + rest
 
 
-@lru_cache(maxsize=None)
+# typed: a float or bool equal to a cached int is a new key, so its check runs
+@lru_cache(maxsize=None, typed=True)
 def monogenic_basis(n, i):
     """Exact basis of M_i(R^n; S_n) = ker(Dirac) on degree-i polynomials."""
     if type(n) is not int or n < 1:  # type, not isinstance: no bools

@@ -316,8 +316,7 @@ class ParamPoly:
         return not self.terms
 
     def __add__(self, other):
-        # a scalar operand works through its own reflected operators, so
-        # mixed sums, differences and products work in either order
+        # a scalar operand adds, subtracts and multiplies by its own operators
         if isinstance(other, ParamScalar):
             return NotImplemented
         return _poly(_acc(dict(self.terms), ParamPoly.coerce(other).terms.items()))

@@ -837,6 +837,8 @@ class TestPackedKeys:
     def test_basis_needs_integer_dimension_and_degree(self):
         with pytest.raises(DimensionMismatch):  # used to end in a RecursionError
             monogenic_basis(2.5, 1)
+        # the cached bases at equal ints do not answer for a float or a bool
+        monogenic_basis(1, 1), monogenic_basis(3, 1)
         with pytest.raises(DimensionMismatch):
             monogenic_basis(True, 1)
         with pytest.raises(BadDegree):
