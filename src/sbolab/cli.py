@@ -242,9 +242,9 @@ def cmd_table(args, out):
 
 
 def cmd_kernel(args, out):
-    kw = {name: getattr(args, name) for name in "klij" if getattr(args, name) is not None}
     try:
-        K = kernelcalc.make_family(args.family, args.n, **kw)
+        K = kernelcalc.make_family(args.family, args.n, k=args.k, l=args.l, i=args.i,
+                                   j=args.j)
         if args.project:
             K = kernelcalc.project(K)
     except kernelcalc.BadParams as exc:

@@ -480,8 +480,8 @@ def _spinor_a_family(tag, n, **_):
 
 
 def _spinor_c_family(tag, n, l, **_):
-    nu_start = AffineExp(0, 1, _H - l if tag == "sCt+" else -l - _H).as_scalar()
     q = _ODD[tag]
+    nu_start = AffineExp(0, 1, _H - l - q).as_scalar()
     terms = {}
     for j2 in range(l + 1):
         # sum_a Delta^j d_n^p D'_a delta (x) zeta(e_a), p = 2l-2j-1 (+1 for sCt-)
