@@ -1090,7 +1090,7 @@ class TestReflectedOperations:
     def test_mixed_operands_act_in_the_higher_type(self, c, p, s):
         # level 0: constant, 1: polynomial, 2: scalar; x op y in either
         # order equals op on both operands coerced to the higher level
-        lift = (lambda x: x, ParamPoly.coerce, ParamScalar.coerce)
+        lift = {1: ParamPoly.coerce, 2: ParamScalar.coerce}
 
         def outcome(f):
             # a zero keeps the Gamma tokens of the operand it came from, so
