@@ -234,7 +234,7 @@ def _spinor(m, coeffs):
     return s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _zeta_table(n, variant, i):
     """zeta_n(e_i) as a signed permutation: entry `mask` is (image, k) with
     zeta_n(e_i) w_mask = i^k w_image.
@@ -265,7 +265,7 @@ def _zeta_table(n, variant, i):
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _blade_action(n, mask):
     """zeta_n(e_S) for the blade e_S = e_{s_1} ... e_{s_k}, s_1 < ... < s_k,
     as a signed permutation like `_zeta_table`: entry w is (image, k) with
@@ -281,7 +281,7 @@ def _blade_action(n, mask):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _blade_lmul(n, i):
     """Left multiplication by e_i on the blades that span End(S_n): entry S
     is (image, k) with zeta_n(e_i e_S) = i^k zeta_n(e_image).
@@ -404,7 +404,7 @@ def _matmul(a, b):
                      for cc, y in rows_b.get(c, ())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def zeta_matrix(n, variant, i):
     """Matrix of zeta_n(e_i) on the mask-ordered basis of S_n, read from the
     signed permutation `_zeta_table`: i^k at (image, mask)."""
@@ -413,7 +413,7 @@ def zeta_matrix(n, variant, i):
                               in enumerate(_zeta_table(n, variant, i))})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gamma_matrix(m):
     dim = 1 << m
     return SpinMap(dim, dim,
@@ -421,7 +421,7 @@ def gamma_matrix(m):
                     for i in range(dim)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def fund_branching(n):
     """The two fundamental-spin branching maps S_n -> S_{n+1}.
 
@@ -447,7 +447,6 @@ def fund_branching(n):
     return SpinMap(dim, big, plus), SpinMap(dim, big, minus)
 
 
-# typed: a float or bool equal to a cached int is a new key, so its check runs
 @lru_cache(maxsize=None, typed=True)
 def spin_projection_P(n):
     """Nonzero P: S_n -> S_{n-1} intertwining [zeta_n (x) det]| with zeta_{n-1}.

@@ -690,21 +690,27 @@ def check_identity(tag, n, k=None, l=None, i=None, j=None):
     """Verify one catalogued kernel identity with symbolic parameters.
 
     Both sides are built as KernelExpr, restricted to the identity's
-    constraint line, and compared in normal form.  The report carries the
-    difference on failure.
+    constraint line, and compared in normal form.  A failing report carries
+    as "diff" {"lhs": ..., "rhs": ...}, the JSON form of each side restricted
+    to the terms where the two differ; no arithmetic joins the sides, which
+    may carry different Gamma tokens.
     """
     if tag in _VANISHING:
         k, l = (2 if x is None else x for x in (k, l))
         return _vanishing_report(tag, n, *_index("k", n, k, None, i, j),
                                  *_index("l", n, None, l, i, j))
     lhs, rhs = _identity_sides(tag, n, k, l, i, j)
-    # equal normal forms are equal kernels; a failing report gets the difference
+    # equal normal forms are equal kernels
     report = {"identity": tag, "n": n,
               "params": {p: q for p, q in (("k", k), ("l", l), ("i", i), ("j", j))
                          if q is not None},
               "ok": lhs == rhs}
     if not report["ok"]:
-        report["diff"] = to_json_dict(lhs - rhs)
+        report["diff"] = {
+            side: to_json_dict(K.copy_with({key: v for key, v in K.terms.items()
+                                            if other.terms.get(key) != v},
+                                           normalized=True))
+            for side, K, other in (("lhs", lhs, rhs), ("rhs", rhs, lhs))}
     return report
 
 

@@ -71,7 +71,7 @@ def gegenbauer(deg, lam):
     return coeffs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def gegenbauer_coeffs_rational(deg, lam):
     """Coefficients of C_deg^lam(z) for a fixed rational lam (int, Fraction
     or str), as GaussianRational: the coefficients of `gegenbauer`, each
@@ -147,7 +147,7 @@ def verify_gegenbauer_identities(max_deg):
         raise BadDegree("max_deg must be >= 2, got %r" % (max_deg,))
     report = {}
     # each Gegenbauer polynomial built once, in a cache of this call only
-    geg = lru_cache(maxsize=None)(gegenbauer)
+    geg = lru_cache(maxsize=None, typed=True)(gegenbauer)
     for name in _GEG_IDENTITIES:
         per = {}
         for n in range(max_deg + 1):
@@ -184,7 +184,7 @@ def _pack(mono, nvars):
     return sum(e << _W * t for t, e in enumerate(mono))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _norm2_power(nvars, t, m):
     """|x|^(2t) as (key shift for masks of m bits, coefficient) pairs."""
     f = factorial(t)
@@ -445,7 +445,6 @@ def monomials(n, d):
             yield (e,) + rest
 
 
-# typed: a float or bool equal to a cached int is a new key, so its check runs
 @lru_cache(maxsize=None, typed=True)
 def monogenic_basis(n, i):
     """Exact basis of M_i(R^n; S_n) = ker(Dirac) on degree-i polynomials."""
@@ -566,7 +565,7 @@ def _embed_values(phi):
     return _sp(n, n + 1, "+", phi.terms, phi.den)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _embed_sums(n, j, i):
     """The two Gegenbauer sums of branch_embed, homogeneous in x_1..x_{n+1}:
     the first multiplies the embedded input, the second zeta(x') e_{n+1}
@@ -716,7 +715,7 @@ def _sphere_part(split, move, sign):
     return (part if sign == 1 else part.gamma_twist()).scale(GaussianRational(-1))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _bruteforce_block(n, alpha, alphap, beta, max_basis):
     """Solve for all constants into one target type at once; {move: value}.
 

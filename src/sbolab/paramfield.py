@@ -660,8 +660,8 @@ class ParamScalar:
     gammas is a sorted tuple of (AffineExp, exponent) pairs, each argument
     the class representative of AffineExp.split.  A raw (a, b, c) triple
     given to the constructor is taken as AffineExp(a, b, c).  The form is
-    canonical (den grlex-monic and coprime to num, num 0 over den 1), so
-    equality and hashing compare the parts.
+    canonical (den grlex-monic and coprime to num, zero as 0 over 1 with no
+    Gamma tokens), so equality and hashing compare the parts.
     """
 
     __slots__ = ("num", "den", "gammas")
@@ -714,9 +714,9 @@ class ParamScalar:
                 else:
                     den = den * fac ** -p
             net[key] = net.get(key, 0) + e
-        gammas = tuple(sorted((k, e) for k, e in net.items() if e != 0))
         if num.is_zero():
-            return ParamPoly(), _POLY_ONE, gammas
+            return ParamPoly(), _POLY_ONE, ()
+        gammas = tuple(sorted((k, e) for k, e in net.items() if e != 0))
         # gcd reduction is only needed when both sides genuinely involve the
         # parameters; constant denominators cover most arithmetic
         if num.total_degree() > 0 and den.total_degree() > 0:
@@ -770,7 +770,8 @@ class ParamScalar:
         if self.gammas != o.gammas:
             raise ValueError("cannot add scalars with different Gamma content")
         if self._den_is_one() and o._den_is_one():
-            return _ps(self.num + o.num, self.den, self.gammas)
+            num = self.num + o.num
+            return PS_ZERO if num.is_zero() else _ps(num, self.den, self.gammas)
         return ParamScalar(self.num * o.den + o.num * self.den,
                            self.den * o.den, self.gammas)
 

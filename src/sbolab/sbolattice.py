@@ -11,7 +11,7 @@ vanishing patterns that select quotients and subrepresentations.
 from fractions import Fraction
 from math import gcd
 
-from .paramfield import GaussianRational, ONE, _gr, _over_den
+from .paramfield import GaussianRational, _gr, _over_den
 from .cliffspin import DimensionMismatch
 from . import linalg
 
@@ -65,58 +65,35 @@ class LatticeSystem:
 
 
 class SolutionSpace:
-    """Nullities of a truncated system at depths d and d + 1; the nullspace
-    basis at depth d, that of the reduced echelon form in level order, is
-    built from the j-major echelon over the depth-(d + 1) triangle when
-    first read.  An echelon of Z rows in the unknowns t_{i,j} = i^-k s_{i,j}
-    of `_real_frame` is first brought back to s: x at (i, j) becomes
-    x * i^-k."""
+    """Nullities of a truncated system at depths d and d + 1, and the
+    nullspace basis at depth d: that of the reduced echelon form with the
+    unknowns s_{i,j}, i <= d, numbered in level order (i, j).  The basis is
+    computed when first read, from the system rebuilt from args, the
+    arguments of `build_system`, so a solve keeps none of its rows."""
 
-    __slots__ = ("dim", "dim_next", "stabilized", "_piv", "_cols", "_depth",
-                 "_frame", "_basis")
+    __slots__ = ("dim", "dim_next", "stabilized", "_args", "_basis")
 
-    def __init__(self, dim, dim_next, piv, cols, depth, frame=None):
+    def __init__(self, dim, dim_next, args):
         self.dim = dim
         self.dim_next = dim_next
         self.stabilized = dim == dim_next
-        self._piv = piv
-        self._cols = cols
-        self._depth = depth
-        self._frame = frame
+        self._args = args
         self._basis = None
 
     @property
     def basis(self):
         if self._basis is None:
-            cols, k, piv = self._cols, self._frame, self._piv
-            if k is not None:
-                piv = {c: {cc: (0, -x) if k(*cols[cc]) else (x, 0)
-                           for cc, x in row.items()} for c, row in piv.items()}
-            # the level-(d + 1) unknowns hold no entry of a depth-d row, so
-            # each is free and its nullspace vector is its unit vector
-            vecs = [{cols[c]: v for c, v in vec.items()} for vec in
-                    linalg.echelon_nullspace(piv, len(cols))]
-            self._basis = _level_form([vec for vec in vecs
-                                       if max(vec)[0] <= self._depth])
+            system = build_system(*self._args)
+            d, region = system.depth, system.region
+            cols = [(i, j) for i in range(d + 1) for j in range(i + 1)
+                    if region is None or region(i, j)]
+            idx = {key: c for c, key in enumerate(cols)}
+            rows = ({idx[key]: v for key, v in row.items()}
+                    for row in system.rows)
+            self._basis = [{cols[c]: v for c, v in vec.items()} for vec in
+                           linalg.echelon_nullspace(
+                               linalg.echelon(rows, len(cols)), len(cols))]
         return self._basis
-
-
-def _level_form(vecs):
-    """The basis of the span of vecs {(i, j): GaussianRational} that is 1 at
-    one free unknown and 0 at the others, sorted by free unknown, the free
-    unknowns being the last independent coordinates in level order: the
-    reduced echelon form of vecs with the coordinates numbered from the
-    largest (i, j) down.  For a nullspace these complement the first
-    independent columns of the rows, the pivots in level order, so this is
-    the level-order nullspace basis."""
-    keys = sorted({k for vec in vecs for k in vec}, reverse=True)
-    idx = {k: c for c, k in enumerate(keys)}
-    rows = ({idx[k]: x for k, x in vec.items()} for vec in vecs)
-    rref = linalg.reduced_echelon(
-        linalg.echelon(map(linalg.gaussian_ints, rows), len(keys)))
-    return [{keys[c]: ONE, **{keys[cc]: row[cc]
-                              for cc in sorted(row, reverse=True) if cc != c}}
-            for c, row in reversed(rref.items())]
 
 
 def _scaled_point(lam0, nu0):
@@ -255,8 +232,9 @@ def solve_dimension(system):
            _level_rows(system.n, system.point, system.sign, d, region)]
     _, piv1 = _echelon(top, d + 1, region, piv, frame)
     ncols = sum(1 for i, _ in cols if i <= d)
-    return SolutionSpace(ncols - len(piv), len(cols) - len(piv1), piv, cols,
-                         d, frame)
+    return SolutionSpace(ncols - len(piv), len(cols) - len(piv1),
+                         (system.n, system.lam0, system.nu0, system.sign, d,
+                          region))
 
 
 def on_special_set(n, lam0, nu0):

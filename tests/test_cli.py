@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sbolab import cli, kernelcalc
+from sbolab.paramfield import ParamScalar
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -73,10 +74,12 @@ class TestVerify:
         for line in text.splitlines():
             assert json.loads(line)["status"] == "pass"
 
-    @pytest.mark.parametrize("suite,imax,count", [("branching", 2, 12), ("lambda", 1, 28)])
-    def test_suite_at_odd_n(self, suite, imax, count):
+    @pytest.mark.parametrize("suite,n,imax,count", [
+        ("branching", 3, 2, 12), ("lambda", 3, 1, 28), ("lambda", 4, 1, 28)])
+    def test_suite_at_each_parity(self, suite, n, imax, count):
         # branching: n = 2, 3 and 0 <= j <= i <= 2; lambda: the odd-n labels
-        rc, text = run(["verify", suite, "--n", "3", "--imax", str(imax)])
+        # at n = 3 and the even-n labels at n = 4
+        rc, text = run(["verify", suite, "--n", str(n), "--imax", str(imax)])
         reports = [json.loads(l) for l in text.splitlines()]
         assert rc == 0
         assert [r["status"] for r in reports] == ["pass"] * count
@@ -90,6 +93,22 @@ class TestVerify:
         rc, text = run(["verify", "gegenbauer"])
         assert rc == 1
         assert json.loads(text.strip())["witness"] == "boom"
+
+    def test_failing_kernel_identity_reports(self, monkeypatch):
+        # a right side with another Gamma content used to end the suite in a
+        # ValueError from lhs - rhs
+        entry = kernelcalc._IDENTITIES["b_translation"]
+        monkeypatch.setitem(kernelcalc._IDENTITIES, "b_translation", entry[:3] + (
+            lambda n, k: kernelcalc.make_family("Bt-", n, k=k).scale(
+                ParamScalar.gamma_factor(1, 0, "1/3")),))
+        rc, text = run(["verify", "kernels", "--n", "3", "--kmax", "1",
+                        "--lmax", "1"])
+        reports = [json.loads(l) for l in text.splitlines()]
+        assert rc == 1
+        failed = [r for r in reports if r["status"] != "pass"]
+        assert [(r["check"], r["params"]) for r in failed] == \
+            [("kernel:b_translation", {"k": k, "n": 3}) for k in (0, 1)]
+        assert all(set(r["witness"]) == {"lhs", "rhs"} for r in failed)
 
     def test_late_domain_error_is_a_fault(self, monkeypatch):
         # a domain error raised after the arguments passed their check is a

@@ -225,6 +225,16 @@ class TestZetaTable:
         with pytest.raises(ValueError, match="variant"):
             zeta_matrix(3, variant, 1)
 
+    def test_float_index_is_not_answered_from_the_cache(self):
+        # the matrix cached at the equal int used to answer 1.0
+        zeta_matrix.cache_clear()
+        with pytest.raises(TypeError) as before:
+            zeta_matrix(4, "+", 1.0)
+        zeta_matrix(4, "+", 1)
+        with pytest.raises(TypeError) as after:
+            zeta_matrix(4, "+", 1.0)
+        assert str(after.value) == str(before.value)
+
 
 class TestCanonicalResults:
     """zeta_gen_apply, gamma and scale by a nonzero value skip coercion."""

@@ -40,6 +40,16 @@ class TestExplicitCoefficients:
         assert isinstance(got, tuple)
         assert gegenbauer_coeffs_rational(4, Fraction(3, 2)) is got
 
+    def test_float_degree_is_not_answered_from_the_cache(self):
+        # the coefficients cached at the equal int used to answer 3.0
+        gegenbauer_coeffs_rational.cache_clear()
+        with pytest.raises(TypeError) as before:
+            gegenbauer_coeffs_rational(3.0, 1)
+        gegenbauer_coeffs_rational(3, 1)
+        with pytest.raises(TypeError) as after:
+            gegenbauer_coeffs_rational(3.0, 1)
+        assert str(after.value) == str(before.value)
+
 
 class TestAgainstSympy:
     @pytest.mark.parametrize("lam", ["1/2", "3/2", "-1/3", "5/4", "2", "7/3", "-5/2"])

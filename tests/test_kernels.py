@@ -282,6 +282,23 @@ LINE_FAMILY = {"b_translation": ("Bt-", "k"), "c_translation": ("Ct-", "l"),
                "spinor_c_minus": ("sCt-", "l"), "spinor_c_plus": ("sCt+", "l")}
 
 
+# failing variants of b_translation: its entry with another right side
+B_TRANSLATION = kernelcalc._IDENTITIES["b_translation"]
+
+
+def gamma_mutant(n, k):
+    """Bt-(k) times Gamma(lam + 1/3), a Gamma content the left side lacks."""
+    return make_family("Bt-", n, k=k).scale(ParamScalar.gamma_factor(1, 0, "1/3"))
+
+
+def factor_mutant(n, k):
+    """The right side with the coefficient of its top delta term doubled."""
+    K = B_TRANSLATION[3](n, k)
+    top = max(K.terms, key=lambda key: key[1])
+    return K.copy_with({**K.terms, top: {b: x * 2 for b, x in K.terms[top].items()}},
+                       normalized=True)
+
+
 class TestIdentityCatalogue:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("tag,kw", [
@@ -323,6 +340,28 @@ class TestIdentityCatalogue:
     def test_foreign_index_keyword(self, tag, kw):
         with pytest.raises(BadParams):
             check_identity(tag, 3, **kw)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("mutant,every", [(gamma_mutant, True), (factor_mutant, False)],
+                             ids=["gamma", "factor"])
+    def test_failing_identity_names_the_differing_terms(self, monkeypatch, mutant,
+                                                        every, k):
+        # the Gamma mutant changes every term and used to raise ValueError
+        # from lhs - rhs; the factor mutant changes the top term only
+        monkeypatch.setitem(kernelcalc._IDENTITIES, "b_translation",
+                            B_TRANSLATION[:3] + (mutant,))
+        rep = check_identity("b_translation", 3, k=k)
+        assert rep["ok"] is False
+        lhs, rhs = rep["diff"]["lhs"]["terms"], rep["diff"]["rhs"]["terms"]
+        where = lambda terms: [{f: v for f, v in t.items() if f != "coeff"}
+                               for t in terms]
+        assert where(lhs) == where(rhs)
+        assert [t["delta_order"] for t in lhs] == \
+            (list(range(1, 2 * k + 2, 2)) if every else [2 * k + 1])
+        for a, b in zip(lhs, rhs):
+            assert a["coeff"] != b["coeff"]
+            assert (a["coeff"]["scalar"]["gammas"] != b["coeff"]["scalar"]["gammas"]) \
+                == every
 
     def test_identity_lines_are_family_constraints(self):
         # each identity with a line is stated on the constraint line of one

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import sbolab
 from sbolab import linalg
 from sbolab.paramfield import (GaussianRational, ParamScalar, PS_LAM, PS_NU,
-                               PS_I, evaluate, rat, _acc)
+                               PS_I, evaluate, rat)
 from sbolab.cliffspin import DimensionMismatch
 from sbolab.monogenics import (lambda_constant, NotAdjacent, _split_label,
                                _adjacent_move)
@@ -20,7 +20,7 @@ from sbolab.sbolattice import (build_system, solve_dimension, multiplicity,
                                composition_multiplicity, composition_table,
                                expected_composition, on_special_set,
                                lattice_point, BadDepth, BadLabel, _echelon,
-                               _real_frame, _level_form, _level_rows, _PAIRS)
+                               _real_frame, _level_rows, _PAIRS)
 
 
 # -- the symbolic sector rows: the oracle for the rows built at the point -----
@@ -730,26 +730,6 @@ class TestJMajorOrder:
                 dim = _assert_matches_level_order(system).dim
                 assert composition_multiplicity(
                     n, i, j, parity, pair, depth, stabilize=False) == dim
-
-    def test_level_form_of_a_mixed_basis(self):
-        # any basis of the nullspace has the same level-order form: here
-        # the level-order basis itself, mixed by a triangular matrix with
-        # nonzero diagonal, so that the first vector, which holds the last
-        # free unknown, holds every other free unknown too
-        mixed_dims = 0
-        for lam0, nu0 in _real_points(4):
-            for sign in (1, -1):
-                basis = solve_dimension(build_system(4, lam0, nu0, sign,
-                                                     8)).basis
-                mixed = [_acc({}, ((key, v * rat(l + 1))
-                                   for l in range(m, len(basis))
-                                   for key, v in basis[l].items()))
-                         for m in range(len(basis))]
-                got = _level_form(mixed)
-                assert [list(vec.items()) for vec in got] == \
-                    [list(vec.items()) for vec in basis]
-                mixed_dims += len(basis) > 1
-        assert mixed_dims
 
     def test_fewer_reductions_than_level_order(self, monkeypatch):
         calls = []

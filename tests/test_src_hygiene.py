@@ -6,7 +6,10 @@ module-level `import` or `from ... import` must be loaded somewhere in the
 same module, and a module-level `_name` must be referred to by another
 statement of `src/sbolab` or `bench/`.  An unused import is dead weight
 that hides which modules depend on which; an unused private helper is code
-a change left behind.
+a change left behind.  Every `lru_cache` on a function that takes
+arguments is `typed=True`: an untyped cache answers a float or bool equal
+to a cached int from the cache, so whether the function's own argument
+check runs would depend on what ran before.
 """
 
 import ast
@@ -102,3 +105,46 @@ def test_check_finds_an_unreferenced_private():
     sources = {"a": "_X = 1\n_Y = 2\n\n\ndef _f():\n    return _f()\n\n\ndef g():\n    return _X\n",
                "b": "import a\nprint(a._Y)\n"}
     assert unreferenced_privates(sources, ["a"]) == ["a._f"]
+
+
+def _is_lru_cache(node):
+    return isinstance(node, ast.Name) and node.id == "lru_cache" or \
+        isinstance(node, ast.Attribute) and node.attr == "lru_cache"
+
+
+def untyped_caches(source):
+    """The lines of the `lru_cache` uses in source without typed=True, but
+    for the decorators of functions that take no arguments."""
+    tree = ast.parse(source)
+    exempt = {id(dec) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not any((node.args.posonlyargs, node.args.args, node.args.vararg,
+                           node.args.kwonlyargs, node.args.kwarg))
+              for dec in node.decorator_list}
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    out = []
+    for node in ast.walk(tree):
+        if id(node) in exempt:
+            continue
+        if isinstance(node, ast.Call) and _is_lru_cache(node.func):
+            if not any(k.arg == "typed" and isinstance(k.value, ast.Constant)
+                       and k.value.value is True for k in node.keywords):
+                out.append(node.lineno)
+        elif _is_lru_cache(node) and id(node) not in called:  # bare @lru_cache
+            out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_caches_are_typed(path):
+    assert untyped_caches(path.read_text()) == [], path.name
+
+
+def test_check_finds_an_untyped_cache():
+    source = ("import functools\nfrom functools import lru_cache\n\n\n"
+              "@lru_cache(maxsize=None)\ndef f(n):\n    return n\n\n\n"
+              "@functools.lru_cache(maxsize=None, typed=True)\ndef g(n):\n    return n\n\n\n"
+              "@lru_cache\ndef h(*n):\n    return n\n\n\n"
+              "@functools.lru_cache(maxsize=None)\ndef parser():\n    return f\n\n\n"
+              "k = lru_cache(typed=False)(f)\n")
+    assert untyped_caches(source) == [5, 15, 25]
